@@ -12,11 +12,14 @@ origin, and |v| <= d holds whenever 0 < a0 <= 2 d^2 / (N(1)^{-1} b0, b0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .chain_gramian import GramSet, gram_theta_inv
+from .chain_gramian import GramSet
 
 _MAX_ITER = 200
 
@@ -46,6 +49,9 @@ class LinearSynth:
     d: float
     theta_min: float = 1e-9
     root_tol: float = 1e-12
+    # float copies of N(1)^{-1} and the dilation exponents, for theta_of
+    _n1_inv: tuple = field(init=False, repr=False, compare=False)
+    _dil: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a0 <= 0:
@@ -55,6 +61,8 @@ class LinearSynth:
             raise ValueError(f"a0={self.a0} exceeds a0_max={cap} for d={self.d}")
         if self.theta_min <= 0 or self.root_tol <= 0:
             raise ValueError("theta_min and root_tol must be positive")
+        object.__setattr__(self, "_n1_inv", tuple(tuple(float(v) for v in row) for row in self.gram.n1_inv))
+        object.__setattr__(self, "_dil", tuple(float(e) for e in self.gram.dil))
 
 
 @dataclass(frozen=True)
@@ -72,54 +80,80 @@ def synth_for(gram: GramSet, d: float, a0: float | None = None, **kw) -> LinearS
     return LinearSynth(gram=gram, a0=a0 if a0 is not None else a0_max(gram, d), d=d, **kw)
 
 
-def _poly_coeffs(s: LinearSynth, x: np.ndarray) -> np.ndarray:
-    # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p with
-    # c_p = sum_{i+j-2=p} Ninv1[i][j] x_i x_j >= 0 collectively; descending order.
-    k = s.gram.k
-    quad = s.gram.n1_inv * np.outer(x, x)
-    coeffs = np.zeros(2 * k + 1)
-    coeffs[0] = 2.0 * s.a0
-    for i in range(k):
-        for j in range(k):
-            p = i + j  # Theta power in the multiplied equation
-            coeffs[2 * k - p] -= quad[i][j]
-    return coeffs
+def _as_floats(x, k: int) -> list:
+    try:
+        xs = [float(v) for v in x] if getattr(x, "ndim", 1) == 1 else None
+    except TypeError:
+        xs = None
+    if xs is None or len(xs) != k:
+        raise ValueError(f"x must have shape ({k},), got {np.shape(x)}")
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("x must be finite")
+    return xs
 
 
-def theta_of(s: LinearSynth, x: np.ndarray) -> ThetaEval:
+def _horner(coeffs: list, th: float) -> float:
+    # the same operation order as np.polyval on descending coefficients
+    y = 0.0
+    for c in coeffs:
+        y = y * th + c
+    return y
+
+
+def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
     """Solve 2 a0 Theta = (N(Theta)^{-1} x, x) for the unique positive root.
 
-    The scalar equation is multiplied by Theta^(2k-1) to give a polynomial,
-    bracketed by doubling/halving from Theta=1, then solved by safeguarded
-    Newton with bisection fallback.  x = 0 returns theta = 0 exactly.
+    For k = 1 the root has the closed form Theta = |x| sqrt(N(1)^{-1}/(2 a0)).
+    For k >= 2 the scalar equation is multiplied by Theta^(2k-1) to give a
+    polynomial, bracketed by doubling/halving from Theta=1, then solved by
+    safeguarded Newton with bisection fallback.  w = N(Theta)^{-1} x comes
+    from the dilation form D(Theta) N(1)^{-1} D(Theta) x.  x = 0 returns
+    theta = 0 exactly.  All arithmetic is on Python floats.
     """
-    x = np.asarray(x, dtype=float)
     k = s.gram.k
-    if x.shape != (k,):
-        raise ValueError(f"x must have shape ({k},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if np.max(np.abs(x)) == 0.0:
+    xs = _as_floats(x, k)
+    ninv = s._n1_inv
+    # c[p] = sum over i+j=p of N(1)^{-1}[i][j] x_i x_j, the Theta^p coefficient
+    c = [0.0] * (2 * k - 1)
+    for i, xi in enumerate(xs):
+        row = ninv[i]
+        for j, xj in enumerate(xs):
+            c[i + j] += row[j] * (xi * xj)
+    if not any(c):
+        # x is zero, or its quadratic form underflowed to zero: treat as origin
         return ThetaEval(theta=0.0, w=np.zeros(k), v=0.0, sigma=0.0)
 
-    coeffs = _poly_coeffs(s, x)
-    if not np.any(coeffs[1:]):
-        # quadratic form underflowed to zero: x is denormal-small, treat as origin
-        return ThetaEval(theta=0.0, w=np.zeros(k), v=0.0, sigma=0.0)
-    dcoeffs = np.polyder(coeffs)
+    if k == 1:
+        th = abs(xs[0]) * math.sqrt(ninv[0][0] / (2.0 * s.a0))
+        w = [ninv[0][0] * xs[0] / th]
+    else:
+        th = _theta_root(s, c)
+        dil = [th ** -e for e in s._dil]
+        y = [dj * xj for dj, xj in zip(dil, xs)]
+        w = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, ninv)]
 
-    def f(th: float) -> float:
-        return float(np.polyval(coeffs, th))
+    residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, w, xs)))
+    if residual > s.root_tol * max(1.0, 2.0 * s.a0 * th):
+        raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
+    sigma = w[k - 1]
+    return ThetaEval(theta=th, w=np.array(w), v=-0.5 * sigma, sigma=sigma)
+
+
+def _theta_root(s: LinearSynth, c: list) -> float:
+    # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order
+    coeffs = [2.0 * s.a0, 0.0] + [-cp for cp in reversed(c)]
+    n = len(coeffs) - 1
+    dcoeffs = [cf * (n - i) for i, cf in enumerate(coeffs[:-1])]
 
     lo, hi = 1.0, 1.0
     it = 0
-    while f(hi) <= 0.0:
+    while _horner(coeffs, hi) <= 0.0:
         hi *= 2.0
         it += 1
         if it > _MAX_ITER:
             raise NonConvergence("upper bracket for theta did not close")
     it = 0
-    while f(lo) >= 0.0:
+    while _horner(coeffs, lo) >= 0.0:
         lo *= 0.5
         it += 1
         if it > _MAX_ITER:
@@ -127,14 +161,14 @@ def theta_of(s: LinearSynth, x: np.ndarray) -> ThetaEval:
 
     th = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
-        fv = f(th)
+        fv = _horner(coeffs, th)
         if fv > 0.0:
             hi = th
         elif fv < 0.0:
             lo = th
         else:
             break
-        dv = float(np.polyval(dcoeffs, th))
+        dv = _horner(dcoeffs, th)
         step_ok = dv != 0.0
         if step_ok:
             cand = th - fv / dv
@@ -144,13 +178,7 @@ def theta_of(s: LinearSynth, x: np.ndarray) -> ThetaEval:
             th = th_new
             break
         th = th_new
-
-    w = gram_theta_inv(s.gram, th) @ x
-    residual = abs(2.0 * s.a0 * th - float(w @ x))
-    if residual > s.root_tol * max(1.0, 2.0 * s.a0 * th):
-        raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
-    sigma = float(w[k - 1])
-    return ThetaEval(theta=th, w=w, v=-0.5 * sigma, sigma=sigma)
+    return th
 
 
 def v_of(s: LinearSynth, x: np.ndarray) -> float:

@@ -2,6 +2,9 @@
 
 Trigonometric form in the three-real-root regime, Cardano otherwise, and a
 couple of Newton polish steps on the original coefficients either way.
+Where a shifted depressed form leaves a root whose residual is large
+against the terms of the cubic, the real eigenvalues of the companion
+matrix are taken instead.
 Degenerate leading coefficients fall back to the quadratic/linear cases.
 """
 
@@ -9,7 +12,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _TWO_PI_3 = 2.0943951023931953
+_RESIDUAL_TOL = 1e-9
+_IMAG_TOL = 1e-7
 
 
 def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
@@ -63,7 +70,22 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
                 break
             u -= step
         roots.append(u)
+    if shift != 0.0 and not all(_settled(c3, c2, c1, c0, u) for u in roots):
+        # with c3 tiny against c2 the shift cancels c1/c3 out of p, and the
+        # small roots are lost: take the companion-matrix eigenvalues instead
+        roots = [
+            float(z.real)
+            for z in np.roots((c3, c2, c1, c0))
+            if abs(z.imag) <= _IMAG_TOL * max(1.0, abs(z))
+        ]
     return tuple(sorted(roots))
+
+
+def _settled(c3: float, c2: float, c1: float, c0: float, u: float) -> bool:
+    """The cubic at u is small against the sum of its absolute terms."""
+    a = abs(u)
+    f = ((c3 * u + c2) * u + c1) * u + c0
+    return abs(f) <= _RESIDUAL_TOL * (((abs(c3) * a + abs(c2)) * a + abs(c1)) * a + abs(c0))
 
 
 def extreme_root(c3: float, c2: float, c1: float, c0: float, sign: int) -> float:

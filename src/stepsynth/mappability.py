@@ -82,18 +82,40 @@ def ad_pow(a: Callable, b: Callable, k: int, x: np.ndarray, h: float | None = No
     return lie_bracket(a, field, x, h)
 
 
-def halton_samples(box: Sequence[tuple], count: int = 32) -> np.ndarray:
-    """Deterministic low-discrepancy samples in the box [(lo, hi), ...]."""
-    from scipy.stats import qmc
+def _first_primes(d: int) -> list:
+    primes: list = []
+    n = 2
+    while len(primes) < d:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
 
+
+def _radical_inverse(i: int, base: int) -> float:
+    # digits of i in the base, mirrored about the radix point
+    x, scale = 0.0, 1.0 / base
+    while i > 0:
+        i, digit = divmod(i, base)
+        x += digit * scale
+        scale /= base
+    return x
+
+
+def halton_samples(box: Sequence[tuple], count: int = 32) -> np.ndarray:
+    """Deterministic low-discrepancy samples in the box [(lo, hi), ...].
+
+    Point i (from 0) of the unscrambled Halton sequence: coordinate j is the
+    radical inverse of i in the j-th prime.
+    """
     box = list(box)
-    sampler = qmc.Halton(d=len(box), scramble=False)
-    pts = sampler.random(count)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi in every coordinate")
-    return lo + pts * (hi - lo)
+    bases = _first_primes(len(box))
+    pts = np.array([[_radical_inverse(i, b) for b in bases] for i in range(count)], dtype=float)
+    return lo + pts.reshape(count, len(box)) * (hi - lo)
 
 
 @dataclass(frozen=True)

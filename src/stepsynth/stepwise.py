@@ -10,6 +10,7 @@ the step uses the controllability-function policy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -36,10 +37,14 @@ class BlockPartition:
     """Sizes (n_1, ..., n_m) of the blocks; offsets are cumulative starts."""
 
     sizes: tuple
+    # half-open index range of each block, computed once
+    spans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sizes or any((not isinstance(s, int)) or s < 1 for s in self.sizes):
             raise ValueError(f"block sizes must be positive ints, got {self.sizes}")
+        ends = itertools.accumulate(self.sizes)
+        object.__setattr__(self, "spans", tuple((e - n, e) for e, n in zip(ends, self.sizes)))
 
     @property
     def m(self) -> int:
@@ -53,8 +58,7 @@ class BlockPartition:
         """Half-open index range of block i (1-based block index)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"block index {i} out of range 1..{self.m}")
-        start = sum(self.sizes[: i - 1])
-        return start, start + self.sizes[i - 1]
+        return self.spans[i - 1]
 
     def extract(self, z: Sequence[float], i: int) -> np.ndarray:
         s, e = self.bounds(i)
@@ -111,10 +115,9 @@ class BlockSystem:
     def rhs(self, z: tuple, u: float) -> tuple:
         h = self.H(z, u)
         out = []
-        for i in range(1, self.blocks.m + 1):
-            s, e = self.blocks.bounds(i)
+        for i, (s, e) in enumerate(self.blocks.spans):
             out.extend(z[s + 1 : e])
-            out.append(h[i - 1])
+            out.append(h[i])
         return tuple(out)
 
 
@@ -166,12 +169,12 @@ def step_done(z: Sequence[float], blocks: BlockPartition, i: int, delta: float =
 
 
 def _theta_eval_block(policy: ThetaSwitch, z: Sequence[float], blocks: BlockPartition, i: int) -> ThetaEval:
-    zi = blocks.extract(z, i)
-    if policy.synth.gram.k != len(zi):
+    s, e = blocks.spans[i - 1]
+    if policy.synth.gram.k != e - s:
         raise ValueError(
-            f"ThetaSwitch synth dimension {policy.synth.gram.k} != block size {len(zi)}"
+            f"ThetaSwitch synth dimension {policy.synth.gram.k} != block size {e - s}"
         )
-    return theta_of(policy.synth, zi)
+    return theta_of(policy.synth, z[s:e])
 
 
 def _branch_of(policy: StepPolicy, z: tuple, blocks: BlockPartition, i: int) -> int:
@@ -329,11 +332,12 @@ def orchestrate(
                     f"step {_i} ran past 2x its Theta bound {_b:.6g} (t={tm:.6g})"
                 )
 
-        def rhs_for_branch(branch: int, _p=policy, _i=i):
+        # the recorded control and the next step's k1 share one solve
+        control = engine.reuse_last(lambda b, s, _p=policy: _control_of(_p, b, z_of(s)))
+
+        def rhs_for_branch(branch: int, _control=control):
             def f(s: tuple):
-                zz = z_of(s)
-                u = _control_of(_p, branch, zz)
-                return rhs(s, u)
+                return rhs(s, _control(branch, s))
             return f
 
         # the coordinate whose zero-crossing marks the origin passage: the
@@ -347,7 +351,7 @@ def orchestrate(
             z0=state,
             rhs_for_branch=rhs_for_branch,
             branch_of=lambda s, _p=policy, _i=i: _branch_of(_p, z_of(s), blocks, _i),
-            control_of=lambda b, s, _p=policy: _control_of(_p, b, z_of(s)),
+            control_of=control,
             switch_residual=lambda s, _p=policy, _i=i: _switch_residual(_p, z_of(s), blocks, _i),
             slide_branch_of=lambda s, _p=policy, _i=i: _slide_branch_of(_p, z_of(s), blocks, _i),
             done=lambda s, _i=i: step_done(z_of(s), blocks, _i, done_tol),

@@ -99,6 +99,47 @@ def test_theta_k1_closed_form():
     assert theta_of(s4, [3.0]).theta == pytest.approx(1.5, rel=1e-12)
 
 
+def test_theta_k1_closed_form_hand_value():
+    # example51's step-1 synth: N(1)^{-1} = 2, a0 = 0.04, so Theta = 5 |x|
+    s = LinearSynth(gram=G1, a0=0.04, d=0.2)
+    ev = theta_of(s, (0.3,))
+    assert ev.theta == pytest.approx(1.5, rel=1e-15)
+    assert ev.w[0] == pytest.approx(0.4, rel=1e-15)
+    assert ev.v == pytest.approx(-0.2, rel=1e-15)
+    assert theta_of(s, (-0.3,)).theta == ev.theta
+
+
+def roots_theta(s: LinearSynth, x) -> float:
+    """Oracle: the positive root of 2 a0 T^{2k} - (N(1)^{-1} x, x)_T from np.roots.
+
+    (N(1)^{-1} x, x)_T weighs the term x_i x_j by T^(i+j), 0-based; the
+    polynomial has exactly one positive root.
+    """
+    k = s.gram.k
+    coeffs = np.zeros(2 * k + 1)
+    coeffs[0] = 2.0 * s.a0
+    for i in range(k):
+        for j in range(k):
+            coeffs[2 * k - (i + j)] -= s.gram.n1_inv[i][j] * x[i] * x[j]
+    pos = [z.real for z in np.roots(coeffs) if z.real > 0.0 and abs(z.imag) <= 1e-9 * abs(z)]
+    assert len(pos) == 1
+    return pos[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_theta_matches_polynomial_roots(k):
+    s = synth_for(gram_n1(k), d=1.3)
+    rng = np.random.default_rng(20 + k)
+    for _ in range(40):
+        x = rng.uniform(-1, 1, size=k) * 10.0 ** rng.uniform(-6, 3)
+        ev = theta_of(s, x)
+        th = roots_theta(s, x)
+        assert ev.theta == pytest.approx(th, rel=1e-12)
+        w = gram_theta_inv(s.gram, th) @ x
+        assert np.max(np.abs(ev.w - w)) <= 1e-12 * np.max(np.abs(w))
+        assert ev.sigma == ev.w[k - 1]
+
+
 def test_theta_k2_frozen_value():
     # 2 T^4 = 36 x1^2 + 24 x1 x2 T + 6 x2^2 T^2 at x=(1,0): T = 18^(1/4)
     s = LinearSynth(gram=G2, a0=1.0, d=math.sqrt(3.0))

@@ -107,6 +107,15 @@ def test_halton_shape_bounds_determinism():
     assert np.all(s1[:, 1] >= 0.0) and np.all(s1[:, 1] <= 3.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("count", [32, 100])
+def test_halton_matches_scipy(d, count):
+    from scipy.stats import qmc
+
+    want = qmc.Halton(d=d, scramble=False).random(count)
+    assert np.array_equal(halton_samples(((0.0, 1.0),) * d, count), want)
+
+
 def test_halton_box_validation():
     with pytest.raises(ValueError):
         halton_samples(((1.0, -1.0),), 8)

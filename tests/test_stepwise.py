@@ -33,6 +33,7 @@ from stepsynth import (
     step_done,
     theta_of,
 )
+from stepsynth import stepwise
 
 G1 = gram_n1(1)
 
@@ -355,6 +356,56 @@ def test_curve_switch_rides_to_origin():
     switches = [e for e in rec.events if e.kind == "branch-switch"]
     assert len(switches) == 1
     assert switches[0].t == pytest.approx(1.0, abs=2e-3)
+
+
+def _counter(calls: dict, name: str, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_run_stage_work_per_step():
+    # dz = u on a scalar state that never reaches the done band, so every
+    # step is plain until t_max: per accepted step the stage makes four
+    # control solves (the recorded one serves the next k1), one switch
+    # residual and one done test, plus one of each at the start state
+    from stepsynth.engine import reuse_last
+
+    calls = {"control": 0, "residual": 0, "done": 0}
+    control = reuse_last(_counter(calls, "control", lambda b, s: float(b)))
+    rec = Recorder()
+    with pytest.raises(Timeout):
+        run_stage(
+            step_index=1,
+            t0=0.0,
+            z0=(1.0,),
+            rhs_for_branch=lambda b: lambda s: (control(b, s),),
+            branch_of=lambda s: -1,
+            control_of=control,
+            switch_residual=_counter(calls, "residual", lambda s: s[0] + 1.0),
+            slide_branch_of=lambda s: 0,
+            done=_counter(calls, "done", lambda s: abs(s[0]) <= 1e-8),
+            cfg=IntegratorConfig(dt=1e-2, t_max=0.5),
+            recorder=rec,
+        )
+    steps = len(rec.times) - 1
+    assert steps >= 49 and not rec.events
+    assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
+
+
+def test_orchestrate_work_per_step(monkeypatch):
+    # the same counts through the callbacks orchestrate builds for a policy
+    calls = {"control": 0, "residual": 0, "done": 0}
+    for name, attr in (("control", "_control_of"), ("residual", "_switch_residual"), ("done", "step_done")):
+        monkeypatch.setattr(stepwise, attr, _counter(calls, name, getattr(stepwise, attr)))
+    system = BlockSystem(blocks=BlockPartition(sizes=(1,)), H=lambda z, u: (u,))
+    rec = Recorder()
+    with pytest.raises(Timeout):
+        orchestrate(system, (1.0,), [ConstSign(level=1.0)], IntegratorConfig(dt=1e-2, t_max=0.5), recorder=rec)
+    steps = len(rec.times) - 1
+    assert steps >= 49 and not rec.events
+    assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
 
 
 def _chatter_stage(slide_rate: float, t_max: float):
