@@ -33,10 +33,12 @@ def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:
         disc = c1 * c1 - 4.0 * c2 * c0
         if disc < 0.0:
             return ()
-        sq = math.sqrt(disc)
-        r1 = (-c1 - sq) / (2.0 * c2)
-        r2 = (-c1 + sq) / (2.0 * c2)
-        return tuple(sorted((r1, r2)))
+        # q takes the larger root's sign so that -c1 and the root of disc
+        # never cancel; the other root follows from the product c0/c2
+        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        if q == 0.0:
+            return (0.0, 0.0)
+        return tuple(sorted((q / c2, c0 / q)))
 
     # depressed form t^3 + p t + q with u = t - c2/(3 c3)
     shift = c2 / (3.0 * c3)

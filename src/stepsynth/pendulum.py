@@ -154,17 +154,18 @@ def pendulum_u2pm(p: PendulumParams, z3: float, sign: int) -> float:
 def pendulum_w2(p: PendulumParams, z3: float) -> float:
     """Step-2 switching curve: signed sqrt of the branch-control integral.
 
-    Uses adaptive quadrature (abs tol 1e-10); see pendulum() for the table
-    the simulation hot path uses instead.
+    Uses adaptive quadrature (abs tol 1e-10, rel tol 1e-12).  It is the
+    reference for the scipy-free Hermite table of _w2_table that pendulum()
+    steers with; the table calls it only past its span, |z3| > 7.
     """
     from scipy.integrate import quad
 
     if z3 == 0.0:
         return 0.0
     if z3 > 0.0:
-        val, _ = quad(lambda zeta: pendulum_u2pm(p, zeta, +1), 0.0, z3, epsabs=1e-10, limit=200)
+        val, _ = quad(lambda zeta: pendulum_u2pm(p, zeta, +1), 0.0, z3, epsabs=1e-10, epsrel=1e-12, limit=200)
         return -math.sqrt(2.0 * val)
-    val, _ = quad(lambda zeta: pendulum_u2pm(p, zeta, -1), z3, 0.0, epsabs=1e-10, limit=200)
+    val, _ = quad(lambda zeta: pendulum_u2pm(p, zeta, -1), z3, 0.0, epsabs=1e-10, epsrel=1e-12, limit=200)
     return math.sqrt(-2.0 * val)
 
 
@@ -194,67 +195,53 @@ def pendulum_T1_analytic(p: PendulumParams, z0) -> tuple:
     return (0.0, t12, t12)
 
 
-def _w2_table(p: PendulumParams, span: float = 7.0, intervals: int = 4096):
-    """Fast w2: cumulative per-interval Gauss-Legendre antiderivative tables.
+def _w2_table(p: PendulumParams, span: float = 7.0, intervals: int = 1024):
+    """Fast w2: cubic Hermite tables of the cumulative branch-control integral.
 
-    Returns a closure matching pendulum_w2 to ~1e-9 on |z3| <= span and
-    falling back to quadrature outside.
+    On each side the integral A(s) = |int_0^(+-s) u2pm| is tabulated at
+    uniform knots in s = |z3|.  Its slope is the branch control itself, so
+    the knot slopes are exact; each interval's increment is Simpson's rule
+    on the knot and midpoint controls, which makes the Hermite cubic's
+    derivative the quadratic through those three controls.  Returns a
+    closure matching pendulum_w2 to a few 1e-12 on |z3| <= span and falling
+    back to quadrature outside.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(5)
+    h = span / intervals
 
-    def cumulative(sign):
-        hstep = span / intervals * (1.0 if sign > 0 else -1.0)
-        xs = [0.0]
-        vals = [0.0]
+    def coefficients(sign):
+        # power basis in t = s - s_i: A_i + u_i t + c2 t^2 + c3 t^3
+        rate = lambda s: sign * pendulum_u2pm(p, sign * s, sign)
+        a0, a1, a2, a3 = [], [], [], []
         acc = 0.0
-        x = 0.0
-        for _ in range(intervals):
-            mid = x + 0.5 * hstep
-            half = 0.5 * hstep
-            acc += half * sum(
-                wt * pendulum_u2pm(p, mid + half * nd, sign) for nd, wt in zip(nodes, weights)
-            )
-            x += hstep
-            xs.append(x)
-            vals.append(acc)
-        return xs, vals
+        u0 = rate(0.0)
+        for i in range(intervals):
+            um = rate((i + 0.5) * h)
+            u1 = rate((i + 1) * h)
+            mean = (u0 + 4.0 * um + u1) / 6.0  # Simpson: increment / h
+            a0.append(acc)
+            a1.append(u0)
+            a2.append((3.0 * mean - 2.0 * u0 - u1) / h)
+            a3.append((u0 + u1 - 2.0 * mean) / (h * h))
+            acc += mean * h
+            u0 = u1
+        return a0, a1, a2, a3
 
-    xs_p, ints_p = cumulative(+1)  # integral of u2+ from 0 to z3 >= 0
-    xs_m, ints_m = cumulative(-1)  # integral of u2- from 0 to z3 <= 0
-    from scipy.interpolate import CubicSpline
-
-    sp_p = CubicSpline(xs_p, ints_p)
-    sp_m = CubicSpline(xs_m[::-1], ints_m[::-1])
-    # uniform knots: evaluate the piecewise cubics directly on plain floats
-    h_p = xs_p[1] - xs_p[0]
-    c_p = [list(row) for row in sp_p.c]
-    h_m = abs(h_p)
-    c_m = [list(row) for row in sp_m.c]
-    lo_m = xs_m[-1]
+    table_p = coefficients(+1)  # A(s) = integral of u2+ from 0 to s
+    table_m = coefficients(-1)  # A(s) = -(integral of u2- from 0 to -s)
     last = intervals - 1
-
-    def eval_spline(c, x0, h, x):
-        idx = int((x - x0) / h)
-        if idx < 0:
-            idx = 0
-        elif idx > last:
-            idx = last
-        t = x - (x0 + idx * h)
-        return ((c[0][idx] * t + c[1][idx]) * t + c[2][idx]) * t + c[3][idx]
 
     def w2(z3: float) -> float:
         if z3 == 0.0:
             return 0.0
-        if z3 > 0.0:
-            if z3 > span:
-                return pendulum_w2(p, z3)
-            val = eval_spline(c_p, 0.0, h_p, z3)
-            return -math.sqrt(max(2.0 * val, 0.0))
-        if z3 < -span:
+        s = abs(z3)
+        if s > span:
             return pendulum_w2(p, z3)
-        # cumulative integral of u2- from 0 down to z3 is positive
-        val = eval_spline(c_m, lo_m, h_m, z3)
-        return math.sqrt(max(2.0 * val, 0.0))
+        a0, a1, a2, a3 = table_p if z3 > 0.0 else table_m
+        idx = min(int(s / h), last)
+        t = s - idx * h
+        val = ((a3[idx] * t + a2[idx]) * t + a1[idx]) * t + a0[idx]
+        root = math.sqrt(max(2.0 * val, 0.0))
+        return -root if z3 > 0.0 else root
 
     return w2
 

@@ -151,7 +151,7 @@ def _poly_eval(coeffs: Sequence, u: float) -> float:
     """P(u) = u^(2d+1) + sum coeffs[k-1] u^(2k-1), d = len(coeffs)."""
     y = u * u
     acc = 1.0
-    for c in reversed([float(c) for c in coeffs]):
+    for c in reversed(coeffs):
         acc = acc * y + c
     return acc * u
 
@@ -271,8 +271,6 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
 
 
 def _bracket_root(q: Callable, lo: float, hi: float) -> float:
-    from scipy.optimize import brentq
-
     qlo, qhi = q(lo), q(hi)
     if qlo == 0.0:
         return lo
@@ -280,6 +278,8 @@ def _bracket_root(q: Callable, lo: float, hi: float) -> float:
         return hi
     if (qlo > 0.0) == (qhi > 0.0):
         raise RootBracketFailure(f"no sign change on [{lo}, {hi}]: q = ({qlo:.3g}, {qhi:.3g})")
+    from scipy.optimize import brentq
+
     return float(brentq(q, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
@@ -334,32 +334,41 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
     def H(z, u):
         return (h1(z, u), f2_slope(z[2]) * u)
 
-    def channel_root(z, target, lo, hi):
-        if not custom_f1:
-            roots = [r for r in real_roots(1.0, 0.0, -1.0, -target) if lo <= r <= hi]
-            if not roots:
-                raise RootBracketFailure(f"no cubic root in [{lo}, {hi}] for level {target}")
-            return roots[0]
-        return _bracket_root(lambda u: h1(z, u) - target, lo, hi)
+    # with the default f1, h1 = u^3 - u does not depend on z: every channel
+    # root below is solved once here instead of on each control call
+    def step1_control(target, lo, hi):
+        if custom_f1:
+            return lambda z: _bracket_root(lambda u: h1(z, u) - target, lo, hi)
+        roots = [r for r in real_roots(1.0, 0.0, -1.0, -target) if lo <= r <= hi]
+        if not roots:
+            raise RootBracketFailure(f"no cubic root in [{lo}, {hi}] for level {target}")
+        u = roots[0]
+        return lambda z: u
 
-    u1_plus = lambda z: channel_root(z, 0.2, 0.7, 1.1)
-    u1_minus = lambda z: channel_root(z, -0.2, -1.2, -0.8)
-    u1_zero = lambda z: channel_root(z, 0.0, -0.5, 0.5)
+    u1_plus = step1_control(0.2, 0.7, 1.1)
+    u1_minus = step1_control(-0.2, -1.2, -0.8)
+    u1_zero = step1_control(0.0, -0.5, 0.5)
 
     synth1 = LinearSynth(gram=gram_n1(1), a0=0.04, d=0.2)
     step1 = ThetaSwitch(synth=synth1, u_plus=u1_plus, u_minus=u1_minus, u_zero=u1_zero)
 
     # step 2: constant-channel controls from h1(0, z2, z3, u) = 0
-    def u2_root(z2, z3, positive_rate):
-        def q(u):
-            x2 = f2_inv(z3)
-            s = math.sin(f1(x2, x2, z2, u))
-            return u ** 3 - u + 0.1 * s * s
+    def step2_root(lo, hi):
+        def root(z2, z3):
+            z = (0.0, z2, z3)
+            return _bracket_root(lambda u: h1(z, u), lo, hi)
 
+        if custom_f1:
+            return root
+        u = root(0.0, 0.0)
+        return lambda z2, z3: u
+
+    u2_pos = step2_root(0.9, 1.0)
+    u2_neg = step2_root(-1.1, -1.0)
+
+    def u2_root(z2, z3, positive_rate):
         want_pos = positive_rate == (f2_slope(z3) > 0.0)
-        if want_pos:
-            return _bracket_root(q, 0.9, 1.0)
-        return _bracket_root(q, -1.1, -1.0)
+        return u2_pos(z2, z3) if want_pos else u2_neg(z2, z3)
 
     u2_plus = lambda z: u2_root(z[1], z[2], True)
     u2_minus = lambda z: u2_root(z[1], z[2], False)

@@ -58,6 +58,19 @@ def test_quadratic_degeneration():
     assert real_roots(0.0, 1.0, -3.0, 2.0) == pytest.approx((1.0, 2.0))
     assert real_roots(0.0, 1.0, 0.0, 1.0) == ()  # u^2 + 1
     assert real_roots(0.0, -2.0, 0.0, 8.0) == pytest.approx((-2.0, 2.0))
+    assert real_roots(0.0, 3.0, 0.0, 0.0) == (0.0, 0.0)  # q = 0: double root
+
+
+def test_quadratic_small_root_without_cancellation():
+    # c1^2 >> |4 c2 c0|: the textbook formula loses the small root to -0.0
+    c3, c2, c1, c0 = 0.0, -3e-6, 2.8e5, -1.5
+    roots = real_roots(c3, c2, c1, c0)
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(5.357142857142857e-06, rel=1e-12)
+    for u in roots:
+        a = abs(u)
+        val = ((c3 * u + c2) * u + c1) * u + c0
+        assert abs(val) <= 1e-9 * (((abs(c3) * a + abs(c2)) * a + abs(c1)) * a + abs(c0))
 
 
 def test_linear_degeneration():

@@ -1,5 +1,6 @@
 """Two-link pendulum scenario: channels, branch roots, curves, step-1 times."""
 
+import importlib
 import math
 
 import numpy as np
@@ -190,6 +191,27 @@ def test_w2_table_matches_quadrature():
     # beyond the table span the closure defers to quadrature
     assert w_fast(7.5) == pytest.approx(pendulum_w2(P, 7.5), rel=1e-12)
     assert w_fast(-7.5) == pytest.approx(pendulum_w2(P, -7.5), rel=1e-12)
+
+
+def test_w2_hermite_table_dense_grid(monkeypatch):
+    # the package namespace shadows the module with the pendulum() factory
+    mod = importlib.import_module("stepsynth.pendulum")
+    calls = [0]
+    solve = mod.pendulum_u2pm
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(mod, "pendulum_u2pm", counted)
+    w_fast = mod._w2_table(P)
+    monkeypatch.undo()
+    assert calls[0] < 5000
+    for s in np.linspace(0.005, 6.99, 700):
+        s = float(s)
+        for z3 in (s, -s):
+            assert abs(w_fast(z3) - pendulum_w2(P, z3)) <= 1e-10
+        assert abs(w_fast(-s) + w_fast(s)) <= 1e-14  # odd forcing, odd table
 
 
 # --- analytic step-1 times ---

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stepsynth import (
+    IntegratorConfig,
     RootBracketFailure,
     SCENARIO_NAMES,
     ConstSign,
@@ -18,7 +19,9 @@ from stepsynth import (
     intro2d,
     polyodd,
     polyodd_coeffs,
+    simulate,
 )
+from stepsynth import scenarios
 
 ALL_NAMES = ("intro2d", "example51", "polyodd:3", "pendulum")
 
@@ -261,15 +264,59 @@ def test_example51_chart_roundtrip():
         assert np.max(np.abs(np.array(back) - np.array(x))) <= 1e-10
 
 
-def test_example51_custom_f1():
+def _count_root_solves(monkeypatch):
+    calls = {"real_roots": 0, "bracket_root": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "real_roots", counted("real_roots", scenarios.real_roots))
+    monkeypatch.setattr(scenarios, "_bracket_root", counted("bracket_root", scenarios._bracket_root))
+    return calls
+
+
+def test_example51_channel_roots_solved_once(monkeypatch):
+    scn = get_scenario("example51")
+    calls = _count_root_solves(monkeypatch)
+    _, summary = simulate(scn, (0.5, 0.1, -0.3), IntegratorConfig(dt=1e-3, t_max=20.0))
+    assert summary.final_state_norm <= 1e-6
+    assert calls == {"real_roots": 0, "bracket_root": 0}
+    monkeypatch.undo()
+    # the hoisted controls are the per-z roots of the full first channel
+    step1, step2 = scn.policies
+    rng = np.random.default_rng(51)
+    for _ in range(10):
+        z = tuple(float(v) for v in rng.uniform(-2, 2, size=3))
+        for control, target, lo, hi in (
+            (step1.u_plus, 0.2, 0.7, 1.1),
+            (step1.u_minus, -0.2, -1.2, -0.8),
+            (step1.u_zero, 0.0, -0.5, 0.5),
+        ):
+            fresh = scenarios._bracket_root(lambda u: scn.H(z, u)[0] - target, lo, hi)
+            assert control(z) == pytest.approx(fresh, abs=1e-12)
+        z2 = (0.0, z[1], z[2])
+        for control, lo, hi in ((step2.u_plus, 0.9, 1.0), (step2.u_minus, -1.1, -1.0)):
+            assert control(z2) == scenarios._bracket_root(lambda u: scn.H(z2, u)[0], lo, hi)
+
+
+def test_example51_custom_f1(monkeypatch):
     f1 = lambda x1, x2, x3, u: 0.4 * x1 + 0.1 * x3
     scn = example51(f1=f1)
+    calls = _count_root_solves(monkeypatch)
     z = (0.5, 0.2, -0.3)
     u1p = scn.policies[0].u_plus(z)
     # the root is found numerically on the full channel
     assert scn.H(z, u1p)[0] == pytest.approx(0.2, abs=1e-10)
     u2p = scn.policies[1].u_plus((0.0, -0.7, 0.4))
     assert abs(scn.H((0.0, -0.7, 0.4), u2p)[0]) <= 1e-10
+    # h1 depends on z, so each control call solves afresh
+    zb = (-0.4, 0.6, 0.1)
+    assert scn.policies[0].u_plus(zb) != u1p
+    assert calls == {"real_roots": 0, "bracket_root": 3}
 
 
 def test_example51_custom_f2():

@@ -1,8 +1,12 @@
 """simulate() runs plus the CSV/JSON/SVG emitters."""
 
 import json
+import os
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,29 @@ def test_default_projections():
     assert default_projections(4) == [(1, 2), (3, 4)]
     assert default_projections(3) == [(1, 2), (2, 3)]
     assert default_projections(2) == [(1, 2)]
+
+
+def test_bundled_runs_import_no_scipy():
+    # scipy serves only custom example51 f1/f2 and pendulum w2 past |z3| > 7
+    script = """
+import sys
+from stepsynth import IntegratorConfig, get_scenario, simulate
+for name, x0 in (
+    ("intro2d", (1.0, 1.0)),
+    ("example51", (0.5, 0.1, -0.3)),
+    ("polyodd:3", (0.5, -0.3, 0.2)),
+    ("pendulum", (-2.0, 1.0, -1.0, 0.5)),
+):
+    simulate(get_scenario(name), x0, IntegratorConfig(dt=1e-3, t_max=50.0))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
