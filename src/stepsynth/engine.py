@@ -18,10 +18,11 @@ are several times faster than small numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 State = tuple  # tuple of floats
 Rhs = Callable[[State], Sequence[float]]
+T = TypeVar("T")
 
 
 class Timeout(RuntimeError):
@@ -140,26 +141,30 @@ _FLAG_OF_KIND = {
 }
 
 
-def reuse_last(control_of: Callable[[int, State], float]) -> Callable[[int, State], float]:
-    """control_of with a one-entry reuse.
+def reuse_last(fn: Callable[..., T]) -> Callable[..., T]:
+    """fn with a one-entry reuse keyed on its last argument, the state.
 
-    A call with the same branch and the same state object as the call
-    before it returns the stored value.  run_stage records
-    control_of(branch, z) at each accepted state before the next step
-    evaluates k1 = f(z) on that same object, so a field that takes its
-    control from the returned function solves it once there.  control_of
-    must be a pure function of (branch, state).
+    A call whose state is the same object as the previous call's, and
+    whose other arguments (a branch, say) are equal to its, returns the
+    stored value.  run_stage records control_of(branch, z) at each
+    accepted state before the next step evaluates k1 = f(z) on that same
+    object, so a field that takes its control from reuse_last(control_of)
+    solves it once there; orchestrate wraps its chart map the same way.
+    fn must be a pure function of its arguments.  The memo holds the last
+    state, so that object's id cannot be reused while it is stored.
     """
-    last = [None, None, 0.0]  # branch, state, control
+    key: tuple = (object(),)  # no state is this object
+    value = None
 
-    def control(branch: int, z: State) -> float:
-        if z is last[1] and branch == last[0]:
-            return last[2]
-        u = control_of(branch, z)
-        last[:] = branch, z, u
-        return u
+    def memo(*args):
+        nonlocal key, value
+        if args[-1] is key[-1] and args == key:
+            return value
+        value = fn(*args)
+        key = args
+        return value
 
-    return control
+    return memo
 
 
 def run_stage(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import real_roots
+from .cubic import extreme_root
 from .scenarios import ProbeFields, Scenario
 from .stepwise import BlockPartition, CurveSwitch
 
@@ -115,18 +115,17 @@ def _polish(p: PendulumParams, u: float, c: float) -> float:
 def pendulum_u1pm(p: PendulumParams, z, sign: int) -> float:
     """Step-1 branch control: H1(z, u) = +eps1p (sign > 0) or -eps1m.
 
-    Picks the real root of largest magnitude on the branch's side of zero;
-    the defining equation holds to 1e-10 (relative to the forcing size).
+    Picks the real root of largest magnitude on the branch's side of zero,
+    which is the extreme root on that side; the defining equation holds to
+    1e-10 (relative to the forcing size).
     """
     g1, _ = _drifts(p, z)
     c = g1 - p.eps1p if sign > 0 else g1 + p.eps1m
-    roots = real_roots(p.alpha, 0.0, -1.0, c)
-    side = [r for r in roots if r > 0.0] if sign > 0 else [r for r in roots if r < 0.0]
-    if not side:
+    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
+    if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
         raise NoRealRoot(
             f"no {'positive' if sign > 0 else 'negative'} root for forcing {c:.6g}"
         )
-    u = max(side, key=abs)
     return _polish(p, u, c)
 
 
@@ -144,8 +143,7 @@ def pendulum_u2pm(p: PendulumParams, z3: float, sign: int) -> float:
     negative minimal root for every z3.
     """
     c = -(p.g / p.l1) * math.sin(z3)
-    roots = real_roots(p.alpha, 0.0, -1.0, c)
-    u = roots[-1] if sign > 0 else roots[0]
+    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
     if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
         raise NoRealRoot(f"extreme root {u:.6g} has the wrong sign at z3 = {z3:.6g}")
     return _polish(p, u, c)

@@ -11,6 +11,7 @@ cross-checking simulations.  Names accepted by the registry:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -189,21 +190,25 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
             "(P1(-alpha) must be negative; any level above the largest lambda works)"
         )
 
+    # z_i = x_(n-i+1) + sum_k c_k x_k: the head index and the row of each block
+    # (the row is shorter than x; map stops at its end), summed left to right
+    chart_rows = [(n - i, coeff_float[i - 1]) for i in range(1, n + 1)]
+    exponents = [2 * i + 1 for i in range(n)]
+    mul = operator.mul
+
     def to_z(x):
-        return tuple(
-            x[n - i] + sum(cf * x[k] for k, cf in enumerate(coeff_float[i - 1]))
-            for i in range(1, n + 1)
-        )
+        return tuple([x[head] + sum(map(mul, row, x)) for head, row in chart_rows])
 
     def from_z(z):
         x = [0.0] * n
         x[0] = z[n - 1]
         for i in range(n - 1, 0, -1):
-            x[n - i] = z[i - 1] - sum(cf * x[k] for k, cf in enumerate(coeff_float[i - 1]))
+            head, row = chart_rows[i - 1]
+            x[head] = z[i - 1] - sum(map(mul, row, x))
         return tuple(x)
 
     def f(x, u):
-        return tuple(u ** (2 * i + 1) for i in range(n))
+        return tuple([u ** e for e in exponents])
 
     def H(z, u):
         return tuple(_poly_eval(row, u) for row in coeff_float)

@@ -108,7 +108,7 @@ def simulate(
             scn.policies,
             cfg,
             done_tol=delta,
-            rhs=lambda x, u: scn.f(x, u),
+            rhs=scn.f,
             z_of=scn.to_z,
             state0=x0,
         )
@@ -152,15 +152,11 @@ def emit_csv(traj: Trajectory, path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
+            fmt = ",".join(["%.12e"] * (2 * n + 2)) + ",%d\n"
             for t, x, z, u, flag in zip(
                 traj.times, traj.states_x, traj.states_z, traj.controls, traj.flags
             ):
-                row = [f"{t:.12e}"]
-                row += [f"{v:.12e}" for v in x]
-                row += [f"{v:.12e}" for v in z]
-                row.append(f"{u:.12e}")
-                row.append(str(flag))
-                fh.write(",".join(row) + "\n")
+                fh.write(fmt % (t, *x, *z, u, flag))
     except OSError as exc:
         raise OSError(f"could not write CSV to {path}: {exc}") from exc
 

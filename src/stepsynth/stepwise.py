@@ -276,6 +276,12 @@ def orchestrate(
     By default the block-form dynamics system.rhs are integrated on z
     itself.  Passing rhs/z_of/state0 integrates an alternative chart whose
     state maps to z through z_of (used for the x-chart cross-check).
+
+    z_of is wrapped once in engine.reuse_last, so each integrated state is
+    mapped once however many callbacks read its z: the switch residual,
+    the done test, the arrive residual, the hold monitor and the recorded
+    control of a step's end state share one map.  z_of must be a pure
+    function of the state; the map it returns is treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -293,6 +299,7 @@ def orchestrate(
     else:
         if state0 is None:
             raise ValueError("state0 is required when integrating a non-z chart")
+        z_of = engine.reuse_last(z_of)
         state = tuple(float(v) for v in state0)
 
     recorder = recorder if recorder is not None else engine.Recorder()

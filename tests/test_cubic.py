@@ -100,6 +100,26 @@ def test_extreme_root():
         extreme_root(0.0, 1.0, 0.0, 1.0, +1)
 
 
+def test_extreme_root_is_the_extreme_of_real_roots():
+    # extreme_root solves and polishes one root only; it must be the very
+    # float real_roots reports at that end: on the pendulum's channel cubic
+    # alpha u^3 - u + c over c in [-40, 40], including the double roots at
+    # c = +-2/sqrt(3) where the trigonometric roots n = 0, 1 and n = 1, 2
+    # meet, and on seeded random cubics with coefficients up to 50
+    import random
+
+    alpha = 1.0 / 9.0
+    cases = [(alpha, 0.0, -1.0, -40.0 + 80.0 * k / 20000) for k in range(20001)]
+    for c in (2.0 / math.sqrt(3.0), -2.0 / math.sqrt(3.0)):
+        cases += [(alpha, 0.0, -1.0, c + k * 1e-12) for k in range(-500, 501)]
+    rng = random.Random(20261018)
+    cases += [tuple(rng.uniform(-50.0, 50.0) for _ in range(4)) for _ in range(20000)]
+    for cs in cases:
+        roots = real_roots(*cs)
+        assert extreme_root(*cs, +1) == roots[-1], cs
+        assert extreme_root(*cs, -1) == roots[0], cs
+
+
 @given(c3=coeff, c2=coeff, c1=coeff, c0=coeff)
 @settings(max_examples=400, deadline=None)
 # c3 tiny against c2: the depressed form loses the two small roots

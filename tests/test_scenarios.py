@@ -196,6 +196,41 @@ def test_polyodd_chart_roundtrip():
         assert np.max(np.abs(np.array(back) - np.array(x))) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("custom", [False, True])
+def test_polyodd_maps_bit_identical_to_generator_forms(n, custom):
+    # the precomputed-row maps and field sum the same products in the same
+    # order as the per-call generator forms below, so every bit agrees
+    lambdas = [0.95 * k / (n - 0.5) for k in range(1, n)] if custom else None
+    scn = polyodd(n, lambdas=lambdas)
+    rows = [tuple(float(c) for c in polyodd_coeffs(n, i, lambdas)) for i in range(1, n + 1)]
+
+    def to_z(x):
+        return tuple(
+            x[n - i] + sum(cf * x[k] for k, cf in enumerate(rows[i - 1])) for i in range(1, n + 1)
+        )
+
+    def from_z(z):
+        x = [0.0] * n
+        x[0] = z[n - 1]
+        for i in range(n - 1, 0, -1):
+            x[n - i] = z[i - 1] - sum(cf * x[k] for k, cf in enumerate(rows[i - 1]))
+        return tuple(x)
+
+    def f(x, u):
+        return tuple(u ** (2 * i + 1) for i in range(n))
+
+    bits = lambda v: [c.hex() for c in v]
+    rng = np.random.default_rng(100 + n)
+    states = [tuple(float(v) for v in rng.uniform(-2, 2, size=n)) for _ in range(200)]
+    states += [(0.0,) * n, (-0.0,) * n, tuple(float(v) for v in rng.uniform(-1e-8, 1e-8, size=n))]
+    for s in states:
+        assert bits(scn.to_z(s)) == bits(to_z(s))
+        assert bits(scn.from_z(s)) == bits(from_z(s))
+        u = float(rng.uniform(-1, 1))
+        assert bits(scn.f(s, u)) == bits(f(s, u))
+
+
 def test_polyodd_custom_lambdas():
     scn = polyodd(3, lambdas=(0.25, 0.5), alpha=0.75)
     assert [p.level for p in scn.policies] == pytest.approx([0.75, 0.5, 0.25])

@@ -1,5 +1,6 @@
 """simulate() runs plus the CSV/JSON/SVG emitters."""
 
+import dataclasses
 import json
 import os
 import math
@@ -81,6 +82,61 @@ def test_x_chart_cross_check():
     assert s_x.final_state_norm <= 1e-7
     assert all(r <= 1e-7 for r in s_z.hold_residuals)
     assert all(r <= 1e-7 for r in s_x.hold_residuals)
+    # integrating the original chart must stop each step when the block
+    # chart does, and where a schedule exists, when the schedule says:
+    # polyodd gives every step, the pendulum step 1 only
+    for name, x0, x0_chart in (
+        ("polyodd:3", (1.0, 1.0, 1.0), "z"),
+        ("pendulum", (-2.0, 1.0, -1.0, 0.5), "x"),
+    ):
+        scn = get_scenario(name)
+        _, s_z = simulate(scn, x0, CFG, chart="z", x0_chart=x0_chart)
+        _, s_x = simulate(scn, x0, CFG, chart="x", x0_chart=x0_chart)
+        assert s_x.step_times == pytest.approx(s_z.step_times, abs=1e-6)
+        z0 = x0 if x0_chart == "z" else scn.to_z(x0)
+        schedule = [float(t) for t in scn.analytic_schedule(z0)]
+        assert schedule and s_x.step_times[: len(schedule)] == pytest.approx(schedule, abs=1e-6)
+        assert s_x.final_state_norm <= 1e-7
+        assert all(r <= 1e-7 for r in s_x.hold_residuals)
+
+
+def test_x_chart_maps_each_state_once(monkeypatch):
+    # orchestrate maps each integrated state to z once: three RK4 stage
+    # states and the step's end state, whose map serves every callback that
+    # reads it; simulate then maps each recorded sample once more.  Event
+    # bisection maps its probe states too, about 200 maps per event, so the
+    # run is long enough (dt = 2.5e-4) to leave those out of the bound
+    from stepsynth import stepwise
+
+    calls = {"orchestrate": 0, "simulate": 0}
+    phase = ["simulate"]
+    orchestrate = stepwise.orchestrate
+
+    def traced_orchestrate(*args, **kwargs):
+        phase[0] = "orchestrate"
+        try:
+            return orchestrate(*args, **kwargs)
+        finally:
+            phase[0] = "simulate"
+
+    monkeypatch.setattr(stepwise, "orchestrate", traced_orchestrate)
+    scn = get_scenario("polyodd:3")
+
+    def to_z(x):
+        calls[phase[0]] += 1
+        return scn.to_z(x)
+
+    traj, summary = simulate(
+        dataclasses.replace(scn, to_z=to_z),
+        (1.0, 1.0, 1.0),
+        IntegratorConfig(dt=2.5e-4, t_max=50.0),
+        chart="x",
+        x0_chart="z",
+    )
+    steps = len(traj) - 1
+    assert steps > 35000 and len(summary.step_times) == 3
+    assert calls["orchestrate"] <= 4.05 * steps
+    assert calls["simulate"] == len(traj)
 
 
 def test_trajectory_invariants():
@@ -159,6 +215,17 @@ def test_emit_csv_empty(tmp_path):
     assert path.read_text() == "t,u,event\n"
 
 
+def _csv_by_fields(traj: Trajectory) -> bytes:
+    # reference writer: every cell formatted on its own and joined per row
+    n = len(traj.states_x[0])
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)] + ["u", "event"]
+    lines = [",".join(header)]
+    for t, x, z, u, flag in zip(traj.times, traj.states_x, traj.states_z, traj.controls, traj.flags):
+        row = [f"{t:.12e}"] + [f"{v:.12e}" for v in x] + [f"{v:.12e}" for v in z]
+        lines.append(",".join(row + [f"{u:.12e}", str(flag)]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_csv_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     traj1, _ = run_intro(dt=1e-3)
@@ -166,6 +233,14 @@ def test_csv_determinism(tmp_path):
     emit_csv(traj1, a)
     emit_csv(traj2, b)
     assert a.read_bytes() == b.read_bytes()
+    # the one-format-per-row writer matches cell-by-cell formatting, also
+    # on signed zeros, on the pendulum's four states and on event flags
+    assert a.read_bytes() == _csv_by_fields(traj1)
+    traj3, _ = simulate(get_scenario("pendulum"), (-2.0, 1.0, -1.0, 0.5), IntegratorConfig(dt=1e-2, t_max=50.0))
+    traj3.states_x[0] = (-0.0, 0.0, -1e-300, 1e300)
+    emit_csv(traj3, b)
+    assert set(traj3.flags) >= {0, 1, 2}
+    assert b.read_bytes() == _csv_by_fields(traj3)
 
 
 def test_emit_csv_bad_path():

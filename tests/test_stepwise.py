@@ -394,6 +394,20 @@ def test_run_stage_work_per_step():
     assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
 
 
+def test_reuse_last_keys_on_the_state_object():
+    from stepsynth.engine import reuse_last
+
+    calls = {"map": 0, "control": 0}
+    zmap = reuse_last(_counter(calls, "map", lambda s: (2.0 * s[0],)))
+    control = reuse_last(_counter(calls, "control", lambda b, s: b * s[0]))
+    a, b = (1.0,), tuple([1.0])  # equal states, two objects
+    assert zmap(a) is zmap(a) and calls["map"] == 1
+    assert zmap(b) == zmap(a) and calls["map"] == 3  # equality is not reuse
+    assert control(1, a) == control(1, a) == 1.0 and calls["control"] == 1
+    assert control(-1, a) == -1.0 and calls["control"] == 2  # a new branch solves
+    assert control(1, a) == 1.0 and calls["control"] == 3  # one entry only
+
+
 def test_orchestrate_work_per_step(monkeypatch):
     # the same counts through the callbacks orchestrate builds for a policy
     calls = {"control": 0, "residual": 0, "done": 0}
