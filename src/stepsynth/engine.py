@@ -1,18 +1,14 @@
 """Fixed-step RK4 integration of closed loops with switching controls.
 
-The engine advances one stepwise stage at a time: a stage has a single
-scalar switching function g(z), branch controls selected from sign(g), a
-completion test, and optional monitors.  Sign changes of g across a step
-are localized by bisection on the step's own RK4 map to event_tol, the
+The engine advances one stepwise stage at a time, driving one stage object
+(see run_stage).  Sign changes of the stage's switching residual across a
+step are localized by bisection on the step's own RK4 map to event_tol, the
 step is split there, and the branch is re-selected.  Two branch switches
-closer together than 4 dt trigger a surface-slide regime with a slide
-control and factor-`hysteresis` release band, which bounds chattering.
-
-Each accepted step evaluates the switching function, the completion test
-and the control once, carrying their values at its end state into the next
-step (see run_stage).  States are tuples of floats: the bundled scenarios
-take 2e4 to 1e5 RK4 steps per run at dt = 1e-4, and at those counts tuples
-are several times faster than small numpy arrays.
+closer together than 4 dt trigger a surface-slide regime on the stage's
+slide branch with a factor-`hysteresis` release band, which bounds
+chattering.  States are tuples of floats: the bundled scenarios take 2e4 to
+1e5 RK4 steps per run at dt = 1e-4, and at those counts tuples are several
+times faster than small numpy arrays.
 """
 
 from __future__ import annotations
@@ -108,7 +104,11 @@ class StageResult:
 
 
 class Recorder:
-    """Columnar trajectory accumulator (times, states, controls, event flags)."""
+    """Columnar trajectory accumulator (times, states, controls, event flags).
+
+    When z_of is set, states_z also keeps z_of(state) of each sample: the
+    block-chart state of a run integrated in another chart.
+    """
 
     def __init__(self):
         self.times: list[float] = []
@@ -116,6 +116,8 @@ class Recorder:
         self.controls: list[float] = []
         self.flags: list[int] = []
         self.events: list[Event] = []
+        self.z_of: Callable[[State], State] | None = None
+        self.states_z: list[State] = []
 
     def add(self, t: float, z: State, u: float, flag: int = 0) -> None:
         # keep times strictly increasing; replace the flag if a sample repeats
@@ -125,6 +127,8 @@ class Recorder:
             return
         self.times.append(t)
         self.states.append(z)
+        if self.z_of is not None:
+            self.states_z.append(self.z_of(z))
         self.controls.append(u)
         self.flags.append(flag)
 
@@ -134,22 +138,16 @@ FLAG_SWITCH = 1
 FLAG_COMPLETE = 2
 FLAG_SLIDE = 3
 
-_FLAG_OF_KIND = {
-    "branch-switch": FLAG_SWITCH,
-    "step-complete": FLAG_COMPLETE,
-    "surface-slide": FLAG_SLIDE,
-}
-
-
 def reuse_last(fn: Callable[..., T]) -> Callable[..., T]:
     """fn with a one-entry reuse keyed on its last argument, the state.
 
     A call whose state is the same object as the previous call's, and
     whose other arguments (a branch, say) are equal to its, returns the
-    stored value.  run_stage records control_of(branch, z) at each
-    accepted state before the next step evaluates k1 = f(z) on that same
-    object, so a field that takes its control from reuse_last(control_of)
-    solves it once there; orchestrate wraps its chart map the same way.
+    stored value.  run_stage records the stage's control(branch, z) at
+    each accepted state before the next step evaluates k1 = f(z) on that
+    same object, so a field that takes its control from a reuse_last
+    control solves it once there; orchestrate wraps its chart map the
+    same way.
     fn must be a pure function of its arguments.  The memo holds the last
     state, so that object's id cannot be reused while it is stored.
     """
@@ -172,45 +170,44 @@ def run_stage(
     step_index: int,
     t0: float,
     z0: State,
-    rhs_for_branch: Callable[[int], Rhs],
-    branch_of: Callable[[State], int],
-    control_of: Callable[[int, State], float],
-    switch_residual: Callable[[State], float],
-    slide_branch_of: Callable[[State], int],
-    done: Callable[[State], bool],
+    stage,
     cfg: IntegratorConfig,
     recorder: Recorder,
     monitor: Callable[[State, float], None] | None = None,
-    t_deadline: float | None = None,
-    deadline_error: Callable[[float], Exception] | None = None,
-    arrive_residual: Callable[[State], float] | None = None,
 ) -> StageResult:
     """Integrate one stepwise stage until its completion test holds.
 
-    rhs_for_branch(b) returns the closed-loop field for branch b in
-    {-1, 0, +1} (u-minus, slide/zero, u-plus); branch_of picks the branch
-    from a state, control_of evaluates the control value for recording.
-    monitor is called at every accepted sample (hold checks).  t_deadline
-    with deadline_error enforces a per-stage time bound.
+    The stage object gives, for a state z:
+      branch(z)        the branch in {-1, 0, +1} (u-minus, slide/zero, u-plus);
+      field(b)         the closed-loop right side of branch b;
+      control(b, z)    the control value on branch b, for the record;
+      residual(z)      the switching function: a sign change is a branch switch;
+      slide_branch(z)  the branch that holds a chattering state on the surface;
+      arrive(z)        a coordinate that crosses zero transversally at the
+                       instant the stage should complete (the block velocity
+                       for curve-following policies);
+      done(z)          the completion test;
+      deadline         a time past which the stage fails with
+                       deadline_error(t), or None.
+    monitor is called at every accepted sample (hold checks).
 
-    arrive_residual, when given, is a coordinate that crosses zero
-    transversally at the instant the stage should complete (the block
-    velocity for curve-following policies).  The done ball is narrower than
-    one integration step near such a passage, so endpoint tests alone fly
-    over it; crossings of this residual are bisected and done is tested at
-    the crossing point itself.
+    The done ball is narrower than one integration step near an arrival,
+    so endpoint tests alone fly over it; crossings of arrive are bisected
+    and done is tested at the crossing point itself.
 
-    Evaluations per accepted step without an event: one switch_residual
-    and one arrive_residual (at the step's end state; the start state's
-    values are the previous step's), one done test (the end state's, which
-    also serves as the next step's first test), the field's four RK4
-    stages, and one control_of to record the end state.  When the field
-    takes its control from reuse_last(control_of), the next step's k1
-    reuses that recorded solve, which makes four control solves per step.
-    After a split step (a branch switch or a slide entry or release) the
-    residuals, the done test and the control are evaluated afresh at the
-    new state.  Event bisection adds evaluations at its probe states.
+    Evaluations per accepted step without an event: one residual, one
+    arrive and one done test at the end state (the start state's are the
+    previous step's), the field's four RK4 stages, and one control to
+    record the end state.  A field whose control comes from a reuse_last
+    control reuses that recorded solve as the next step's k1, which makes
+    four control solves per step; a field with a constant control makes
+    none.  After a split step (a branch switch or a slide entry or
+    release) the residuals, the done test and the control are evaluated
+    afresh at the new state.  Event bisection adds evaluations at its
+    probe states.
     """
+    residual, arrive, done, control = stage.residual, stage.arrive, stage.done, stage.control
+    deadline = stage.deadline
     t, z = t0, z0
     events: list[Event] = []
 
@@ -218,13 +215,13 @@ def run_stage(
         events.append(ev)
         recorder.events.append(ev)
 
-    branch = branch_of(z)
-    f = rhs_for_branch(branch)
+    branch = stage.branch(z)
+    f = stage.field(branch)
     last_switch_t: float | None = None
     sliding = False
     slide_release = 0.0
 
-    recorder.add(t, z, control_of(branch, z), FLAG_NONE)
+    recorder.add(t, z, control(branch, z), FLAG_NONE)
     fresh = True  # z was not reached by a plain step: nothing is known there yet
 
     while True:
@@ -237,35 +234,29 @@ def run_stage(
             return StageResult(t_end=t, z_end=z, events=events)
         if t >= cfg.t_max:
             raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
-        if t_deadline is not None and t > t_deadline:
-            raise deadline_error(t)
+        if deadline is not None and t > deadline:
+            raise stage.deadline_error(t)
         if fresh:
-            g0 = switch_residual(z)
-            if arrive_residual is not None:
-                a0 = arrive_residual(z)
+            g0 = residual(z)
+            a0 = arrive(z)
             fresh = False
 
         h = min(cfg.dt, cfg.t_max - t)
         z_new = rk4_step(f, z, h)
         if not _finite(z_new):
             raise NonFinite(f"non-finite state at t={t + h:.6g} in step {step_index}")
-        g1 = switch_residual(z_new)
+        g1 = residual(z_new)
 
         # candidate event times within (0, h]
         tau_done = None
         if done(z_new):
             tau_done = _bisect_first(f, z, h, done, cfg.event_tol)
-        if arrive_residual is not None:
-            a1 = arrive_residual(z_new)
-            if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
-                apos = a0 > 0.0
-                tau_arr = _bisect_first(
-                    f, z, h, lambda zz: (arrive_residual(zz) > 0.0) != apos, cfg.event_tol
-                )
-                if (tau_done is None or tau_arr < tau_done) and done(
-                    rk4_step(f, z, tau_arr)
-                ):
-                    tau_done = tau_arr
+        a1 = arrive(z_new)
+        if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
+            apos = a0 > 0.0
+            tau_arr = _bisect_first(f, z, h, lambda zz: (arrive(zz) > 0.0) != apos, cfg.event_tol)
+            if (tau_done is None or tau_arr < tau_done) and done(rk4_step(f, z, tau_arr)):
+                tau_done = tau_arr
         tau_switch = None
         if sliding:
             if abs(g1) > slide_release:
@@ -274,14 +265,14 @@ def run_stage(
         elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
             pos0 = g0 > 0.0
             tau_switch = _bisect_first(
-                f, z, h, lambda zz: (switch_residual(zz) > 0.0) != pos0, cfg.event_tol
+                f, z, h, lambda zz: (residual(zz) > 0.0) != pos0, cfg.event_tol
             )
 
         if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
             z_end = z_new if tau_done == h else rk4_step(f, z, tau_done)
             t_end = t + tau_done
             _emit(Event(t_end, "step-complete", step_index))
-            recorder.add(t_end, z_end, control_of(branch, z_end), FLAG_COMPLETE)
+            recorder.add(t_end, z_end, control(branch, z_end), FLAG_COMPLETE)
             if monitor is not None:
                 monitor(z_end, t_end)
             return StageResult(t_end=t_end, z_end=z_end, events=events)
@@ -294,10 +285,10 @@ def run_stage(
                 monitor(z, t)
             if sliding:
                 sliding = False
-                branch = branch_of(z)
-                f = rhs_for_branch(branch)
+                branch = stage.branch(z)
+                f = stage.field(branch)
                 _emit(Event(t, "surface-slide", step_index, "release"))
-                recorder.add(t, z, control_of(branch, z), FLAG_SLIDE)
+                recorder.add(t, z, control(branch, z), FLAG_SLIDE)
                 last_switch_t = None
                 continue
             if last_switch_t is not None and (t - last_switch_t) <= 4.0 * cfg.dt:
@@ -306,23 +297,21 @@ def run_stage(
                 sliding = True
                 floor = 1e-12 * (1.0 + max(abs(v) for v in z))
                 slide_release = cfg.hysteresis * max(abs(g0), abs(g1), floor)
-                branch = slide_branch_of(z)
-                f = rhs_for_branch(branch)
+                branch = stage.slide_branch(z)
+                f = stage.field(branch)
                 _emit(Event(t, "surface-slide", step_index, "enter"))
-                recorder.add(t, z, control_of(branch, z), FLAG_SLIDE)
+                recorder.add(t, z, control(branch, z), FLAG_SLIDE)
                 last_switch_t = t
                 continue
             last_switch_t = t
-            branch = branch_of(z)
-            f = rhs_for_branch(branch)
+            branch = stage.branch(z)
+            f = stage.field(branch)
             _emit(Event(t, "branch-switch", step_index))
-            recorder.add(t, z, control_of(branch, z), FLAG_SWITCH)
+            recorder.add(t, z, control(branch, z), FLAG_SWITCH)
             continue
 
         t, z = t + h, z_new
-        g0 = g1
-        if arrive_residual is not None:
-            a0 = a1
+        g0, a0 = g1, a1
         if monitor is not None:
             monitor(z, t)
-        recorder.add(t, z, control_of(branch, z), FLAG_NONE)
+        recorder.add(t, z, control(branch, z), FLAG_NONE)

@@ -95,20 +95,18 @@ def pendulum_H(p: PendulumParams, z, u: float) -> tuple:
 _ROOT_TOL = 1e-10
 
 
-def _polish(p: PendulumParams, u: float, c: float) -> float:
-    """Newton-polish a root of alpha u^3 - u + c = 0 to the residual gate."""
-    scale = max(1.0, abs(c))
-    for _ in range(3):
-        r = p.alpha * u ** 3 - u + c
-        if abs(r) <= _ROOT_TOL * scale:
-            return u
-        dr = 3.0 * p.alpha * u * u - 1.0
-        if dr == 0.0:
-            break
-        u -= r / dr
+def _branch_root(p: PendulumParams, c: float, sign: int) -> float:
+    """Extreme root of alpha u^3 - u + c = 0 on the branch's side of zero.
+
+    extreme_root has already polished it; NoRealRoot if it has the wrong
+    sign or misses the 1e-10 residual gate (relative to the forcing size).
+    """
+    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
+    if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
+        raise NoRealRoot(f"extreme root {u:.6g} for forcing {c:.6g} has the wrong sign")
     r = p.alpha * u ** 3 - u + c
-    if abs(r) > _ROOT_TOL * scale:
-        raise NoRealRoot(f"could not polish channel root: residual {r:.3e}")
+    if abs(r) > _ROOT_TOL * max(1.0, abs(c)):
+        raise NoRealRoot(f"channel root {u:.6g} misses the residual gate: residual {r:.3e}")
     return u
 
 
@@ -121,12 +119,7 @@ def pendulum_u1pm(p: PendulumParams, z, sign: int) -> float:
     """
     g1, _ = _drifts(p, z)
     c = g1 - p.eps1p if sign > 0 else g1 + p.eps1m
-    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
-    if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
-        raise NoRealRoot(
-            f"no {'positive' if sign > 0 else 'negative'} root for forcing {c:.6g}"
-        )
-    return _polish(p, u, c)
+    return _branch_root(p, c, sign)
 
 
 def pendulum_w1(p: PendulumParams, z1: float) -> float:
@@ -143,10 +136,7 @@ def pendulum_u2pm(p: PendulumParams, z3: float, sign: int) -> float:
     negative minimal root for every z3.
     """
     c = -(p.g / p.l1) * math.sin(z3)
-    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
-    if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
-        raise NoRealRoot(f"extreme root {u:.6g} has the wrong sign at z3 = {z3:.6g}")
-    return _polish(p, u, c)
+    return _branch_root(p, c, sign)
 
 
 def pendulum_w2(p: PendulumParams, z3: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .chain_gramian import gram_n1
 from .ctrl_fn import LinearSynth
 from .cubic import real_roots
-from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, StepPolicy, ThetaSwitch
+from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch
 
 
 class RootBracketFailure(RuntimeError):

@@ -4,7 +4,8 @@ simulate() runs the stepwise policy stack of a scenario from an
 original-chart initial state and reports the trajectory in both charts.
 By default the block-form dynamics are integrated (the chart where the
 switching functions live); chart="x" integrates the original right side
-instead and maps through to_z at every sample, as a transform cross-check.
+instead, as a transform cross-check, and reports the z that the run's
+callbacks mapped each sample to through to_z.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def simulate(
             state0=x0,
         )
         states_x = [tuple(s) for s in rec.states]
-        states_z = [tuple(scn.to_z(x)) for x in states_x]
+        states_z = [tuple(z) for z in rec.states_z]
 
     traj = Trajectory(
         times=list(rec.times),

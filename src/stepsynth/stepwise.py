@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import engine
-from .ctrl_fn import LinearSynth, ThetaEval, theta_of
+from .ctrl_fn import LinearSynth, theta_of
 
 
 class DomainError(RuntimeError):
@@ -65,8 +65,41 @@ class BlockPartition:
         return np.asarray(z[s:e], dtype=float)
 
 
+class StepPolicy:
+    """How one step drives its block: ThetaSwitch, CurveSwitch or ConstSign.
+
+    A policy reads block-chart states z and the half-open index span of
+    its block.  Each one gives control(branch, z), the control value on a
+    branch, and residual(z, span), the switching function whose sign picks
+    the branch; the defaults below cover the rest.
+    """
+
+    def branch(self, z: tuple, span: tuple) -> int:
+        """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
+        r = self.residual(z, span)
+        if r < 0.0:
+            return +1
+        if r > 0.0:
+            return -1
+        return self.slide_branch(z, span)
+
+    def field(self, branch: int, rhs: Callable, control: Callable) -> Callable:
+        """Closed-loop right side on a branch; control(branch, s) is the stage's."""
+        return lambda s: rhs(s, control(branch, s))
+
+    def slide_branch(self, z: tuple, span: tuple) -> int:
+        return 0
+
+    def arrive_coord(self, span: tuple) -> int:
+        """Coordinate whose zero crossing marks the origin passage: the block head."""
+        return span[0]
+
+    def theta_bound(self, z: tuple, span: tuple) -> float | None:
+        return None
+
+
 @dataclass(frozen=True)
-class ThetaSwitch:
+class ThetaSwitch(StepPolicy):
     """Three-branch policy switching on the sign of sigma = b0* N(Theta)^{-1} z^i.
 
     u_minus acts where sigma > 0, u_plus where sigma < 0, u_zero (or the
@@ -79,30 +112,79 @@ class ThetaSwitch:
     u_zero: Callable[[tuple], float] | None = None
     surface_tol: float = 1e-9
 
+    def branch(self, z: tuple, span: tuple) -> int:
+        ev = theta_of(self.synth, z[span[0] : span[1]])
+        if ev.theta < self.synth.theta_min:
+            return 0
+        band = self.surface_tol * max(1.0, float(np.max(np.abs(ev.w))))
+        if abs(ev.sigma) <= band:
+            return 0
+        return -1 if ev.sigma > 0 else +1
+
+    def control(self, branch: int, z: tuple) -> float:
+        if branch > 0:
+            return self.u_plus(z)
+        if branch < 0:
+            return self.u_minus(z)
+        if self.u_zero is not None:
+            return self.u_zero(z)
+        return 0.5 * (self.u_plus(z) + self.u_minus(z))
+
+    def residual(self, z: tuple, span: tuple) -> float:
+        return theta_of(self.synth, z[span[0] : span[1]]).sigma
+
+    def theta_bound(self, z: tuple, span: tuple) -> float:
+        s, e = span
+        if self.synth.gram.k != e - s:
+            raise ValueError(f"ThetaSwitch synth dimension {self.synth.gram.k} != block size {e - s}")
+        return theta_of(self.synth, z[s:e]).theta
+
 
 @dataclass(frozen=True)
-class CurveSwitch:
+class CurveSwitch(StepPolicy):
     """Two-branch policy for a 2-coordinate block with switching curve w.
 
     The curve maps the block's position coordinate to a velocity; u_plus
     acts strictly below the curve or on it with position >= 0, u_minus
-    strictly above or on it with position <= 0.
+    strictly above or on it with position <= 0.  The step arrives where
+    the block velocity crosses zero, and slides along the curve on the
+    branch of the position's sign.
     """
 
     w: Callable[[float], float]
     u_plus: Callable[[tuple], float]
     u_minus: Callable[[tuple], float]
 
+    def control(self, branch: int, z: tuple) -> float:
+        return self.u_plus(z) if branch > 0 else self.u_minus(z)
+
+    def residual(self, z: tuple, span: tuple) -> float:
+        return z[span[0] + 1] - self.w(z[span[0]])
+
+    def slide_branch(self, z: tuple, span: tuple) -> int:
+        return +1 if z[span[0]] >= 0.0 else -1
+
+    def arrive_coord(self, span: tuple) -> int:
+        return span[0] + 1
+
 
 @dataclass(frozen=True)
-class ConstSign:
+class ConstSign(StepPolicy):
     """Constant-level policy u = -level * sign(designated coordinate)."""
 
     level: float
     coord: int | None = None  # absolute index into z; block start if None
 
+    def control(self, branch: int, z: tuple) -> float:
+        return -self.level * float(branch == -1) + self.level * float(branch == +1)
 
-StepPolicy = Union[ThetaSwitch, CurveSwitch, ConstSign]
+    def field(self, branch: int, rhs: Callable, control: Callable) -> Callable:
+        # the control is constant on a branch: solve it once, not per state
+        u = self.control(branch, ())
+        return lambda s: rhs(s, u)
+
+    def residual(self, z: tuple, span: tuple) -> float:
+        return z[span[0] if self.coord is None else self.coord]
 
 
 @dataclass(frozen=True)
@@ -168,78 +250,12 @@ def step_done(z: Sequence[float], blocks: BlockPartition, i: int, delta: float =
     return max(abs(v) for v in z[s:e]) <= delta
 
 
-def _theta_eval_block(policy: ThetaSwitch, z: Sequence[float], blocks: BlockPartition, i: int) -> ThetaEval:
-    s, e = blocks.spans[i - 1]
-    if policy.synth.gram.k != e - s:
-        raise ValueError(
-            f"ThetaSwitch synth dimension {policy.synth.gram.k} != block size {e - s}"
-        )
-    return theta_of(policy.synth, z[s:e])
-
-
-def _branch_of(policy: StepPolicy, z: tuple, blocks: BlockPartition, i: int) -> int:
-    """Branch key: +1 for u_plus, -1 for u_minus, 0 for the zero/slide control."""
-    if isinstance(policy, ThetaSwitch):
-        ev = _theta_eval_block(policy, z, blocks, i)
-        if ev.theta < policy.synth.theta_min:
-            return 0
-        band = policy.surface_tol * max(1.0, float(np.max(np.abs(ev.w))))
-        if abs(ev.sigma) <= band:
-            return 0
-        return -1 if ev.sigma > 0 else +1
-    if isinstance(policy, CurveSwitch):
-        s, _ = blocks.bounds(i)
-        pos, vel = z[s], z[s + 1]
-        r = vel - policy.w(pos)
-        if r < 0.0:
-            return +1
-        if r > 0.0:
-            return -1
-        return +1 if pos >= 0.0 else -1
-    if isinstance(policy, ConstSign):
-        c = policy.coord if policy.coord is not None else blocks.bounds(i)[0]
-        v = z[c]
-        if v > 0.0:
-            return -1
-        if v < 0.0:
-            return +1
-        return 0
-    raise TypeError(f"unknown policy {policy!r}")
-
-
 def _control_of(policy: StepPolicy, branch: int, z: tuple) -> float:
-    if isinstance(policy, ThetaSwitch):
-        if branch > 0:
-            return policy.u_plus(z)
-        if branch < 0:
-            return policy.u_minus(z)
-        if policy.u_zero is not None:
-            return policy.u_zero(z)
-        return 0.5 * (policy.u_plus(z) + policy.u_minus(z))
-    if isinstance(policy, CurveSwitch):
-        return policy.u_plus(z) if branch > 0 else policy.u_minus(z)
-    if isinstance(policy, ConstSign):
-        return -policy.level * float(branch == -1) + policy.level * float(branch == +1)
-    raise TypeError(f"unknown policy {policy!r}")
+    return policy.control(branch, z)
 
 
-def _switch_residual(policy: StepPolicy, z: tuple, blocks: BlockPartition, i: int) -> float:
-    if isinstance(policy, ThetaSwitch):
-        return _theta_eval_block(policy, z, blocks, i).sigma
-    if isinstance(policy, CurveSwitch):
-        s, _ = blocks.bounds(i)
-        return z[s + 1] - policy.w(z[s])
-    if isinstance(policy, ConstSign):
-        c = policy.coord if policy.coord is not None else blocks.bounds(i)[0]
-        return z[c]
-    raise TypeError(f"unknown policy {policy!r}")
-
-
-def _slide_branch_of(policy: StepPolicy, z: tuple, blocks: BlockPartition, i: int) -> int:
-    if isinstance(policy, CurveSwitch):
-        s, _ = blocks.bounds(i)
-        return +1 if z[s] >= 0.0 else -1
-    return 0
+def _switch_residual(policy: StepPolicy, z: tuple, span: tuple) -> float:
+    return policy.residual(z, span)
 
 
 def eval_control(
@@ -248,7 +264,7 @@ def eval_control(
     """Control value at z under the step-i policy (three-branch selection)."""
     zt = tuple(float(v) for v in z)
     try:
-        branch = _branch_of(policy, zt, blocks, i)
+        branch = policy.branch(zt, blocks.bounds(i))
         return float(_control_of(policy, branch, zt))
     except DomainError:
         raise
@@ -256,8 +272,52 @@ def eval_control(
         raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
 
 
-def _policy_name(policy: StepPolicy) -> str:
-    return type(policy).__name__
+class _Stage:
+    """Step i's policy bound to its block span, chart map and done test.
+
+    This is the stage object engine.run_stage drives.  Its methods read
+    states of the integrated chart and map them to z through z_of, or
+    take them as z when z_of is None.  control is memoized with
+    engine.reuse_last, so the control recorded at an accepted state and
+    the next step's k1 share one solve.
+    """
+
+    def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
+                 rhs: Callable, z_of: Callable | None, done_tol: float):
+        self.policy, self.blocks, self.i = policy, blocks, i
+        self.rhs, self.z_of, self.done_tol = rhs, z_of, done_tol
+        self.span = blocks.bounds(i)
+        self.arrive_idx = policy.arrive_coord(self.span)
+        self.control = engine.reuse_last(self._control)
+        # only a Theta policy bounds its step: it must end by twice Theta(z0)
+        self.theta_bound = policy.theta_bound(s0 if z_of is None else z_of(s0), self.span)
+        self.deadline = None
+        if self.theta_bound is not None and self.theta_bound > 0.0:
+            self.deadline = t0 + 2.0 * self.theta_bound
+
+    def deadline_error(self, t: float) -> Exception:
+        return StepTimeout(f"step {self.i} ran past 2x its Theta bound {self.theta_bound:.6g} (t={t:.6g})")
+
+    def field(self, branch: int) -> Callable:
+        return self.policy.field(branch, self.rhs, self.control)
+
+    def _control(self, branch: int, s: tuple) -> float:
+        return _control_of(self.policy, branch, s if self.z_of is None else self.z_of(s))
+
+    def branch(self, s: tuple) -> int:
+        return self.policy.branch(s if self.z_of is None else self.z_of(s), self.span)
+
+    def slide_branch(self, s: tuple) -> int:
+        return self.policy.slide_branch(s if self.z_of is None else self.z_of(s), self.span)
+
+    def residual(self, s: tuple) -> float:
+        return _switch_residual(self.policy, s if self.z_of is None else self.z_of(s), self.span)
+
+    def arrive(self, s: tuple) -> float:
+        return (s if self.z_of is None else self.z_of(s))[self.arrive_idx]
+
+    def done(self, s: tuple) -> bool:
+        return step_done(s if self.z_of is None else self.z_of(s), self.blocks, self.i, self.done_tol)
 
 
 def orchestrate(
@@ -279,9 +339,10 @@ def orchestrate(
 
     z_of is wrapped once in engine.reuse_last, so each integrated state is
     mapped once however many callbacks read its z: the switch residual,
-    the done test, the arrive residual, the hold monitor and the recorded
-    control of a step's end state share one map.  z_of must be a pure
-    function of the state; the map it returns is treated as read-only.
+    the done test, the arrive residual, the hold monitor, the recorded
+    control and the recorder's states_z of a step's end state share one
+    map.  z_of must be a pure function of the state; the map it returns is
+    treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -291,91 +352,48 @@ def orchestrate(
     if done_tol <= 0:
         raise ValueError("done_tol must be positive")
 
+    recorder = recorder if recorder is not None else engine.Recorder()
     if rhs is None:
         rhs = system.rhs
     if z_of is None:
-        z_of = lambda s: s
         state = tuple(float(v) for v in z0)
     else:
         if state0 is None:
             raise ValueError("state0 is required when integrating a non-z chart")
-        z_of = engine.reuse_last(z_of)
+        z_of = recorder.z_of = engine.reuse_last(z_of)
         state = tuple(float(v) for v in state0)
 
-    recorder = recorder if recorder is not None else engine.Recorder()
     t = 0.0
     steps: list[StepRecord] = []
     hold_residuals = [0.0] * blocks.m
     hold_limit = 10.0 * done_tol
     completed: list[int] = []
 
-    def make_monitor():
-        def monitor(s: tuple, tm: float) -> None:
-            zz = z_of(s)
-            for j in completed:
-                a, b = blocks.bounds(j)
-                r = max(abs(v) for v in zz[a:b])
-                if r > hold_residuals[j - 1]:
-                    hold_residuals[j - 1] = r
-                if r > hold_limit:
-                    raise HoldViolation(
-                        f"block {j} drifted to {r:.3e} > {hold_limit:.3e} at t={tm:.6g}"
-                    )
-        return monitor
-
-    for i in range(1, blocks.m + 1):
-        policy = policies[i - 1]
-        z_now = z_of(state)
-
-        theta_bound = None
-        t_deadline = None
-        deadline_error = None
-        if isinstance(policy, ThetaSwitch):
-            ev = _theta_eval_block(policy, z_now, blocks, i)
-            theta_bound = ev.theta
-            if theta_bound > 0.0:
-                t_deadline = t + 2.0 * theta_bound
-                deadline_error = lambda tm, _i=i, _b=theta_bound: StepTimeout(
-                    f"step {_i} ran past 2x its Theta bound {_b:.6g} (t={tm:.6g})"
+    def monitor(s: tuple, tm: float) -> None:
+        zz = s if z_of is None else z_of(s)
+        for j in completed:
+            a, b = blocks.bounds(j)
+            r = max(abs(v) for v in zz[a:b])
+            if r > hold_residuals[j - 1]:
+                hold_residuals[j - 1] = r
+            if r > hold_limit:
+                raise HoldViolation(
+                    f"block {j} drifted to {r:.3e} > {hold_limit:.3e} at t={tm:.6g}"
                 )
 
-        # the recorded control and the next step's k1 share one solve
-        control = engine.reuse_last(lambda b, s, _p=policy: _control_of(_p, b, z_of(s)))
-
-        def rhs_for_branch(branch: int, _control=control):
-            def f(s: tuple):
-                return rhs(s, _control(branch, s))
-            return f
-
-        # the coordinate whose zero-crossing marks the origin passage: the
-        # block velocity for curve riders, the block head otherwise
-        a_lo, _a_hi = blocks.bounds(i)
-        arrive_idx = a_lo + 1 if isinstance(policy, CurveSwitch) else a_lo
-
+    for i in range(1, blocks.m + 1):
+        stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol)
         result = engine.run_stage(
-            step_index=i,
-            t0=t,
-            z0=state,
-            rhs_for_branch=rhs_for_branch,
-            branch_of=lambda s, _p=policy, _i=i: _branch_of(_p, z_of(s), blocks, _i),
-            control_of=control,
-            switch_residual=lambda s, _p=policy, _i=i: _switch_residual(_p, z_of(s), blocks, _i),
-            slide_branch_of=lambda s, _p=policy, _i=i: _slide_branch_of(_p, z_of(s), blocks, _i),
-            done=lambda s, _i=i: step_done(z_of(s), blocks, _i, done_tol),
-            cfg=cfg,
-            recorder=recorder,
-            monitor=make_monitor(),
-            t_deadline=t_deadline,
-            deadline_error=deadline_error,
-            arrive_residual=lambda s, _j=arrive_idx: z_of(s)[_j],
+            step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder, monitor=monitor
         )
         steps.append(
-            StepRecord(i=i, t_start=t, t_end=result.t_end, theta_bound=theta_bound, policy=_policy_name(policy))
+            StepRecord(i=i, t_start=t, t_end=result.t_end, theta_bound=stage.theta_bound,
+                       policy=type(stage.policy).__name__)
         )
         t, state = result.t_end, result.z_end
         completed.append(i)
-        a, b = blocks.bounds(i)
-        zz = z_of(state)
+        a, b = stage.span
+        zz = state if z_of is None else z_of(state)
         hold_residuals[i - 1] = max(abs(v) for v in zz[a:b])
 
     return (

@@ -100,12 +100,8 @@ def test_x_chart_cross_check():
         assert all(r <= 1e-7 for r in s_x.hold_residuals)
 
 
-def test_x_chart_maps_each_state_once(monkeypatch):
-    # orchestrate maps each integrated state to z once: three RK4 stage
-    # states and the step's end state, whose map serves every callback that
-    # reads it; simulate then maps each recorded sample once more.  Event
-    # bisection maps its probe states too, about 200 maps per event, so the
-    # run is long enough (dt = 2.5e-4) to leave those out of the bound
+def _count_x_chart_maps(monkeypatch, name, x0, x0_chart, dt):
+    """chart="x" run of a scenario, counting to_z calls inside and outside orchestrate."""
     from stepsynth import stepwise
 
     calls = {"orchestrate": 0, "simulate": 0}
@@ -120,7 +116,7 @@ def test_x_chart_maps_each_state_once(monkeypatch):
             phase[0] = "simulate"
 
     monkeypatch.setattr(stepwise, "orchestrate", traced_orchestrate)
-    scn = get_scenario("polyodd:3")
+    scn = get_scenario(name)
 
     def to_z(x):
         calls[phase[0]] += 1
@@ -128,15 +124,36 @@ def test_x_chart_maps_each_state_once(monkeypatch):
 
     traj, summary = simulate(
         dataclasses.replace(scn, to_z=to_z),
-        (1.0, 1.0, 1.0),
-        IntegratorConfig(dt=2.5e-4, t_max=50.0),
+        x0,
+        IntegratorConfig(dt=dt, t_max=50.0),
         chart="x",
-        x0_chart="z",
+        x0_chart=x0_chart,
     )
-    steps = len(traj) - 1
-    assert steps > 35000 and len(summary.step_times) == 3
+    assert len(summary.step_times) == scn.blocks.m
+    # the recorded z are the maps the run made, so simulate maps no sample
+    assert traj.states_z == [tuple(scn.to_z(x)) for x in traj.states_x]
+    return calls, len(traj) - 1
+
+
+def test_x_chart_maps_each_state_once(monkeypatch):
+    # orchestrate maps each integrated state to z at most once, and that map
+    # serves every callback that reads it.  Constant-sign steps bind their
+    # control into the field, so only the end state of each step is mapped.
+    # Event bisection maps its probe states too, about 200 maps per event,
+    # so the run is long enough (dt = 2.5e-4) to leave those out of the bound
+    calls, steps = _count_x_chart_maps(monkeypatch, "polyodd:3", (1.0, 1.0, 1.0), "z", 2.5e-4)
+    assert steps > 35000
+    assert calls["orchestrate"] <= 1.01 * steps
+    assert calls["simulate"] == 0
+
+
+def test_x_chart_maps_each_state_once_curve_switch(monkeypatch):
+    # curve-switch controls read z at the three new RK4 stage states and the
+    # end state; simulate maps only the start state, given in x
+    calls, steps = _count_x_chart_maps(monkeypatch, "pendulum", (-2.0, 1.0, -1.0, 0.5), "x", 1e-4)
+    assert steps > 35000
     assert calls["orchestrate"] <= 4.05 * steps
-    assert calls["simulate"] == len(traj)
+    assert calls["simulate"] == 1
 
 
 def test_trajectory_invariants():

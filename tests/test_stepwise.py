@@ -6,6 +6,7 @@ step 2 holds block 1 exactly; every time below is hand-computable.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,6 +366,11 @@ def _counter(calls: dict, name: str, fn):
     return wrapper
 
 
+def _stage(**methods):
+    """A run_stage stage from the given methods: no deadline, no arrival."""
+    return SimpleNamespace(deadline=None, arrive=lambda s: 1.0, **methods)
+
+
 def test_run_stage_work_per_step():
     # dz = u on a scalar state that never reaches the done band, so every
     # step is plain until t_max: per accepted step the stage makes four
@@ -380,12 +386,14 @@ def test_run_stage_work_per_step():
             step_index=1,
             t0=0.0,
             z0=(1.0,),
-            rhs_for_branch=lambda b: lambda s: (control(b, s),),
-            branch_of=lambda s: -1,
-            control_of=control,
-            switch_residual=_counter(calls, "residual", lambda s: s[0] + 1.0),
-            slide_branch_of=lambda s: 0,
-            done=_counter(calls, "done", lambda s: abs(s[0]) <= 1e-8),
+            stage=_stage(
+                field=lambda b: lambda s: (control(b, s),),
+                branch=lambda s: -1,
+                control=control,
+                residual=_counter(calls, "residual", lambda s: s[0] + 1.0),
+                slide_branch=lambda s: 0,
+                done=_counter(calls, "done", lambda s: abs(s[0]) <= 1e-8),
+            ),
             cfg=IntegratorConfig(dt=1e-2, t_max=0.5),
             recorder=rec,
         )
@@ -408,17 +416,33 @@ def test_reuse_last_keys_on_the_state_object():
     assert control(1, a) == 1.0 and calls["control"] == 3  # one entry only
 
 
-def test_orchestrate_work_per_step(monkeypatch):
-    # the same counts through the callbacks orchestrate builds for a policy
+def _orchestrate_work(monkeypatch, blocks, z0, policy):
+    """Calls through the module-level routes orchestrate's stage takes, over
+    a run that meets no event before t_max; returns them and the step count."""
     calls = {"control": 0, "residual": 0, "done": 0}
     for name, attr in (("control", "_control_of"), ("residual", "_switch_residual"), ("done", "step_done")):
         monkeypatch.setattr(stepwise, attr, _counter(calls, name, getattr(stepwise, attr)))
-    system = BlockSystem(blocks=BlockPartition(sizes=(1,)), H=lambda z, u: (u,))
+    system = BlockSystem(blocks=BlockPartition(sizes=blocks), H=lambda z, u: (u,))
     rec = Recorder()
     with pytest.raises(Timeout):
-        orchestrate(system, (1.0,), [ConstSign(level=1.0)], IntegratorConfig(dt=1e-2, t_max=0.5), recorder=rec)
-    steps = len(rec.times) - 1
-    assert steps >= 49 and not rec.events
+        orchestrate(system, z0, [policy], IntegratorConfig(dt=1e-2, t_max=0.5), recorder=rec)
+    assert not rec.events
+    return calls, len(rec.times) - 1
+
+
+def test_orchestrate_work_per_step(monkeypatch):
+    # a constant-sign field binds its control: only the recorded ones solve
+    calls, steps = _orchestrate_work(monkeypatch, (1,), (1.0,), ConstSign(level=1.0))
+    assert steps >= 49
+    assert calls == {"control": steps + 1, "residual": steps + 1, "done": steps + 1}
+
+
+def test_orchestrate_work_per_step_curve_switch(monkeypatch):
+    # a curve-switch field solves at its RK4 stages, k1 reusing the recorded
+    # solve; the double integrator accelerates below the curve w = 10
+    pol = CurveSwitch(w=lambda p: 10.0, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
+    calls, steps = _orchestrate_work(monkeypatch, (2,), (1.0, 0.0), pol)
+    assert steps >= 49
     assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
 
 
@@ -437,12 +461,14 @@ def _chatter_stage(slide_rate: float, t_max: float):
             step_index=1,
             t0=0.0,
             z0=(0.3452,),
-            rhs_for_branch=lambda b: rhs[b],
-            branch_of=lambda s: -1 if s[0] > 0 else +1,
-            control_of=lambda b, s: float(b),
-            switch_residual=lambda s: s[0],
-            slide_branch_of=lambda s: 0,
-            done=lambda s: abs(s[0]) <= 1e-14,
+            stage=_stage(
+                field=lambda b: rhs[b],
+                branch=lambda s: -1 if s[0] > 0 else +1,
+                control=lambda b, s: float(b),
+                residual=lambda s: s[0],
+                slide_branch=lambda s: 0,
+                done=lambda s: abs(s[0]) <= 1e-14,
+            ),
             cfg=cfg,
             recorder=rec,
         )
