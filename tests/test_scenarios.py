@@ -369,6 +369,21 @@ def test_example51_custom_f2():
     assert w(-0.4) == pytest.approx(-w(0.4), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "kw, want",
+    [
+        ({"f2": lambda v: v + 0.2 * math.sin(v)}, [1.9999999500511982, 8.27071541035261]),
+        ({"f1": lambda x1, x2, x3, u: 0.4 * x1 + 0.1 * x3}, [1.9999999500511982, 8.418081537843525]),
+    ],
+    ids=["f2", "f1"],
+)
+def test_example51_custom_step_times(kw, want):
+    # step times of the custom-curve runs, pinned to 1e-8 across changes of the curve builder
+    _, summary = simulate(example51(**kw), (0.5, 0.1, -0.3), IntegratorConfig(dt=1e-3, t_max=50.0))
+    assert summary.step_times == pytest.approx(want, abs=1e-8)
+    assert summary.final_state_norm <= 1e-6
+
+
 def test_example51_precondition_errors():
     with pytest.raises(ValueError):
         example51(f1=lambda x1, x2, x3, u: 1.0)
