@@ -88,6 +88,7 @@ from .stepwise import (
     StepTimeout,
     StepwiseRun,
     ThetaSwitch,
+    arrival_curve,
     audit_theta_switch,
     eval_control,
     orchestrate,

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain_gramian import GramSet
+from .cubic import bracket_root
 
 _MAX_ITER = 200
 
@@ -105,10 +106,11 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
 
     For k = 1 the root has the closed form Theta = |x| sqrt(N(1)^{-1}/(2 a0)).
     For k >= 2 the scalar equation is multiplied by Theta^(2k-1) to give a
-    polynomial, bracketed by doubling/halving from Theta=1, then solved by
-    safeguarded Newton with bisection fallback.  w = N(Theta)^{-1} x comes
-    from the dilation form D(Theta) N(1)^{-1} D(Theta) x.  x = 0 returns
-    theta = 0 exactly.  All arithmetic is on Python floats.
+    polynomial, bracketed within a factor of 2 by doubling/halving from
+    Theta=1, then solved by brentq (cubic.bracket_root) to 1e-14 of the
+    bracket's upper end.  w = N(Theta)^{-1} x comes from the dilation form
+    D(Theta) N(1)^{-1} D(Theta) x.  x = 0 returns theta = 0 exactly.  All
+    arithmetic is on Python floats.
     """
     k = s.gram.k
     xs = _as_floats(x, k)
@@ -140,45 +142,19 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
 
 
 def _theta_root(s: LinearSynth, c: list) -> float:
-    # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order
+    # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order:
+    # negative below the positive root, positive above it
     coeffs = [2.0 * s.a0, 0.0] + [-cp for cp in reversed(c)]
-    n = len(coeffs) - 1
-    dcoeffs = [cf * (n - i) for i, cf in enumerate(coeffs[:-1])]
-
-    lo, hi = 1.0, 1.0
-    it = 0
-    while _horner(coeffs, hi) <= 0.0:
-        hi *= 2.0
-        it += 1
-        if it > _MAX_ITER:
-            raise NonConvergence("upper bracket for theta did not close")
-    it = 0
-    while _horner(coeffs, lo) >= 0.0:
-        lo *= 0.5
-        it += 1
-        if it > _MAX_ITER:
-            raise NonConvergence("lower bracket for theta did not close")
-
-    th = 0.5 * (lo + hi)
+    F = lambda th: _horner(coeffs, th)
+    # walk Theta by factors of 2 from 1 toward the root until F changes sign
+    up = F(1.0) <= 0.0
+    th = 1.0
     for _ in range(_MAX_ITER):
-        fv = _horner(coeffs, th)
-        if fv > 0.0:
-            hi = th
-        elif fv < 0.0:
-            lo = th
-        else:
-            break
-        dv = _horner(dcoeffs, th)
-        step_ok = dv != 0.0
-        if step_ok:
-            cand = th - fv / dv
-            step_ok = lo < cand < hi
-        th_new = cand if step_ok else 0.5 * (lo + hi)
-        if abs(th_new - th) <= 1e-16 * th:
-            th = th_new
-            break
-        th = th_new
-    return th
+        th = th * 2.0 if up else th * 0.5
+        if (F(th) > 0.0) == up:
+            lo, hi = (0.5 * th, th) if up else (th, 2.0 * th)
+            return bracket_root(F, lo, hi, xtol=1e-14 * hi)
+    raise NonConvergence("bracket for theta did not close")
 
 
 def v_of(s: LinearSynth, x: np.ndarray) -> float:

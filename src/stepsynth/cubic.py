@@ -6,17 +6,40 @@ Where a shifted depressed form leaves a root whose residual is large
 against the terms of the cubic, the real eigenvalues of the companion
 matrix are taken instead.
 Degenerate leading coefficients fall back to the quadratic/linear cases.
+bracket_root is the package's one bracketed scalar solve (brentq).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 _TWO_PI_3 = 2.0943951023931953
 _RESIDUAL_TOL = 1e-9
 _IMAG_TOL = 1e-7
+
+
+class RootBracketFailure(RuntimeError):
+    """A controller root bracket shows no sign change."""
+
+
+def bracket_root(q: Callable, lo: float, hi: float, xtol: float = 1e-14) -> float:
+    """Root of q on [lo, hi] by brentq; an endpoint where q is exactly zero.
+
+    Raises RootBracketFailure when q has the same sign at both ends.
+    """
+    qlo, qhi = q(lo), q(hi)
+    if qlo == 0.0:
+        return lo
+    if qhi == 0.0:
+        return hi
+    if (qlo > 0.0) == (qhi > 0.0):
+        raise RootBracketFailure(f"no sign change on [{lo}, {hi}]: q = ({qlo:.3g}, {qhi:.3g})")
+    from scipy.optimize import brentq
+
+    return float(brentq(q, lo, hi, xtol=xtol, rtol=8.9e-16))
 
 
 def real_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[float, ...]:

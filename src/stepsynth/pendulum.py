@@ -19,7 +19,7 @@ import numpy as np
 
 from .cubic import extreme_root
 from .scenarios import ProbeFields, Scenario
-from .stepwise import BlockPartition, CurveSwitch
+from .stepwise import BlockPartition, CurveSwitch, arrival_curve
 
 
 class NoRealRoot(RuntimeError):
@@ -183,55 +183,15 @@ def pendulum_T1_analytic(p: PendulumParams, z0) -> tuple:
     return (0.0, t12, t12)
 
 
-def _w2_table(p: PendulumParams, span: float = 7.0, intervals: int = 1024):
-    """Fast w2: cubic Hermite tables of the cumulative branch-control integral.
+def _w2_table(p: PendulumParams):
+    """Fast w2: stepwise.arrival_curve's table of the step-2 block on |z3| <= 7.
 
-    On each side the integral A(s) = |int_0^(+-s) u2pm| is tabulated at
-    uniform knots in s = |z3|.  Its slope is the branch control itself, so
-    the knot slopes are exact; each interval's increment is Simpson's rule
-    on the knot and midpoint controls, which makes the Hermite cubic's
-    derivative the quadratic through those three controls.  Returns a
-    closure matching pendulum_w2 to a few 1e-12 on |z3| <= span and falling
-    back to quadrature outside.
+    On the plane z1 = z2 = 0 the block (z3, z4) arrives with dz4 =
+    pendulum_u2pm(z3); the table matches pendulum_w2 to a few 1e-12 and
+    defers to it past the span.  Both are read through the module globals
+    at call time.
     """
-    h = span / intervals
-
-    def coefficients(sign):
-        # power basis in t = s - s_i: A_i + u_i t + c2 t^2 + c3 t^3
-        rate = lambda s: sign * pendulum_u2pm(p, sign * s, sign)
-        a0, a1, a2, a3 = [], [], [], []
-        acc = 0.0
-        u0 = rate(0.0)
-        for i in range(intervals):
-            um = rate((i + 0.5) * h)
-            u1 = rate((i + 1) * h)
-            mean = (u0 + 4.0 * um + u1) / 6.0  # Simpson: increment / h
-            a0.append(acc)
-            a1.append(u0)
-            a2.append((3.0 * mean - 2.0 * u0 - u1) / h)
-            a3.append((u0 + u1 - 2.0 * mean) / (h * h))
-            acc += mean * h
-            u0 = u1
-        return a0, a1, a2, a3
-
-    table_p = coefficients(+1)  # A(s) = integral of u2+ from 0 to s
-    table_m = coefficients(-1)  # A(s) = -(integral of u2- from 0 to -s)
-    last = intervals - 1
-
-    def w2(z3: float) -> float:
-        if z3 == 0.0:
-            return 0.0
-        s = abs(z3)
-        if s > span:
-            return pendulum_w2(p, z3)
-        a0, a1, a2, a3 = table_p if z3 > 0.0 else table_m
-        idx = min(int(s / h), last)
-        t = s - idx * h
-        val = ((a3[idx] * t + a2[idx]) * t + a1[idx]) * t + a0[idx]
-        root = math.sqrt(max(2.0 * val, 0.0))
-        return -root if z3 > 0.0 else root
-
-    return w2
+    return arrival_curve(lambda z3, z4, side: pendulum_u2pm(p, z3, side), 7.0, lambda z3: pendulum_w2(p, z3))
 
 
 def pendulum(params: PendulumParams | None = None) -> Scenario:

@@ -20,12 +20,9 @@ import numpy as np
 
 from .chain_gramian import gram_n1
 from .ctrl_fn import LinearSynth
-from .cubic import real_roots
-from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch
-
-
-class RootBracketFailure(RuntimeError):
-    """A controller root bracket shows no sign change."""
+from .cubic import RootBracketFailure, real_roots
+from .cubic import bracket_root as _bracket_root  # module global: tests and the tracer patch it
+from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch, arrival_curve
 
 
 @dataclass(frozen=True)
@@ -275,28 +272,16 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
 # ---------------------------------------------------------------------------
 
 
-def _bracket_root(q: Callable, lo: float, hi: float) -> float:
-    qlo, qhi = q(lo), q(hi)
-    if qlo == 0.0:
-        return lo
-    if qhi == 0.0:
-        return hi
-    if (qlo > 0.0) == (qhi > 0.0):
-        raise RootBracketFailure(f"no sign change on [{lo}, {hi}]: q = ({qlo:.3g}, {qhi:.3g})")
-    from scipy.optimize import brentq
-
-    return float(brentq(q, lo, hi, xtol=1e-14, rtol=8.9e-16))
-
-
 def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> Scenario:
     """dx = (u^3 + 0.1 sin^2 f1(x, u), u, f2(x2)); blocks (1, 2).
 
     Defaults: f1 = 0, f2 = identity.  f2 must be a strictly increasing
-    bijection of the line; a custom f2 gets a numerically inverted chart and
-    a table-built switch curve for the second block.  z = (x1 - x2, x3,
-    f2(x2)); step 1 holds the first block with a unit-bound cubic controller
-    (d = 0.2), step 2 steers the double integrator (z2, z3) along the curve
-    of the constant-channel extremal controls.
+    bijection of the line; a custom f2 gets a numerically inverted chart.
+    A custom f1 or f2 gets the arrival_curve table of the second block's
+    switch curve on |z2| <= 32.  z = (x1 - x2, x3, f2(x2)); step 1 holds
+    the first block with a unit-bound cubic controller (d = 0.2), step 2
+    steers the double integrator (z2, z3) along the curve of the
+    constant-channel extremal controls.
     """
     custom_f1 = f1 is not None
     custom_f2 = f2 is not None
@@ -304,6 +289,8 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
         raise ValueError("f1 must vanish at the origin")
     if custom_f2 and abs(f2(0.0)) > 1e-12:
         raise ValueError("f2 must vanish at the origin")
+    if custom_f2 and not f2(-1.0) < f2(0.0) < f2(1.0):
+        raise ValueError("f2 must be increasing")
     if f1 is None:
         f1 = lambda x1, x2, x3, u: 0.0
     if f2 is None:
@@ -385,11 +372,10 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
                 return -math.sqrt(2.0 * z2)
             return math.sqrt(-2.0 * z2)
     else:
-        w2 = _curve_from_rates(
-            rate=lambda z2, z3, branch: f2_slope(z3)
-            * (u2_root(z2, z3, True) if branch > 0 else u2_root(z2, z3, False)),
-            span=8.0,
-        )
+        def beyond(z2):
+            raise RootBracketFailure(f"switch table does not cover z2 = {z2}")
+
+        w2 = arrival_curve(lambda z2, z3, side: f2_slope(z3) * u2_root(z2, z3, side > 0), 32.0, beyond)
 
     step2 = CurveSwitch(w=w2, u_plus=u2_plus, u_minus=u2_minus)
 
@@ -428,76 +414,17 @@ _FD_H = float(np.cbrt(np.finfo(float).eps))
 
 def _monotone_inverse(fn: Callable) -> Callable:
     """Invert a strictly increasing scalar bijection by expanding brackets."""
-    from scipy.optimize import brentq
 
     def inv(y):
         lo, hi = -1.0, 1.0
         for _ in range(200):
             if fn(lo) <= y <= fn(hi):
-                break
+                return _bracket_root(lambda v: fn(v) - y, lo, hi)
             lo *= 2.0
             hi *= 2.0
-        else:
-            raise RootBracketFailure(f"could not bracket f2 inverse at {y}")
-        if fn(lo) > fn(hi):
-            raise RootBracketFailure("f2 must be increasing")
-        return float(brentq(lambda v: fn(v) - y, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        raise RootBracketFailure(f"could not bracket f2 inverse at {y}")
 
     return inv
-
-
-def _curve_from_rates(rate: Callable, span: float) -> Callable:
-    """Arrival curve z3 = w(z2) for a (position, velocity) block.
-
-    Integrates dz2/dz3 = z3 / rate(z2, z3, branch) backwards from the
-    origin on both sides and interpolates.  rate is the z3 channel value on
-    the given branch; the + branch arrives with z3 <= 0 (so z2 >= 0).
-    """
-    from scipy.interpolate import CubicSpline
-    from scipy.optimize import brentq
-
-    def march(branch):
-        steps = 2048
-        hstep = span / steps * (-1.0 if branch > 0 else 1.0)
-        z3s = [0.0]
-        z2s = [0.0]
-        z2 = 0.0
-        z3 = 0.0
-        def slope(z2v, z3v):
-            r = rate(z2v, z3v, branch)
-            if r == 0.0:
-                raise RootBracketFailure("curve rate vanished while building the switch table")
-            return z3v / r
-        for _ in range(steps):
-            k1 = slope(z2, z3)
-            k2 = slope(z2 + 0.5 * hstep * k1, z3 + 0.5 * hstep)
-            k3 = slope(z2 + 0.5 * hstep * k2, z3 + 0.5 * hstep)
-            k4 = slope(z2 + hstep * k3, z3 + hstep)
-            z2 += (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z3 += hstep
-            z3s.append(z3)
-            z2s.append(z2)
-        return z3s, z2s
-
-    z3_neg, z2_pos = march(+1)  # z3 in [-span, 0], z2 >= 0
-    z3_pos, z2_neg = march(-1)
-    sp_pos = CubicSpline(z3_neg[::-1], z2_pos[::-1])  # z2 as a function of z3 <= 0
-    sp_neg = CubicSpline(z3_pos, z2_neg)
-    z2_pos_max = max(z2_pos)
-    z2_neg_min = min(z2_neg)
-
-    def w(z2):
-        if z2 == 0.0:
-            return 0.0
-        if z2 > 0.0:
-            if z2 > z2_pos_max:
-                raise RootBracketFailure(f"switch table does not cover z2 = {z2}")
-            return float(brentq(lambda v: sp_pos(v) - z2, -span, 0.0, xtol=1e-13))
-        if z2 < z2_neg_min:
-            raise RootBracketFailure(f"switch table does not cover z2 = {z2}")
-        return float(brentq(lambda v: sp_neg(v) - z2, 0.0, span, xtol=1e-13))
-
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ the step uses the controllability-function policy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -166,6 +167,67 @@ class CurveSwitch(StepPolicy):
 
     def arrive_coord(self, span: tuple) -> int:
         return span[0] + 1
+
+
+def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]) -> Callable[[float], float]:
+    """Switching curve velocity = w(position) of a CurveSwitch block.
+
+    accel(pos, vel, side) is the block's velocity channel on the branch
+    arriving from side = sign(pos) (u_plus for pos > 0).  On each side
+    E = vel^2/2 is tabulated against s = |pos| as a cubic Hermite table,
+    from dE/ds = side * accel(side s, -side sqrt(2E), side) > 0.  Each
+    interval adds Simpson's rule on its start, midpoint and end slopes
+    k1, k2, k3, so the cubic's derivative is the quadratic through them;
+    its k3 is the next interval's k1.  k2 and k3 are read at an E
+    extrapolated from the last three slopes.  On the first interval they
+    are read at E = h k1 / 2 and h (3 k2 - k1) / 2: the error of that k3,
+    carried as the next k1, cancels the error of k2 over the two Simpson
+    sums.  w reads the table on |pos| <= span and calls beyond(pos) past it.
+    """
+    h = 7.0 / 1024.0  # knot spacing; the interval count follows from the span
+    intervals = math.ceil(span / h)
+
+    def table(side):
+        def slope(s, e):
+            k = side * accel(side * s, -side * math.sqrt(2.0 * e), side)
+            if not k > 0.0:
+                raise ValueError(f"arriving branch does not slow the block at position {side * s}")
+            return k
+
+        rows = []  # (E_i, k1, c2, c3): E = E_i + k1 t + c2 t^2 + c3 t^3, t = s - s_i
+        acc = 0.0
+        k1 = slope(0.0, 0.0)
+        for i in range(intervals):
+            if i == 0:
+                k2 = slope(0.5 * h, 0.5 * h * k1)
+                k3 = slope(h, h * (1.5 * k2 - 0.5 * k1))
+            else:  # ka, kb: the previous interval's start and midpoint slopes
+                k2 = slope((i + 0.5) * h, acc + h * (5.0 * ka - 16.0 * kb + 23.0 * k1) / 24.0)
+                k3 = slope((i + 1) * h, acc + h * (kb - 2.0 * k1 + 7.0 * k2) / 6.0)
+            mean = (k1 + 4.0 * k2 + k3) / 6.0  # Simpson: increment / h
+            rows.append((acc, k1, (3.0 * mean - 2.0 * k1 - k3) / h, (k1 + k3 - 2.0 * mean) / (h * h)))
+            acc += mean * h
+            ka, kb, k1 = k1, k2, k3
+        return rows
+
+    table_p = table(+1)
+    table_m = table(-1)
+    last = intervals - 1
+
+    def w(pos: float) -> float:
+        if pos == 0.0:
+            return 0.0
+        s = abs(pos)
+        if s > span:
+            return beyond(pos)
+        idx = min(int(s / h), last)
+        e0, e1, e2, e3 = (table_p if pos > 0.0 else table_m)[idx]
+        t = s - idx * h
+        e = ((e3 * t + e2) * t + e1) * t + e0
+        root = math.sqrt(max(2.0 * e, 0.0))
+        return -root if pos > 0.0 else root
+
+    return w
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,20 @@ def test_dilation_invariance(x1, x2, s_scale):
     assert scaled.v == pytest.approx(base.v, abs=1e-9 * max(1.0, abs(base.v)))
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_theta_robust_over_scales(k):
+    # Theta(lam^k x_1, ..., lam x_k) = lam Theta(x) at x from 1e-12 to 1e8
+    s = synth_for(gram_n1(k), d=1.3)
+    rng = np.random.default_rng(300 + k)
+    for _ in range(400):
+        x = rng.uniform(-1, 1, size=k) * 10.0 ** rng.uniform(-12, 8)
+        lam = float(rng.choice([0.5, 2.0, 3.0]))
+        base = theta_of(s, x).theta
+        scaled = theta_of(s, x * lam ** np.arange(k, 0, -1)).theta
+        assert base > 0.0
+        assert scaled == pytest.approx(lam * base, rel=1e-12)
+
+
 def test_sigma_sign_consistency():
     s = synth_for(G2, d=1.0)
     rng = np.random.default_rng(3)

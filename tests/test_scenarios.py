@@ -367,6 +367,12 @@ def test_example51_custom_f2():
     assert abs(w(0.0)) <= 1e-9
     assert w(0.4) < 0.0 < w(-0.4)
     assert w(-0.4) == pytest.approx(-w(0.4), abs=1e-6)
+    # the table spans |z2| <= 32
+    assert w(-31.9) > 0.0
+    with pytest.raises(RootBracketFailure):
+        w(32.5)
+    with pytest.raises(RootBracketFailure):
+        w(-32.5)
 
 
 @pytest.mark.parametrize(
@@ -389,6 +395,8 @@ def test_example51_precondition_errors():
         example51(f1=lambda x1, x2, x3, u: 1.0)
     with pytest.raises(ValueError):
         example51(f2=lambda v: v + 1.0)
+    with pytest.raises(ValueError, match="increasing"):
+        example51(f2=lambda v: -v)
 
 
 # --- chart/block consistency across every bundled scenario ---

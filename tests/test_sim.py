@@ -335,7 +335,8 @@ def test_default_projections():
 
 
 def test_bundled_runs_import_no_scipy():
-    # scipy serves only custom example51 f1/f2 and pendulum w2 past |z3| > 7
+    # scipy serves only brentq (custom example51 f1/f2, theta_of at k >= 2)
+    # and quad (pendulum w2 past |z3| > 7); no bundled run takes those paths
     script = """
 import sys
 from stepsynth import IntegratorConfig, get_scenario, simulate

@@ -25,6 +25,7 @@ from stepsynth import (
     StepTimeout,
     ThetaSwitch,
     Timeout,
+    arrival_curve,
     audit_theta_switch,
     eval_control,
     gram_n1,
@@ -151,6 +152,39 @@ def test_eval_control_wraps_callback_errors():
     pol = ThetaSwitch(synth=s, u_plus=bad, u_minus=bad)
     with pytest.raises(DomainError):
         eval_control(pol, (1.0,), b, 1)
+
+
+# --- arrival_curve ---
+
+
+def _no_table(pos):
+    raise LookupError(pos)
+
+
+def test_arrival_curve_constant_rate():
+    # unit deceleration: E = |pos|, so w = -+sqrt(2 |pos|)
+    w = arrival_curve(lambda pos, vel, side: float(side), 10.0, _no_table)
+    assert w(0.0) == 0.0
+    for s in np.linspace(1e-3, 10.0, 1001):
+        s = float(s)
+        assert abs(w(s) + math.sqrt(2.0 * s)) <= 1e-12
+        assert w(-s) == -w(s)
+    with pytest.raises(LookupError):
+        w(10.5)
+
+
+def test_arrival_curve_velocity_dependent_rate():
+    # |dv/dt| = 1 + 0.1 v^2 gives dE/ds = 1 + 0.2 E: E = 5 (exp(0.2 s) - 1)
+    w = arrival_curve(lambda pos, vel, side: side * (1.0 + 0.1 * vel * vel), 25.0, _no_table)
+    for s in np.linspace(1e-3, 25.0, 2001):
+        s = float(s)
+        assert abs(0.5 * w(s) ** 2 - 5.0 * math.expm1(0.2 * s)) <= 1e-7
+        assert w(s) < 0.0 and w(-s) == -w(s)
+
+
+def test_arrival_curve_rejects_a_branch_that_does_not_slow_the_block():
+    with pytest.raises(ValueError):
+        arrival_curve(lambda pos, vel, side: side * (1.0 - abs(pos)), 2.0, _no_table)
 
 
 # --- BlockSystem.rhs chaining ---
