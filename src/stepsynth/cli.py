@@ -249,7 +249,11 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run a scenario and write traj.csv/summary.json/SVGs")
     p.add_argument("--scenario")
     p.add_argument("--x0", help="comma-separated initial state (original chart)")
-    p.add_argument("--dt", type=float)
+    p.add_argument(
+        "--dt",
+        type=float,
+        help="sample spacing of traj.csv (default 1e-4); the integrator picks its own steps",
+    )
     p.add_argument("--tmax", type=float)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--chart", choices=["z", "x"], help="integration chart (default z)")

@@ -339,9 +339,7 @@ class _Stage:
 
     This is the stage object engine.run_stage drives.  Its methods read
     states of the integrated chart and map them to z through z_of, or
-    take them as z when z_of is None.  control is memoized with
-    engine.reuse_last, so the control recorded at an accepted state and
-    the next step's k1 share one solve.
+    take them as z when z_of is None.
     """
 
     def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
@@ -350,7 +348,6 @@ class _Stage:
         self.rhs, self.z_of, self.done_tol = rhs, z_of, done_tol
         self.span = blocks.bounds(i)
         self.arrive_idx = policy.arrive_coord(self.span)
-        self.control = engine.reuse_last(self._control)
         # only a Theta policy bounds its step: it must end by twice Theta(z0)
         self.theta_bound = policy.theta_bound(s0 if z_of is None else z_of(s0), self.span)
         self.deadline = None
@@ -363,7 +360,7 @@ class _Stage:
     def field(self, branch: int) -> Callable:
         return self.policy.field(branch, self.rhs, self.control)
 
-    def _control(self, branch: int, s: tuple) -> float:
+    def control(self, branch: int, s: tuple) -> float:
         return _control_of(self.policy, branch, s if self.z_of is None else self.z_of(s))
 
     def branch(self, s: tuple) -> int:
@@ -402,9 +399,9 @@ def orchestrate(
     z_of is wrapped once in engine.reuse_last, so each integrated state is
     mapped once however many callbacks read its z: the switch residual,
     the done test, the arrive residual, the hold monitor, the recorded
-    control and the recorder's states_z of a step's end state share one
-    map.  z_of must be a pure function of the state; the map it returns is
-    treated as read-only.
+    control and the recorder's states_z of a sample share one map.  z_of
+    must be a pure function of the state; the map it returns is treated
+    as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:

@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 
 from stepsynth import (
     CurveSwitch,
+    IntegratorConfig,
     NoRealRoot,
     PendulumParams,
     pendulum,
@@ -19,6 +20,7 @@ from stepsynth import (
     pendulum_u2pm,
     pendulum_w1,
     pendulum_w2,
+    orchestrate,
     rk4_step,
 )
 
@@ -304,3 +306,48 @@ def test_energy_conserved_without_control():
     for _ in range(100_000):
         x = rk4_step(rhs, x, h)
     assert abs(pendulum_energy(P, x) - e0) <= 1e-6
+
+
+# --- integration against an independent solver ---
+
+
+def test_first_branch_segment_matches_dop853(monkeypatch):
+    # the samples of the run from the default start up to its first event
+    # follow one branch field; scipy's DOP853 at 1e-13 is the oracle.  The
+    # whole run makes fewer field evaluations than it records samples (a
+    # fixed-step RK4 at dt makes four per sample)
+    from scipy.integrate import solve_ivp
+
+    from stepsynth import stepwise
+
+    scn = pendulum()
+    z0 = scn.to_z((-2.0, 1.0, -1.0, 0.5))
+    policy, span = scn.policies[0], scn.blocks.bounds(1)
+    branch = policy.branch(z0, span)
+    calls = {"rhs": 0}
+    rhs = stepwise.BlockSystem.rhs
+
+    def counted(self, z, u):
+        calls["rhs"] += 1
+        return rhs(self, z, u)
+
+    monkeypatch.setattr(stepwise.BlockSystem, "rhs", counted)
+    _, rec = orchestrate(scn.system, z0, scn.policies, IntegratorConfig(dt=1e-3, t_max=10.0))
+    assert calls["rhs"] < len(rec.times)
+    monkeypatch.undo()
+    t_event = rec.events[0].t
+    rows = [(t, z) for t, z in zip(rec.times, rec.states) if t < t_event]
+    assert len(rows) > 100
+    times = [t for t, _ in rows]
+    ref = solve_ivp(
+        lambda t, z: scn.system.rhs(tuple(z), policy.control(branch, tuple(z))),
+        (0.0, times[-1]),
+        z0,
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-13,
+        t_eval=times,
+    )
+    assert ref.success
+    err = max(abs(a - b) for k, (_, z) in enumerate(rows) for a, b in zip(z, ref.y[:, k]))
+    assert err <= 1e-9

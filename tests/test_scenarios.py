@@ -375,6 +375,42 @@ def test_example51_custom_f2():
         w(-32.5)
 
 
+def test_example51_custom_f2_inverts_once_per_state(monkeypatch):
+    # h1, the channel's f2 slope and the step-2 control's sign test read the
+    # same z3 of a state: one inversion of f2 serves them all
+    calls = {"inverse": 0, "slope_reads": 0}
+    monotone_inverse, curve = scenarios._monotone_inverse, scenarios.arrival_curve
+
+    def counted_inverse(fn):
+        inv = monotone_inverse(fn)
+
+        def counted(y):
+            calls["inverse"] += 1
+            return inv(y)
+
+        return counted
+
+    def counted_curve(accel, span, beyond):
+        def counted(*args):
+            calls["slope_reads"] += 1
+            return accel(*args)
+
+        return curve(counted, span, beyond)
+
+    monkeypatch.setattr(scenarios, "_monotone_inverse", counted_inverse)
+    monkeypatch.setattr(scenarios, "arrival_curve", counted_curve)
+    scn = example51(f2=lambda v: v + 0.2 * math.sin(v))
+    # building: one per slope read of the curve table, plus the step-2 roots
+    assert calls["slope_reads"] > 9000
+    assert calls["inverse"] <= calls["slope_reads"] + 2
+    calls["inverse"] = 0
+    rng = np.random.default_rng(12)
+    states = [tuple(float(v) for v in rng.uniform(-2, 2, size=3)) for _ in range(200)]
+    for z in states:
+        scn.H(z, 0.3)
+    assert calls["inverse"] <= len(states)
+
+
 @pytest.mark.parametrize(
     "kw, want",
     [

@@ -21,6 +21,7 @@ from stepsynth import (
     emit_svg,
     get_scenario,
     simulate,
+    stepwise,
 )
 
 CFG = IntegratorConfig(dt=1e-3, t_max=50.0)
@@ -102,8 +103,6 @@ def test_x_chart_cross_check():
 
 def _count_x_chart_maps(monkeypatch, name, x0, x0_chart, dt):
     """chart="x" run of a scenario, counting to_z calls inside and outside orchestrate."""
-    from stepsynth import stepwise
-
     calls = {"orchestrate": 0, "simulate": 0}
     phase = ["simulate"]
     orchestrate = stepwise.orchestrate
@@ -138,9 +137,9 @@ def _count_x_chart_maps(monkeypatch, name, x0, x0_chart, dt):
 def test_x_chart_maps_each_state_once(monkeypatch):
     # orchestrate maps each integrated state to z at most once, and that map
     # serves every callback that reads it.  Constant-sign steps bind their
-    # control into the field, so only the end state of each step is mapped.
-    # Event bisection maps its probe states too, about 200 maps per event,
-    # so the run is long enough (dt = 2.5e-4) to leave those out of the bound
+    # control into the field, so only the samples are mapped.  Event
+    # bisection maps its probe states too, a few dozen maps per event, so
+    # the run is long enough (dt = 2.5e-4) to leave those out of the bound
     calls, steps = _count_x_chart_maps(monkeypatch, "polyodd:3", (1.0, 1.0, 1.0), "z", 2.5e-4)
     assert steps > 35000
     assert calls["orchestrate"] <= 1.01 * steps
@@ -148,12 +147,31 @@ def test_x_chart_maps_each_state_once(monkeypatch):
 
 
 def test_x_chart_maps_each_state_once_curve_switch(monkeypatch):
-    # curve-switch controls read z at the three new RK4 stage states and the
-    # end state; simulate maps only the start state, given in x
+    # curve-switch controls read z at each integrator stage state and at
+    # each sample; simulate maps only the start state, given in x
     calls, steps = _count_x_chart_maps(monkeypatch, "pendulum", (-2.0, 1.0, -1.0, 0.5), "x", 1e-4)
     assert steps > 35000
     assert calls["orchestrate"] <= 4.05 * steps
     assert calls["simulate"] == 1
+
+
+def test_polyodd_integrates_in_few_field_evaluations(monkeypatch):
+    # polyodd's branch fields are constant, so the integrator's steps grow
+    # past the samples they serve; a fixed-step RK4 at dt makes four field
+    # evaluations per sample (390,000 here)
+    calls = {"rhs": 0}
+    rhs = stepwise.BlockSystem.rhs
+
+    def counted(self, z, u):
+        calls["rhs"] += 1
+        return rhs(self, z, u)
+
+    monkeypatch.setattr(stepwise.BlockSystem, "rhs", counted)
+    traj, _ = simulate(
+        get_scenario("polyodd:3"), (1.0, 1.0, 1.0), IntegratorConfig(dt=1e-4, t_max=100.0), x0_chart="z"
+    )
+    assert len(traj) == 97_501
+    assert calls["rhs"] < 300
 
 
 def test_trajectory_invariants():

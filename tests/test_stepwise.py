@@ -407,13 +407,12 @@ def _stage(**methods):
 
 def test_run_stage_work_per_step():
     # dz = u on a scalar state that never reaches the done band, so every
-    # step is plain until t_max: per accepted step the stage makes four
-    # control solves (the recorded one serves the next k1), one switch
-    # residual and one done test, plus one of each at the start state
-    from stepsynth.engine import reuse_last
-
+    # sample is plain until t_max: per sample the stage makes one switch
+    # residual and one done test, plus one of each at the start state; the
+    # control is solved once per recorded sample and six times per
+    # integrator step, and a constant field needs few steps
     calls = {"control": 0, "residual": 0, "done": 0}
-    control = reuse_last(_counter(calls, "control", lambda b, s: float(b)))
+    control = _counter(calls, "control", lambda b, s: float(b))
     rec = Recorder()
     with pytest.raises(Timeout):
         run_stage(
@@ -433,7 +432,8 @@ def test_run_stage_work_per_step():
         )
     steps = len(rec.times) - 1
     assert steps >= 49 and not rec.events
-    assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
+    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": steps + 1}
+    assert calls["control"] < 2 * steps
 
 
 def test_reuse_last_keys_on_the_state_object():
@@ -472,12 +472,74 @@ def test_orchestrate_work_per_step(monkeypatch):
 
 
 def test_orchestrate_work_per_step_curve_switch(monkeypatch):
-    # a curve-switch field solves at its RK4 stages, k1 reusing the recorded
-    # solve; the double integrator accelerates below the curve w = 10
+    # a curve-switch field solves its control at each integrator stage,
+    # shared by every sample the step covers; the double integrator
+    # accelerates below the curve w = 10
     pol = CurveSwitch(w=lambda p: 10.0, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     calls, steps = _orchestrate_work(monkeypatch, (2,), (1.0, 0.0), pol)
     assert steps >= 49
-    assert calls == {"control": 4 * steps + 1, "residual": steps + 1, "done": steps + 1}
+    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": steps + 1}
+    assert calls["control"] < 2 * steps
+
+
+def test_run_stage_harmonic_oscillator_on_the_sample_grid():
+    # z'' = -z from (1, 0): every sample over [0, 20] lies on (cos t, -sin t);
+    # fixed-step RK4 at dt would make 4 field evaluations per sample (80,000)
+    calls = {"field": 0}
+    field = _counter(calls, "field", lambda s: (s[1], -s[0]))
+    rec = Recorder()
+    with pytest.raises(Timeout):
+        run_stage(
+            step_index=1,
+            t0=0.0,
+            z0=(1.0, 0.0),
+            stage=_stage(
+                field=lambda b: field,
+                branch=lambda s: 1,
+                control=lambda b, s: 0.0,
+                residual=lambda s: 1.0,
+                slide_branch=lambda s: 0,
+                done=lambda s: False,
+            ),
+            cfg=IntegratorConfig(dt=1e-3, t_max=20.0),
+            recorder=rec,
+        )
+    assert len(rec.times) == 20_001 and rec.times[-1] == 20.0
+    err = max(max(abs(z[0] - math.cos(t)), abs(z[1] + math.sin(t))) for t, z in zip(rec.times, rec.states))
+    assert err <= 1e-10
+    assert calls["field"] <= 8_000
+
+
+def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
+    # the field is defined only up to s = 0.01, just past the arrival at s = 0
+    # (t = 1); integrator steps that reach beyond the next sample and meet an
+    # undefined state are retried within it, so the stage completes
+    def field(s):
+        if s[0] > 0.01:
+            raise ValueError(f"no control at {s[0]}")
+        return (1.0,)
+
+    rec = Recorder()
+    result = run_stage(
+        step_index=1,
+        t0=0.0,
+        z0=(-1.0,),
+        stage=SimpleNamespace(
+            deadline=None,
+            field=lambda b: field,
+            branch=lambda s: 1,
+            control=lambda b, s: 1.0,
+            residual=lambda s: 1.0,
+            slide_branch=lambda s: 0,
+            arrive=lambda s: s[0],
+            done=lambda s: abs(s[0]) <= 1e-8,
+        ),
+        cfg=IntegratorConfig(dt=1e-2, t_max=5.0),
+        recorder=rec,
+    )
+    assert result.t_end == pytest.approx(1.0, abs=1e-7)
+    assert abs(result.z_end[0]) <= 1e-8
+    assert len(rec.times) == 101
 
 
 def _chatter_stage(slide_rate: float, t_max: float):
