@@ -13,16 +13,27 @@ event state on the re-selected branch.  Two branch switches closer
 together than 4 dt trigger a surface-slide regime on the stage's slide
 branch with a factor-`hysteresis` release band, which bounds chattering.
 rk4_step, one classical Runge-Kutta step, is kept as a reference
-integrator; run_stage does not call it.  States are tuples of floats: the
-bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4, and at
-those counts tuples are several times faster than small numpy arrays.
+integrator; run_stage does not call it.
+
+The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
+1e2 to 2e3 integrator steps, so the work is in the samples.  They are read
+in batches (Rows): the rows that the accepted steps already cover come out
+of the dense output as one (k, n) numpy array, by the same elementwise
+formula as one row at a time, and the stage tests them as columns.  The
+integrator's own states and stages stay tuples of floats: a step has a
+handful of components, where numpy's per-call cost outweighs its
+arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 State = tuple  # tuple of floats
 Rhs = Callable[[State], Sequence[float]]
@@ -105,6 +116,7 @@ D1, D3, D4, D5, D6, D7 = (
     69997945 / 29380423,
 )
 TOL = 1e-12  # rtol = atol of the RMS error norm of one step
+ROWS = 4096  # most sample rows per batch, unless the stage sets its own
 
 
 def _dp_step(f: Rhs, z: State, k1: Sequence[float], h: float):
@@ -138,16 +150,17 @@ def _dp_step(f: Rhs, z: State, k1: Sequence[float], h: float):
     return z1, (k1, k3, k4, k5, k6, k7), math.sqrt(acc / len(z))
 
 
-def _dense_rows(z: State, z1: State, stages: tuple, h: float) -> list:
-    """Per component, the coefficients (y0, y1 - y0, b, c, d) of the step's
-    continuous extension y0 + s (y1 - y0 + (1 - s) (b + s (c + (1 - s) d)))."""
+def _dense_rows(z: State, z1: State, stages: tuple, h: float) -> np.ndarray:
+    """The coefficients (y0, y1 - y0, b, c, d) of the step's continuous
+    extension y0 + s (y1 - y0 + (1 - s) (b + s (c + (1 - s) d))), as a
+    (5, n) array: one row per coefficient, one column per component."""
     rows = []
     for y, y1, a, c, d, e, g, q in zip(z, z1, *stages):
         diff = y1 - y
         bspl = h * a - diff
         dense = h * (D1 * a + D3 * c + D4 * d + D5 * e + D6 * g + D7 * q)
         rows.append((y, diff, bspl, diff - h * q - bspl, dense))
-    return rows
+    return np.array(rows).T
 
 
 class _Flow:
@@ -155,15 +168,15 @@ class _Flow:
 
     Dormand-Prince steps run ahead of the sample rows, their size set by
     the error norm; cover(t_lo, t_hi) integrates until the accepted steps
-    reach t_hi, and at(t) reads the continuous extension of the step that
-    holds t.  Each flow starts with a step of h0.
+    reach t_hi, and rows(times) reads the continuous extension of the
+    steps that hold them.  Each flow starts with a step of h0.
     """
 
     def __init__(self, f: Rhs, t0: float, z0: State, h0: float, t_max: float, step_index: int):
         self.f, self.t_max, self.step_index = f, t_max, step_index
         self.t, self.z, self.k = t0, z0, f(z0)
         self.h = h0
-        self.pieces: list = []  # (t_a, t_b, rows) of the accepted steps, oldest first
+        self.pieces: list = []  # (t_a, t_b, coefficients) of the accepted steps, oldest first
 
     def cover(self, t_lo: float, t_hi: float) -> None:
         pieces = self.pieces
@@ -196,30 +209,115 @@ class _Flow:
                 pieces.append((ta, tb, _dense_rows(self.z, z1, stages, tb - ta)))
                 self.t, self.z, self.k = tb, z1, stages[-1]
 
-    def at(self, t: float) -> State:
-        for ta, tb, rows in self.pieces:
-            if t <= tb:
-                break
-        s = (t - ta) / (tb - ta)
-        s1 = 1.0 - s
-        return tuple(a + s * (b + s1 * (c + s * (d + s1 * e))) for a, b, c, d, e in rows)
+    def rows(self, times: list) -> np.ndarray:
+        """The states at ascending times inside the covered steps, as a
+        (len(times), n) array.  A time at the end of a step reads that step."""
+        ts = np.array(times)
+        parts = []
+        lo, k, last = 0, len(times), len(self.pieces) - 1
+        for j, (ta, tb, (a, b, c, d, e)) in enumerate(self.pieces):
+            hi = k if j == last else bisect.bisect_right(times, tb, lo)
+            if hi > lo:
+                s = ((ts[lo:hi] - ta) / (tb - ta))[:, None]
+                s1 = 1.0 - s
+                parts.append(a + s * (b + s1 * (c + s * (d + s1 * e))))
+                lo = hi
+                if lo == k:
+                    break
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def first(self, t: float, h: float, crossed: Callable[[State], bool], event_tol: float) -> float:
-        """Earliest tau in (0, h] with crossed(state at t + tau), to event_tol.
 
-        crossed must be False at tau=0+ and True at tau=h; states are read
-        from the dense output.
-        """
-        lo, hi = 0.0, h
-        while hi - lo > event_tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
+def _bisect(t: float, h: float, crossed: Callable[[float], bool], event_tol: float) -> float:
+    """Earliest tau in (0, h] with crossed(t + tau), to event_tol.
+
+    crossed must be False at tau=0+ and True at tau=h.
+    """
+    lo, hi = 0.0, h
+    while hi - lo > event_tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if crossed(t + mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def leading(fn: Callable[[T], object], items: Sequence[T]) -> list:
+    """[fn(x) for x in items], cut before the first x where fn raises.
+
+    The error itself propagates when it is the first item's: a batch of
+    rows stops before the row that fails, and the caller raises it by
+    asking again from that row, once the rows before it are recorded.
+    Any exception counts, as any would end the row-by-row run there.
+    """
+    try:
+        return [fn(x) for x in items]
+    except Exception:
+        out = []
+        for x in items:
+            try:
+                out.append(fn(x))
+            except Exception:
+                if not out:
+                    raise
                 break
-            if crossed(self.at(t + mid)):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return out
+
+
+class Rows:
+    """A batch of sample rows: times t and states s (tuples of floats).
+
+    The stage's rows(t, s, y), where y holds the states s as a (k, n)
+    array, returns a Rows that also gives, per row:
+      done                 the completion test, a bool array;
+      arrive               the arrival coordinate, a float array;
+      residuals(lo, hi)    the switching function on rows lo..hi-1, a list;
+      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list;
+      z                    the rows in the block chart to record, or None.
+    done and arrive cover fewer rows than given when the stage cannot read
+    the next one; residuals and controls stop before the first row where
+    the stage raises, and raise when that row is lo (see leading).
+    """
+
+    z: list | None = None
+
+    def __init__(self, t: list, s: list):
+        self.t, self.s = t, s
+
+
+class _StateRows(Rows):
+    """Rows of a stage given by per-state methods done(s), arrive(s),
+    residual(s) and control(b, s), each called once per row."""
+
+    def __init__(self, stage, t: list, s: list, y: np.ndarray):
+        super().__init__(t, s)
+        self.stage = stage
+        done = leading(stage.done, s)
+        arrive = leading(stage.arrive, s[: len(done)])
+        self.done = np.array(done[: len(arrive)], dtype=bool)
+        self.arrive = np.array(arrive, dtype=float)
+
+    def residuals(self, lo: int, hi: int) -> list:
+        return leading(self.stage.residual, self.s[lo:hi])
+
+    def controls(self, branch: int, lo: int, hi: int) -> list:
+        return leading(lambda s: self.stage.control(branch, s), self.s[lo:hi])
+
+
+def first(hits: np.ndarray) -> int:
+    """Index of the first True in hits, or len(hits)."""
+    idx = np.flatnonzero(hits)
+    return int(idx[0]) if idx.size else len(hits)
+
+
+def _sign_change(prev: float, values) -> int:
+    """Index of the first value whose sign is opposite to that of the value
+    before it (prev before the first); a zero changes no sign."""
+    v = np.concatenate(([prev], values))
+    pos, nz = v > 0.0, v != 0.0
+    return first(nz[:-1] & nz[1:] & (pos[:-1] != pos[1:]))
 
 
 @dataclass
@@ -230,11 +328,17 @@ class StageResult:
     # samples appended directly into the recorder passed by the caller
 
 
+FLAG_NONE = 0
+FLAG_SWITCH = 1
+FLAG_COMPLETE = 2
+FLAG_SLIDE = 3
+
+
 class Recorder:
     """Columnar trajectory accumulator (times, states, controls, event flags).
 
-    When z_of is set, states_z also keeps z_of(state) of each sample: the
-    block-chart state of a run integrated in another chart.
+    states_z keeps the block-chart state of each sample of a run
+    integrated in another chart: the z of the Rows it was recorded from.
     """
 
     def __init__(self):
@@ -243,36 +347,34 @@ class Recorder:
         self.controls: list[float] = []
         self.flags: list[int] = []
         self.events: list[Event] = []
-        self.z_of: Callable[[State], State] | None = None
         self.states_z: list[State] = []
 
-    def add(self, t: float, z: State, u: float, flag: int = 0) -> None:
-        # keep times strictly increasing; replace the flag if a sample repeats
-        if self.times and t <= self.times[-1]:
+    def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
+        """Record rows lo..hi-1 of a batch, their controls and a flag each.
+
+        Times must increase, except that a row at or before the last
+        recorded time is dropped and its flag, if set, replaces that row's.
+        """
+        if self.times and rows.t[lo] <= self.times[-1]:
             if flag:
                 self.flags[-1] = flag
-            return
-        self.times.append(t)
-        self.states.append(z)
-        if self.z_of is not None:
-            self.states_z.append(self.z_of(z))
-        self.controls.append(u)
-        self.flags.append(flag)
+            lo, controls = lo + 1, controls[1:]
+        self.times.extend(rows.t[lo:hi])
+        self.states.extend(rows.s[lo:hi])
+        if rows.z is not None:
+            self.states_z.extend(rows.z[lo:hi])
+        self.controls.extend(controls)
+        self.flags.extend([flag] * (hi - lo))
 
-
-FLAG_NONE = 0
-FLAG_SWITCH = 1
-FLAG_COMPLETE = 2
-FLAG_SLIDE = 3
 
 def reuse_last(fn: Callable[..., T]) -> Callable[..., T]:
     """fn with a one-entry reuse keyed on its last argument, the state.
 
     A call whose state is the same object as the previous call's, and
     whose other arguments are equal to its, returns the stored value.
-    orchestrate wraps its chart map this way, so every reader of one
-    sample (residual, done test, hold monitor, recorded control) shares
-    one map of it; example51 wraps its f2 inverse, read by several
+    orchestrate wraps its chart map this way, so the readers of one event
+    state (its row, its branch and the field's first evaluation there)
+    share one map of it; example51 wraps its f2 inverse, read by several
     callbacks at one z3.
     fn must be a pure function of its arguments.  The memo holds the last
     state, so that object's id cannot be reused while it is stored.
@@ -299,23 +401,29 @@ def run_stage(
     stage,
     cfg: IntegratorConfig,
     recorder: Recorder,
-    monitor: Callable[[State, float], None] | None = None,
+    monitor: Callable[[Rows, int, int], int] | None = None,
 ) -> StageResult:
     """Integrate one stepwise stage until its completion test holds.
 
     The stage object gives, for a state z:
       branch(z)        the branch in {-1, 0, +1} (u-minus, slide/zero, u-plus);
       field(b)         the closed-loop right side of branch b;
-      control(b, z)    the control value on branch b, for the record;
-      residual(z)      the switching function: a sign change is a branch switch;
       slide_branch(z)  the branch that holds a chattering state on the surface;
-      arrive(z)        a coordinate that crosses zero transversally at the
+      deadline         a time past which the stage fails with
+                       deadline_error(t), or None;
+    and, for a batch of at most rows_max sample rows, rows(t, s, y): a Rows
+    that gives each row's
+      residuals        the switching function: a sign change is a branch switch;
+      arrive           a coordinate that crosses zero transversally at the
                        instant the stage should complete (the block velocity
                        for curve-following policies);
-      done(z)          the completion test;
-      deadline         a time past which the stage fails with
-                       deadline_error(t), or None.
-    monitor is called at every sample (hold checks).
+      done             the completion test;
+      controls         the control value on a branch, for the record.
+    A stage without rows() gives residual(z), arrive(z), done(z) and
+    control(b, z) instead, and is read one state at a time, in batches of
+    at most ROWS rows.  monitor(rows, lo, hi) checks rows lo..hi-1 before
+    they are recorded (hold checks): it returns how many of them pass, and
+    raises when the first one fails.
 
     The branch field is integrated by Dormand-Prince steps of their own
     size (_Flow).  Samples are taken every cfg.dt from the last event
@@ -327,14 +435,24 @@ def run_stage(
     at the crossing point itself.  After an event the integration restarts
     from the event state on the new branch.
 
-    Evaluations per sample without an event: one residual, one arrive and
-    one done test at the sample (the previous sample's serve as the start
-    values) and one control to record it.  The field's six evaluations per
-    Dormand-Prince step are shared by all samples the step covers.  Event
-    bisection adds evaluations at its probe states.
+    Evaluations per sample: the samples that the accepted steps cover, up
+    to rows_max of them, are read as one batch.  Its done and arrive columns
+    are tested over the whole batch, and residuals up to the first row
+    that may hold an event; the rows before that row are plain and are
+    monitored, given their controls and recorded together.  The row
+    itself goes through the event tests with the batch's values, and the
+    batch goes on after it unless an event ends the batch.  So a run
+    without events tests each sample once, in about one stage call per
+    batch and one residual and control per row where the policy computes
+    them row by row.  The field's six evaluations per Dormand-Prince step
+    are shared by all samples the step covers.  Event bisection reads
+    one-row batches at its probe times.
     """
-    residual, arrive, done, control = stage.residual, stage.arrive, stage.done, stage.control
     deadline = stage.deadline
+    if hasattr(stage, "rows"):
+        read_rows, rows_max = stage.rows, stage.rows_max
+    else:
+        read_rows, rows_max = partial(_StateRows, stage), ROWS
     t, z = t0, z0
     events: list[Event] = []
 
@@ -342,98 +460,159 @@ def run_stage(
         events.append(ev)
         recorder.events.append(ev)
 
+    def read(tm: float) -> Rows:
+        """The one-row batch at time tm of the current flow."""
+        y = flow.rows([tm])
+        return read_rows([tm], [tuple(y[0].tolist())], y)
+
     branch = stage.branch(z)
     last_switch_t: float | None = None
     sliding = False
     slide_release = 0.0
 
-    recorder.add(t, z, control(branch, z), FLAG_NONE)
+    # at[ai] is the row of the start or of the last event: nothing is known there yet
+    at, ai = read_rows([t], [z], np.array([z], dtype=float)), 0
+    recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
-    fresh = True  # z is the start or an event state: nothing is known there yet
+    fresh = True
 
     while True:
-        if fresh and done(z):
+        if fresh and at.done[ai]:
             _emit(Event(t, "step-complete", step_index))
             if recorder.flags:
                 recorder.flags[-1] = FLAG_COMPLETE
             if monitor is not None:
-                monitor(z, t)
+                monitor(at, ai, ai + 1)
             return StageResult(t_end=t, z_end=z, events=events)
         if t >= cfg.t_max:
             raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
         if deadline is not None and t > deadline:
             raise stage.deadline_error(t)
         if fresh:
-            g0 = residual(z)
-            a0 = arrive(z)
+            g0 = at.residuals(ai, ai + 1)[0]
+            a0 = float(at.arrive[ai])
             fresh = False
 
-        h = min(cfg.dt, cfg.t_max - t)
-        flow.cover(t, t + h)
-        z_new = flow.at(t + h)
-        if not _finite(z_new):
-            raise NonFinite(f"non-finite state at t={t + h:.6g} in step {step_index}")
-        g1 = residual(z_new)
-
-        # candidate event times within (0, h]
-        tau_done = None
-        if done(z_new):
-            tau_done = flow.first(t, h, done, cfg.event_tol)
-        a1 = arrive(z_new)
-        if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
-            apos = a0 > 0.0
-            tau_arr = flow.first(t, h, lambda zz: (arrive(zz) > 0.0) != apos, cfg.event_tol)
-            if (tau_done is None or tau_arr < tau_done) and done(flow.at(t + tau_arr)):
-                tau_done = tau_arr
-        tau_switch = None
-        if sliding:
-            if abs(g1) > slide_release:
-                # leave the slide regime at the end of this sample interval
-                tau_switch = h
-        elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
-            pos0 = g0 > 0.0
-            tau_switch = flow.first(t, h, lambda zz: (residual(zz) > 0.0) != pos0, cfg.event_tol)
-
-        if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
-            z_end = z_new if tau_done == h else flow.at(t + tau_done)
-            t_end = t + tau_done
-            _emit(Event(t_end, "step-complete", step_index))
-            recorder.add(t_end, z_end, control(branch, z_end), FLAG_COMPLETE)
-            if monitor is not None:
-                monitor(z_end, t_end)
-            return StageResult(t_end=t_end, z_end=z_end, events=events)
-
-        if tau_switch is not None:
-            z = z_new if tau_switch == h else flow.at(t + tau_switch)
-            t = t + tau_switch
-            fresh = True
-            if monitor is not None:
-                monitor(z, t)
+        # the batch: sample times by the same repeated addition as one row
+        # at a time, through the first row past t_max or the deadline
+        flow.cover(t, t + min(cfg.dt, cfg.t_max - t))
+        times = []
+        tk = t
+        while len(times) < rows_max:
+            tk = tk + min(cfg.dt, cfg.t_max - tk)
+            if tk > flow.t:
+                break
+            times.append(tk)
+            if tk >= cfg.t_max or (deadline is not None and tk > deadline):
+                break
+        y = flow.rows(times)
+        k = len(times)
+        finite = np.isfinite(y).all(axis=1)
+        nf = k if finite.all() else int(finite.argmin())  # the first row that is not finite
+        if nf == 0:
+            raise NonFinite(f"non-finite state at t={times[0]:.6g} in step {step_index}")
+        s = list(map(tuple, y[:nf].tolist()))
+        rows = read_rows(times[:nf], s, y[:nf])
+        n = len(rows.done)  # rows the stage could read
+        arrive = rows.arrive
+        gs: list = []  # residuals of rows 0..len(gs)-1
+        i = 0  # the first row not yet recorded
+        start = 0  # the first row not yet tested for events
+        while True:
+            # c: the first row from start that may hold an event
+            c = min(start + first(rows.done[start:n]),
+                    start + _sign_change(float(arrive[start - 1]) if start else a0, arrive[start:n]))
+            need = min(c + 1, n)
+            if len(gs) < need:
+                gs += rows.residuals(len(gs), need)
+            # both searches end at len(gs): when a row's residual raised,
+            # that row is the candidate
+            g = np.array(gs[start:need])
             if sliding:
-                sliding = False
-                branch = stage.branch(z)
-                event, flag = Event(t, "surface-slide", step_index, "release"), FLAG_SLIDE
-                last_switch_t = None
-            elif last_switch_t is not None and (t - last_switch_t) <= 4.0 * cfg.dt:
-                # chattering: enter the slide regime; release only when the
-                # residual escapes hysteresis x the one-sample overshoot scale
-                sliding = True
-                floor = 1e-12 * (1.0 + max(abs(v) for v in z))
-                slide_release = cfg.hysteresis * max(abs(g0), abs(g1), floor)
-                branch = stage.slide_branch(z)
-                event, flag = Event(t, "surface-slide", step_index, "enter"), FLAG_SLIDE
-                last_switch_t = t
+                c = min(c, start + first(np.abs(g) > slide_release))
             else:
-                last_switch_t = t
-                branch = stage.branch(z)
-                event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
-            _emit(event)
-            recorder.add(t, z, control(branch, z), flag)
-            flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
-            continue
+                c = min(c, start + _sign_change(gs[start - 1] if start else g0, g))
 
-        t, z = t + h, z_new
-        g0, a0 = g1, a1
-        if monitor is not None:
-            monitor(z, t)
-        recorder.add(t, z, control(branch, z), FLAG_NONE)
+            while i < c:
+                held = c - i if monitor is None else monitor(rows, i, c)
+                u = rows.controls(branch, i, i + held)
+                recorder.extend(rows, i, i + len(u), u)
+                i += len(u)
+            if c == k:
+                t, z, g0, a0 = times[-1], s[-1], gs[-1], float(arrive[-1])
+                break
+
+            # row c: its values against those of the row before it
+            if c:
+                t, z, g0, a0 = times[c - 1], s[c - 1], gs[c - 1], float(arrive[c - 1])
+            if c == nf:
+                raise NonFinite(f"non-finite state at t={times[c]:.6g} in step {step_index}")
+            # a row the stage could not read, or whose residual raised,
+            # raises the error there when asked for alone
+            if c == n:
+                read_rows(times[c : c + 1], s[c : c + 1], y[c : c + 1])
+            if c == len(gs):
+                rows.residuals(c, c + 1)
+            h = min(cfg.dt, cfg.t_max - t)
+            g1, a1 = gs[c], float(arrive[c])
+
+            # candidate event times within (0, h]
+            tau_done = None
+            if rows.done[c]:
+                tau_done = _bisect(t, h, lambda tm: read(tm).done[0], cfg.event_tol)
+            if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
+                apos = a0 > 0.0
+                tau_arr = _bisect(t, h, lambda tm: (read(tm).arrive[0] > 0.0) != apos, cfg.event_tol)
+                if (tau_done is None or tau_arr < tau_done) and read(t + tau_arr).done[0]:
+                    tau_done = tau_arr
+            tau_switch = None
+            if sliding:
+                if abs(g1) > slide_release:
+                    # leave the slide regime at the end of this sample interval
+                    tau_switch = h
+            elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
+                pos0 = g0 > 0.0
+                tau_switch = _bisect(
+                    t, h, lambda tm: (read(tm).residuals(0, 1)[0] > 0.0) != pos0, cfg.event_tol
+                )
+
+            if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
+                end, ei = (rows, c) if tau_done == h else (read(t + tau_done), 0)
+                t_end = t + tau_done
+                _emit(Event(t_end, "step-complete", step_index))
+                recorder.extend(end, ei, ei + 1, end.controls(branch, ei, ei + 1), FLAG_COMPLETE)
+                if monitor is not None:
+                    monitor(end, ei, ei + 1)
+                return StageResult(t_end=t_end, z_end=end.s[ei], events=events)
+
+            if tau_switch is not None:
+                at, ai = (rows, c) if tau_switch == h else (read(t + tau_switch), 0)
+                t, z = t + tau_switch, at.s[ai]
+                fresh = True
+                if monitor is not None:
+                    monitor(at, ai, ai + 1)
+                if sliding:
+                    sliding = False
+                    branch = stage.branch(z)
+                    event, flag = Event(t, "surface-slide", step_index, "release"), FLAG_SLIDE
+                    last_switch_t = None
+                elif last_switch_t is not None and (t - last_switch_t) <= 4.0 * cfg.dt:
+                    # chattering: enter the slide regime; release only when the
+                    # residual escapes hysteresis x the one-sample overshoot scale
+                    sliding = True
+                    floor = 1e-12 * (1.0 + max(abs(v) for v in z))
+                    slide_release = cfg.hysteresis * max(abs(g0), abs(g1), floor)
+                    branch = stage.slide_branch(z)
+                    event, flag = Event(t, "surface-slide", step_index, "enter"), FLAG_SLIDE
+                    last_switch_t = t
+                else:
+                    last_switch_t = t
+                    branch = stage.branch(z)
+                    event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
+                _emit(event)
+                recorder.extend(at, ai, ai + 1, at.controls(branch, ai, ai + 1), flag)
+                flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
+                break
+
+            # no event at row c: it is recorded with the plain rows after it
+            start = c + 1

@@ -72,8 +72,18 @@ class StepPolicy:
     A policy reads block-chart states z and the half-open index span of
     its block.  Each one gives control(branch, z), the control value on a
     branch, and residual(z, span), the switching function whose sign picks
-    the branch; the defaults below cover the rest.
+    the branch; the defaults below cover the rest.  residuals and controls
+    read a batch of sample rows, zs as tuples and Z as the same rows in a
+    (k, n) array.
     """
+
+    def residuals(self, zs: list, Z: np.ndarray, span: tuple) -> list:
+        """residual on each row, cut before a row that raises (engine.leading)."""
+        return engine.leading(lambda z: _switch_residual(self, z, span), zs)
+
+    def controls(self, branch: int, zs: list, Z: np.ndarray) -> list:
+        """control on each row, cut before a row that raises (engine.leading)."""
+        return engine.leading(lambda z: _control_of(self, branch, z), zs)
 
     def branch(self, z: tuple, span: tuple) -> int:
         """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
@@ -248,6 +258,12 @@ class ConstSign(StepPolicy):
     def residual(self, z: tuple, span: tuple) -> float:
         return z[span[0] if self.coord is None else self.coord]
 
+    def residuals(self, zs: list, Z: np.ndarray, span: tuple) -> list:
+        return Z[:, span[0] if self.coord is None else self.coord].tolist()
+
+    def controls(self, branch: int, zs: list, Z: np.ndarray) -> list:
+        return [self.control(branch, ())] * len(zs)
+
 
 @dataclass(frozen=True)
 class BlockSystem:
@@ -306,10 +322,13 @@ class StepwiseRun:
         }
 
 
-def step_done(z: Sequence[float], blocks: BlockPartition, i: int, delta: float = 1e-8) -> bool:
-    """True when block i is inside the done band: max-abs <= delta."""
+def step_done(z: Sequence[float] | np.ndarray, blocks: BlockPartition, i: int, delta: float = 1e-8):
+    """True when block i is inside the done band: max-abs <= delta.
+
+    z is one state, or a (k, n) array of rows: then one bool per row.
+    """
     s, e = blocks.bounds(i)
-    return max(abs(v) for v in z[s:e]) <= delta
+    return np.abs(np.asarray(z, dtype=float)[..., s:e]).max(axis=-1) <= delta
 
 
 def _control_of(policy: StepPolicy, branch: int, z: tuple) -> float:
@@ -334,12 +353,18 @@ def eval_control(
         raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
 
 
+# Most rows per batch in a run integrated in another chart.  Each row read
+# past an event is mapped to z for nothing; 64 rows keep that under 1% of a
+# polyodd-x run's maps, and already spread the per-batch numpy calls thin.
+MAPPED_ROWS = 64
+
+
 class _Stage:
     """Step i's policy bound to its block span, chart map and done test.
 
     This is the stage object engine.run_stage drives.  Its methods read
     states of the integrated chart and map them to z through z_of, or
-    take them as z when z_of is None.
+    take them as z when z_of is None; rows reads a batch of them (_Rows).
     """
 
     def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
@@ -353,6 +378,8 @@ class _Stage:
         self.deadline = None
         if self.theta_bound is not None and self.theta_bound > 0.0:
             self.deadline = t0 + 2.0 * self.theta_bound
+        # a row read past an event costs a chart map when z_of is set
+        self.rows_max = engine.ROWS if z_of is None else MAPPED_ROWS
 
     def deadline_error(self, t: float) -> Exception:
         return StepTimeout(f"step {self.i} ran past 2x its Theta bound {self.theta_bound:.6g} (t={t:.6g})")
@@ -369,14 +396,30 @@ class _Stage:
     def slide_branch(self, s: tuple) -> int:
         return self.policy.slide_branch(s if self.z_of is None else self.z_of(s), self.span)
 
-    def residual(self, s: tuple) -> float:
-        return _switch_residual(self.policy, s if self.z_of is None else self.z_of(s), self.span)
+    def rows(self, t: list, s: list, y: np.ndarray) -> "_Rows":
+        return _Rows(self, t, s, y)
 
-    def arrive(self, s: tuple) -> float:
-        return (s if self.z_of is None else self.z_of(s))[self.arrive_idx]
 
-    def done(self, s: tuple) -> bool:
-        return step_done(s if self.z_of is None else self.z_of(s), self.blocks, self.i, self.done_tol)
+class _Rows(engine.Rows):
+    """A batch of sample rows as step i reads them: each row is mapped to z
+    once, and the done band and arrive coordinate are columns of Z."""
+
+    def __init__(self, stage: _Stage, t: list, s: list, y: np.ndarray):
+        super().__init__(t, s)
+        self.policy, self.span = stage.policy, stage.span
+        if stage.z_of is None:
+            self.zs, self.Z = s, y
+        else:
+            self.zs = self.z = engine.leading(stage.z_of, s)
+            self.Z = np.array(self.zs, dtype=float)
+        self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
+        self.arrive = self.Z[:, stage.arrive_idx]
+
+    def residuals(self, lo: int, hi: int) -> list:
+        return self.policy.residuals(self.zs[lo:hi], self.Z[lo:hi], self.span)
+
+    def controls(self, branch: int, lo: int, hi: int) -> list:
+        return self.policy.controls(branch, self.zs[lo:hi], self.Z[lo:hi])
 
 
 def orchestrate(
@@ -396,12 +439,12 @@ def orchestrate(
     itself.  Passing rhs/z_of/state0 integrates an alternative chart whose
     state maps to z through z_of (used for the x-chart cross-check).
 
-    z_of is wrapped once in engine.reuse_last, so each integrated state is
-    mapped once however many callbacks read its z: the switch residual,
-    the done test, the arrive residual, the hold monitor, the recorded
-    control and the recorder's states_z of a sample share one map.  z_of
-    must be a pure function of the state; the map it returns is treated
-    as read-only.
+    Each sample row is mapped to z once, in its batch (_Rows), and that
+    map serves its switch residual, done test, arrive coordinate, hold
+    check, recorded control and the recorder's states_z.  z_of is also
+    wrapped in engine.reuse_last, so an event state's row, branch and
+    first field evaluation share one map.  z_of must be a pure function of
+    the state; the map it returns is treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -419,7 +462,7 @@ def orchestrate(
     else:
         if state0 is None:
             raise ValueError("state0 is required when integrating a non-z chart")
-        z_of = recorder.z_of = engine.reuse_last(z_of)
+        z_of = engine.reuse_last(z_of)
         state = tuple(float(v) for v in state0)
 
     t = 0.0
@@ -428,17 +471,24 @@ def orchestrate(
     hold_limit = 10.0 * done_tol
     completed: list[int] = []
 
-    def monitor(s: tuple, tm: float) -> None:
-        zz = s if z_of is None else z_of(s)
+    def monitor(rows: _Rows, lo: int, hi: int) -> int:
+        """How many of rows lo..hi-1 keep the finished blocks pinned, folded
+        into hold_residuals; raises HoldViolation when row lo drifts."""
+        if not completed:
+            return hi - lo
+        # the finished blocks are the first columns of z
+        drift = np.abs(rows.Z[lo:hi, : blocks.spans[completed[-1] - 1][1]])
+        held = engine.first(drift.max(axis=1) > hold_limit)
+        peaks = drift[: max(held, 1)].max(axis=0).tolist()
         for j in completed:
             a, b = blocks.bounds(j)
-            r = max(abs(v) for v in zz[a:b])
-            if r > hold_residuals[j - 1]:
-                hold_residuals[j - 1] = r
-            if r > hold_limit:
+            r = max(peaks[a:b])
+            if held == 0 and r > hold_limit:
                 raise HoldViolation(
-                    f"block {j} drifted to {r:.3e} > {hold_limit:.3e} at t={tm:.6g}"
+                    f"block {j} drifted to {r:.3e} > {hold_limit:.3e} at t={rows.t[lo]:.6g}"
                 )
+            hold_residuals[j - 1] = max(hold_residuals[j - 1], r)
+        return held
 
     for i in range(1, blocks.m + 1):
         stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol)

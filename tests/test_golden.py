@@ -1,7 +1,9 @@
 """Golden outputs: the bytes of four reference runs are pinned.
 
-Each case is one of the benchmark's workload starts, run at dt = 1e-3 in
-its chart.  tests/golden.json holds the sha256 of the traj.csv and
+Each case is one of the benchmark's workload starts, run in its chart at
+dt = 1e-3, and the polyodd and pendulum starts again at the benchmark's
+dt = 1e-4, where one integrator step covers thousands of sample rows.
+tests/golden.json holds the sha256 of the traj.csv and
 summary.json that `stepsynth simulate` writes for it, and the step times
 as float.hex.  A change that moves any output byte fails here; a change
 meant to move them regenerates the file with
@@ -22,20 +24,22 @@ from stepsynth import IntegratorConfig, emit_csv, emit_json, get_scenario, simul
 
 GOLDEN = Path(__file__).with_name("golden.json")
 CASES = {
-    "pendulum": ("pendulum", (-2.0, 1.0, -1.0, 0.5), "z", "x"),
-    "example51": ("example51", (0.5, 0.1, -0.3), "z", "x"),
-    "polyodd": ("polyodd:3", (1.0, 1.0, 1.0), "z", "z"),
-    "polyodd-x": ("polyodd:3", (1.0, 1.0, 1.0), "x", "z"),
+    "pendulum": ("pendulum", (-2.0, 1.0, -1.0, 0.5), "z", "x", 1e-3),
+    "example51": ("example51", (0.5, 0.1, -0.3), "z", "x", 1e-3),
+    "polyodd": ("polyodd:3", (1.0, 1.0, 1.0), "z", "z", 1e-3),
+    "polyodd-x": ("polyodd:3", (1.0, 1.0, 1.0), "x", "z", 1e-3),
+    "pendulum-dt1e-4": ("pendulum", (-2.0, 1.0, -1.0, 0.5), "z", "x", 1e-4),
+    "polyodd-dt1e-4": ("polyodd:3", (1.0, 1.0, 1.0), "z", "z", 1e-4),
 }
-DT, T_MAX, DELTA = 1e-3, 100.0, 1e-8
+T_MAX, DELTA = 100.0, 1e-8
 
 
 def run_case(name: str, out: Path) -> dict:
-    scenario, start, chart, x0_chart = CASES[name]
+    scenario, start, chart, x0_chart, dt = CASES[name]
     traj, summary = simulate(
         get_scenario(scenario),
         start,
-        IntegratorConfig(dt=DT, t_max=T_MAX),
+        IntegratorConfig(dt=dt, t_max=T_MAX),
         chart=chart,
         delta=DELTA,
         x0_chart=x0_chart,

@@ -36,6 +36,8 @@ from stepsynth import (
     theta_of,
 )
 from stepsynth import stepwise
+from stepsynth.engine import FLAG_COMPLETE, FLAG_SWITCH
+from stepsynth.stepwise import StepPolicy
 
 G1 = gram_n1(1)
 
@@ -464,21 +466,29 @@ def _orchestrate_work(monkeypatch, blocks, z0, policy):
     return calls, len(rec.times) - 1
 
 
+# The done band is tested once per batch of rows, on all of them at once,
+# and once at the start row.  Over 50 rows and no event the batches are the
+# rows of the first three integrator steps: 1, 10 and 39 rows (a step grows
+# at most tenfold, and the third is cut at t_max).
+DONE_TESTS = 1 + 3
+
+
 def test_orchestrate_work_per_step(monkeypatch):
-    # a constant-sign field binds its control: only the recorded ones solve
+    # a constant-sign policy reads its residual as a column and records its
+    # constant control: no call per row
     calls, steps = _orchestrate_work(monkeypatch, (1,), (1.0,), ConstSign(level=1.0))
-    assert steps >= 49
-    assert calls == {"control": steps + 1, "residual": steps + 1, "done": steps + 1}
+    assert steps == 50
+    assert calls == {"control": 0, "residual": 0, "done": DONE_TESTS}
 
 
 def test_orchestrate_work_per_step_curve_switch(monkeypatch):
-    # a curve-switch field solves its control at each integrator stage,
-    # shared by every sample the step covers; the double integrator
-    # accelerates below the curve w = 10
+    # a curve-switch policy computes its residual once per row; its field
+    # solves the control at each integrator stage, shared by every sample
+    # the step covers; the double integrator accelerates below the curve w = 10
     pol = CurveSwitch(w=lambda p: 10.0, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     calls, steps = _orchestrate_work(monkeypatch, (2,), (1.0, 0.0), pol)
-    assert steps >= 49
-    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": steps + 1}
+    assert steps == 50
+    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": DONE_TESTS}
     assert calls["control"] < 2 * steps
 
 
@@ -540,6 +550,189 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
     assert result.t_end == pytest.approx(1.0, abs=1e-7)
     assert abs(result.z_end[0]) <= 1e-8
     assert len(rec.times) == 101
+
+
+def _sample_times(t0: float, dt: float, t_max: float, count: int | None = None) -> list:
+    """t0 and the sample times after it, by the stage's repeated addition:
+    through t_max, or count of them."""
+    out = [t0]
+    while out[-1] < t_max and (count is None or len(out) <= count):
+        out.append(out[-1] + min(dt, t_max - out[-1]))
+    return out
+
+
+def _line(**methods):
+    """A stage moving a scalar state at unit rate, with no events."""
+    return SimpleNamespace(
+        **{
+            "deadline": None,
+            "arrive": lambda s: 1.0,
+            "field": lambda b: lambda s: (1.0,),
+            "branch": lambda s: 1,
+            "control": lambda b, s: 1.0,
+            "residual": lambda s: 1.0,
+            "slide_branch": lambda s: 0,
+            "done": lambda s: False,
+            **methods,
+        }
+    )
+
+
+def _run_line(stage, dt: float = 1e-3, t_max: float = 1.0, error=Timeout):
+    rec = Recorder()
+    with pytest.raises(error) as err:
+        run_stage(step_index=2, t0=0.0, z0=(0.0,), stage=stage,
+                  cfg=IntegratorConfig(dt=dt, t_max=t_max), recorder=rec)
+    return rec, str(err.value)
+
+
+# Rows are read and tested in batches, so events are placed between every
+# pair of the first 150 samples: those include the first and the last row
+# of a batch and rows of later integrator steps, whatever the batch layout.
+EDGE_ROWS = range(1, 150)
+
+
+def test_run_stage_switch_at_each_row():
+    # dz = 1 up to the surface z = c, halfway between rows r - 1 and r, then
+    # dz = 2: one switch at t = c, plain rows on the dt grid before it and
+    # on the grid from the switch after it
+    dt = 1e-3
+    for r in EDGE_ROWS:
+        c = (r - 0.5) * dt
+        rec, _ = _run_line(_line(
+            field=lambda b: (lambda s: (1.0,)) if b > 0 else (lambda s: (2.0,)),
+            branch=lambda s, c=c: 1 if s[0] < c else -1,
+            control=lambda b, s: float(b),
+            residual=lambda s, c=c: s[0] - c,
+        ), dt, t_max=(r + 80) * dt)
+        assert [e.kind for e in rec.events] == ["branch-switch"]
+        te = rec.events[0].t
+        assert abs(te - c) <= 1e-9
+        assert rec.times[:r] == _sample_times(0.0, dt, 1.0, r - 1)
+        assert rec.times[r:] == _sample_times(te, dt, (r + 80) * dt)
+        assert rec.flags == [0] * r + [FLAG_SWITCH] + [0] * (len(rec.flags) - r - 1)
+        assert rec.controls == [1.0] * r + [-1.0] * (len(rec.times) - r)
+        assert all(abs(z[0] - t) <= 1e-12 for t, z in zip(rec.times[:r], rec.states))
+        assert all(abs(z[0] - (2.0 * t - te)) <= 1e-9 for t, z in zip(rec.times[r:], rec.states[r:]))
+
+
+def test_run_stage_completes_at_each_row():
+    # the arrive coordinate crosses zero halfway between rows r - 1 and r,
+    # inside the done band: the stage ends there, after r plain rows
+    dt = 1e-3
+    for r in EDGE_ROWS:
+        c = (r - 0.5) * dt
+        rec = Recorder()
+        result = run_stage(
+            step_index=1, t0=0.0, z0=(0.0,),
+            stage=_line(arrive=lambda s, c=c: s[0] - c, done=lambda s, c=c: abs(s[0] - c) <= 1e-8),
+            cfg=IntegratorConfig(dt=dt, t_max=1.0), recorder=rec,
+        )
+        assert [e.kind for e in rec.events] == ["step-complete"]
+        assert abs(result.t_end - c) <= 1e-9
+        assert rec.times == _sample_times(0.0, dt, 1.0, r - 1) + [result.t_end]
+        assert rec.flags == [0] * r + [FLAG_COMPLETE]
+
+
+def test_run_stage_arrive_crossing_outside_done_is_a_plain_row():
+    # arrive changes sign mid-batch but done fails at the crossing: the
+    # crossing is tested and the row stays plain
+    dt = 1e-3
+    for r in EDGE_ROWS[::7]:
+        c = (r - 0.5) * dt
+        probes = []
+        rec, _ = _run_line(_line(
+            arrive=lambda s, c=c: s[0] - c,
+            done=lambda s: probes.append(s[0]) and False,
+        ), dt, t_max=0.2)
+        assert not rec.events and set(rec.flags) == {0}
+        assert rec.times == _sample_times(0.0, dt, 0.2)
+        assert any(abs(p - c) <= 1e-9 for p in probes)
+
+
+# Each failure below is raised at the row where a row-by-row run raises
+# it, with the same message, after recording the same rows before it.
+
+
+def test_run_stage_timeout_row():
+    rec, msg = _run_line(_line(), t_max=0.1234)
+    assert msg == "t_max=0.1234 reached in step 2"
+    assert rec.times == _sample_times(0.0, 1e-3, 0.1234) and len(rec.times) == 125
+
+
+def test_run_stage_deadline_row():
+    # the first row past the deadline is recorded, then the stage fails
+    stage = _line(deadline_error=lambda t: StepTimeout(f"late at t={t!r}"))
+    stage.deadline = 0.0505
+    rec, msg = _run_line(stage, error=StepTimeout)
+    assert msg == "late at t=0.05100000000000004"
+    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 51)
+
+
+def test_run_stage_nonfinite_row():
+    # the field is infinite past z = 0.0505: the rows up to t = 0.05 are
+    # integrated, and no step reaches the row at 0.051
+    rec, msg = _run_line(_line(field=lambda b: lambda s: (1.0 if s[0] < 0.0505 else math.inf,)), error=NonFinite)
+    assert msg == "non-finite state at t=0.051 in step 2"
+    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 50)
+
+
+class _Drain(StepPolicy):
+    """Control -1 on the block z2; its residual z2 raises below fail_below."""
+
+    def __init__(self, fail_below: float):
+        self.fail_below = fail_below
+
+    def control(self, branch: int, z: tuple) -> float:
+        return -1.0
+
+    def residual(self, z: tuple, span: tuple) -> float:
+        if z[1] < self.fail_below:
+            raise ValueError(f"no residual at {z[1]}")
+        return z[1]
+
+
+@pytest.mark.parametrize(
+    "fail_below, error, msg, rows",
+    [
+        # the hold breaks at t = 0.05, five rows before the residual raises
+        (0.945, HoldViolation, "block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05", 49),
+        # the residual raises at t = 0.046, before the hold breaks
+        (0.955, ValueError, "no residual at 0.954", 45),
+    ],
+)
+def test_first_failing_row_wins(fail_below, error, msg, rows):
+    # block 1 starts done; step 2 leaks 2e-6 u into it, so it leaves the
+    # 10 delta band at t = 0.05, in the batch that also holds the row where
+    # the residual raises
+    system = BlockSystem(blocks=BlockPartition(sizes=(1, 1)), H=lambda z, u: (2e-6 * u, u))
+    rec = Recorder()
+    with pytest.raises(error) as err:
+        orchestrate(system, (0.0, 1.0), [ConstSign(level=1.0), _Drain(fail_below)],
+                    IntegratorConfig(dt=1e-3, t_max=10.0), recorder=rec)
+    assert str(err.value) == msg
+    assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
+
+
+def test_flow_rows_match_the_scalar_interpolant():
+    # the batch read of the dense output is the scalar formula, bit for bit
+    from stepsynth.engine import _Flow
+
+    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 0.3, 10.0, 1)
+    flow.cover(0.0, 2.0)
+    # a time at the end of a step reads that step, not the next
+    times = sorted({k / 64.0 for k in range(1, 129)} | {tb for _, tb, _ in flow.pieces[:-1]})
+
+    def scalar(t):
+        for ta, tb, coef in flow.pieces:
+            if t <= tb:
+                break
+        s = (t - ta) / (tb - ta)
+        s1 = 1.0 - s
+        return tuple(a + s * (b + s1 * (c + s * (d + s1 * e))) for a, b, c, d, e in coef.T.tolist())
+
+    assert len(flow.pieces) > 3
+    assert flow.rows(times).tolist() == [list(scalar(t)) for t in times]
 
 
 def _chatter_stage(slide_rate: float, t_max: float):
