@@ -1,28 +1,30 @@
 """Dormand-Prince 5(4) integration of closed loops with switching controls.
 
-The engine advances one stepwise stage at a time, driving one stage object
-(see run_stage).  Each branch field is integrated by an embedded 5(4) pair
-(Dormand & Prince 1980) with adaptive steps, rtol = atol = TOL in the RMS
-error norm, and Hairer's fourth-order dense output.  cfg.dt is only the
-sample spacing: samples are read from the dense output every dt after
-the last event, and the switching residual, the arrival coordinate and
-the completion test are evaluated there.  A sign change between two
-samples is localized by bisection on the dense output to event_tol
-(Shampine, Gladwell & Brankin 1991), and the integration restarts at the
-event state on the re-selected branch.  Two branch switches closer
-together than 4 dt trigger a surface-slide regime on the stage's slide
-branch with a factor-`hysteresis` release band, which bounds chattering.
-rk4_step, one classical Runge-Kutta step, is kept as a reference
-integrator; run_stage does not call it.
+The engine advances one stepwise stage at a time (run_stage).  A stage
+object gives the branch fields of its step, a deadline (math.inf when the
+step has none), a hold check on the finished blocks, and reads batches of
+sample rows (Rows); run_stage reads every sample through such a batch.
+Each branch field is integrated by an embedded 5(4) pair (Dormand &
+Prince 1980) with adaptive steps, rtol = atol = TOL in the RMS error norm,
+and Hairer's fourth-order dense output.  cfg.dt is only the sample
+spacing: samples are read from the dense output every dt after the last
+event, and the switching residual, the arrival coordinate and the
+completion test are evaluated there.  A sign change between two samples
+is localized by bisection on the dense output to EVENT_TOL (Shampine,
+Gladwell & Brankin 1991), and the integration restarts at the event state
+on the re-selected branch.  Two branch switches closer together than 4 dt
+trigger a surface-slide regime on the stage's slide branch with a
+factor-HYSTERESIS release band, which bounds chattering.  rk4_step, one
+classical Runge-Kutta step, is kept as a reference integrator; run_stage
+does not call it.
 
 The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
-1e2 to 2e3 integrator steps, so the work is in the samples.  They are read
-in batches (Rows): the rows that the accepted steps already cover come out
-of the dense output as one (k, n) numpy array, by the same elementwise
-formula as one row at a time, and the stage tests them as columns.  The
-integrator's own states and stages stay tuples of floats: a step has a
-handful of components, where numpy's per-call cost outweighs its
-arithmetic.
+1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
+the accepted steps already cover come out of the dense output as one
+(k, n) numpy array, by the same elementwise formula as one row at a time,
+and the stage tests them as columns.  The integrator's own states and
+stages stay tuples of floats: a step has a handful of components, where
+numpy's per-call cost outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -49,24 +50,23 @@ class NonFinite(RuntimeError):
     size underflowed (the solution escapes in finite time)."""
 
 
+EVENT_TOL = 1e-10  # the width to which event times are bisected
+HYSTERESIS = 2.0  # slide release band, in units of the overshoot at entry
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """dt is the spacing of the recorded samples, not an integration step:
-    the integrator picks its own steps to TOL.  event_tol is the width to
-    which event times are bisected."""
+    the integrator picks its own steps to TOL."""
 
     dt: float = 1e-4
-    event_tol: float = 1e-10
-    hysteresis: float = 2.0
     t_max: float = 100.0
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0 < self.event_tol < self.dt:
-            raise ValueError("event_tol must satisfy 0 < event_tol < dt")
-        if self.hysteresis <= 1:
-            raise ValueError("hysteresis factor must exceed 1")
+        if self.dt <= EVENT_TOL:
+            raise ValueError(f"dt must exceed the event width {EVENT_TOL}, got {self.dt}")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
 
@@ -116,7 +116,6 @@ D1, D3, D4, D5, D6, D7 = (
     69997945 / 29380423,
 )
 TOL = 1e-12  # rtol = atol of the RMS error norm of one step
-ROWS = 4096  # most sample rows per batch, unless the stage sets its own
 
 
 def _dp_step(f: Rhs, z: State, k1: Sequence[float], h: float):
@@ -208,6 +207,9 @@ class _Flow:
             if err <= 1.0:
                 pieces.append((ta, tb, _dense_rows(self.z, z1, stages, tb - ta)))
                 self.t, self.z, self.k = tb, z1, stages[-1]
+            elif min(ta + self.h, limit) == tb:
+                # the smaller step rounds to the same end: it would be retried forever
+                raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
 
     def rows(self, times: list) -> np.ndarray:
         """The states at ascending times inside the covered steps, as a
@@ -227,13 +229,13 @@ class _Flow:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _bisect(t: float, h: float, crossed: Callable[[float], bool], event_tol: float) -> float:
-    """Earliest tau in (0, h] with crossed(t + tau), to event_tol.
+def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
+    """Earliest tau in (0, h] with crossed(t + tau), to EVENT_TOL.
 
     crossed must be False at tau=0+ and True at tau=h.
     """
     lo, hi = 0.0, h
-    while hi - lo > event_tol:
+    while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -287,25 +289,6 @@ class Rows:
         self.t, self.s = t, s
 
 
-class _StateRows(Rows):
-    """Rows of a stage given by per-state methods done(s), arrive(s),
-    residual(s) and control(b, s), each called once per row."""
-
-    def __init__(self, stage, t: list, s: list, y: np.ndarray):
-        super().__init__(t, s)
-        self.stage = stage
-        done = leading(stage.done, s)
-        arrive = leading(stage.arrive, s[: len(done)])
-        self.done = np.array(done[: len(arrive)], dtype=bool)
-        self.arrive = np.array(arrive, dtype=float)
-
-    def residuals(self, lo: int, hi: int) -> list:
-        return leading(self.stage.residual, self.s[lo:hi])
-
-    def controls(self, branch: int, lo: int, hi: int) -> list:
-        return leading(lambda s: self.stage.control(branch, s), self.s[lo:hi])
-
-
 def first(hits: np.ndarray) -> int:
     """Index of the first True in hits, or len(hits)."""
     idx = np.flatnonzero(hits)
@@ -324,8 +307,7 @@ def _sign_change(prev: float, values) -> int:
 class StageResult:
     t_end: float
     z_end: State
-    events: list
-    # samples appended directly into the recorder passed by the caller
+    # samples and events are appended directly into the recorder passed by the caller
 
 
 FLAG_NONE = 0
@@ -372,12 +354,9 @@ def reuse_last(fn: Callable[..., T]) -> Callable[..., T]:
 
     A call whose state is the same object as the previous call's, and
     whose other arguments are equal to its, returns the stored value.
-    orchestrate wraps its chart map this way, so the readers of one event
-    state (its row, its branch and the field's first evaluation there)
-    share one map of it; example51 wraps its f2 inverse, read by several
-    callbacks at one z3.
-    fn must be a pure function of its arguments.  The memo holds the last
-    state, so that object's id cannot be reused while it is stored.
+    example51 wraps its f2 inverse this way, read by several callbacks at
+    one z3.  fn must be a pure function of its arguments.  The memo holds
+    the last state, so that object's id cannot be reused while it is stored.
     """
     key: tuple = (object(),)  # no state is this object
     value = None
@@ -401,7 +380,6 @@ def run_stage(
     stage,
     cfg: IntegratorConfig,
     recorder: Recorder,
-    monitor: Callable[[Rows, int, int], int] | None = None,
 ) -> StageResult:
     """Integrate one stepwise stage until its completion test holds.
 
@@ -410,7 +388,7 @@ def run_stage(
       field(b)         the closed-loop right side of branch b;
       slide_branch(z)  the branch that holds a chattering state on the surface;
       deadline         a time past which the stage fails with
-                       deadline_error(t), or None;
+                       deadline_error(t); math.inf when there is none;
     and, for a batch of at most rows_max sample rows, rows(t, s, y): a Rows
     that gives each row's
       residuals        the switching function: a sign change is a branch switch;
@@ -419,10 +397,9 @@ def run_stage(
                        for curve-following policies);
       done             the completion test;
       controls         the control value on a branch, for the record.
-    A stage without rows() gives residual(z), arrive(z), done(z) and
-    control(b, z) instead, and is read one state at a time, in batches of
-    at most ROWS rows.  monitor(rows, lo, hi) checks rows lo..hi-1 before
-    they are recorded (hold checks): it returns how many of them pass, and
+    hold(rows, lo, hi) checks that rows lo..hi-1 of a batch keep the
+    finished blocks pinned: the plain rows before they are recorded, and
+    each event row and the end row.  It returns how many of them pass, and
     raises when the first one fails.
 
     The branch field is integrated by Dormand-Prince steps of their own
@@ -433,32 +410,23 @@ def run_stage(
     is narrower than one sample spacing near an arrival, so endpoint tests
     alone fly over it; crossings of arrive are bisected and done is tested
     at the crossing point itself.  After an event the integration restarts
-    from the event state on the new branch.
+    from the event state on the new branch.  Events go to recorder.events.
 
     Evaluations per sample: the samples that the accepted steps cover, up
     to rows_max of them, are read as one batch.  Its done and arrive columns
     are tested over the whole batch, and residuals up to the first row
     that may hold an event; the rows before that row are plain and are
-    monitored, given their controls and recorded together.  The row
-    itself goes through the event tests with the batch's values, and the
-    batch goes on after it unless an event ends the batch.  So a run
-    without events tests each sample once, in about one stage call per
-    batch and one residual and control per row where the policy computes
-    them row by row.  The field's six evaluations per Dormand-Prince step
-    are shared by all samples the step covers.  Event bisection reads
-    one-row batches at its probe times.
+    held, given their controls and recorded together.  The row itself goes
+    through the event tests with the batch's values, and the batch goes on
+    after it unless an event ends the batch.  So a run without events
+    tests each sample once, in about one stage call per batch and one
+    residual and control per row where the policy computes them row by
+    row.  The field's six evaluations per Dormand-Prince step are shared by
+    all samples the step covers.  Event bisection reads one-row batches at
+    its probe times.
     """
-    deadline = stage.deadline
-    if hasattr(stage, "rows"):
-        read_rows, rows_max = stage.rows, stage.rows_max
-    else:
-        read_rows, rows_max = partial(_StateRows, stage), ROWS
+    deadline, read_rows, rows_max = stage.deadline, stage.rows, stage.rows_max
     t, z = t0, z0
-    events: list[Event] = []
-
-    def _emit(ev: Event) -> None:
-        events.append(ev)
-        recorder.events.append(ev)
 
     def read(tm: float) -> Rows:
         """The one-row batch at time tm of the current flow."""
@@ -478,15 +446,14 @@ def run_stage(
 
     while True:
         if fresh and at.done[ai]:
-            _emit(Event(t, "step-complete", step_index))
+            recorder.events.append(Event(t, "step-complete", step_index))
             if recorder.flags:
                 recorder.flags[-1] = FLAG_COMPLETE
-            if monitor is not None:
-                monitor(at, ai, ai + 1)
-            return StageResult(t_end=t, z_end=z, events=events)
+            stage.hold(at, ai, ai + 1)
+            return StageResult(t_end=t, z_end=z)
         if t >= cfg.t_max:
             raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
-        if deadline is not None and t > deadline:
+        if t > deadline:
             raise stage.deadline_error(t)
         if fresh:
             g0 = at.residuals(ai, ai + 1)[0]
@@ -503,7 +470,7 @@ def run_stage(
             if tk > flow.t:
                 break
             times.append(tk)
-            if tk >= cfg.t_max or (deadline is not None and tk > deadline):
+            if tk >= cfg.t_max or tk > deadline:
                 break
         y = flow.rows(times)
         k = len(times)
@@ -534,7 +501,7 @@ def run_stage(
                 c = min(c, start + _sign_change(gs[start - 1] if start else g0, g))
 
             while i < c:
-                held = c - i if monitor is None else monitor(rows, i, c)
+                held = stage.hold(rows, i, c)
                 u = rows.controls(branch, i, i + held)
                 recorder.extend(rows, i, i + len(u), u)
                 i += len(u)
@@ -559,10 +526,10 @@ def run_stage(
             # candidate event times within (0, h]
             tau_done = None
             if rows.done[c]:
-                tau_done = _bisect(t, h, lambda tm: read(tm).done[0], cfg.event_tol)
+                tau_done = _bisect(t, h, lambda tm: read(tm).done[0])
             if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
                 apos = a0 > 0.0
-                tau_arr = _bisect(t, h, lambda tm: (read(tm).arrive[0] > 0.0) != apos, cfg.event_tol)
+                tau_arr = _bisect(t, h, lambda tm: (read(tm).arrive[0] > 0.0) != apos)
                 if (tau_done is None or tau_arr < tau_done) and read(t + tau_arr).done[0]:
                     tau_done = tau_arr
             tau_switch = None
@@ -572,25 +539,21 @@ def run_stage(
                     tau_switch = h
             elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
                 pos0 = g0 > 0.0
-                tau_switch = _bisect(
-                    t, h, lambda tm: (read(tm).residuals(0, 1)[0] > 0.0) != pos0, cfg.event_tol
-                )
+                tau_switch = _bisect(t, h, lambda tm: (read(tm).residuals(0, 1)[0] > 0.0) != pos0)
 
             if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
                 end, ei = (rows, c) if tau_done == h else (read(t + tau_done), 0)
                 t_end = t + tau_done
-                _emit(Event(t_end, "step-complete", step_index))
+                recorder.events.append(Event(t_end, "step-complete", step_index))
                 recorder.extend(end, ei, ei + 1, end.controls(branch, ei, ei + 1), FLAG_COMPLETE)
-                if monitor is not None:
-                    monitor(end, ei, ei + 1)
-                return StageResult(t_end=t_end, z_end=end.s[ei], events=events)
+                stage.hold(end, ei, ei + 1)
+                return StageResult(t_end=t_end, z_end=end.s[ei])
 
             if tau_switch is not None:
                 at, ai = (rows, c) if tau_switch == h else (read(t + tau_switch), 0)
                 t, z = t + tau_switch, at.s[ai]
                 fresh = True
-                if monitor is not None:
-                    monitor(at, ai, ai + 1)
+                stage.hold(at, ai, ai + 1)
                 if sliding:
                     sliding = False
                     branch = stage.branch(z)
@@ -598,10 +561,10 @@ def run_stage(
                     last_switch_t = None
                 elif last_switch_t is not None and (t - last_switch_t) <= 4.0 * cfg.dt:
                     # chattering: enter the slide regime; release only when the
-                    # residual escapes hysteresis x the one-sample overshoot scale
+                    # residual escapes HYSTERESIS x the one-sample overshoot scale
                     sliding = True
                     floor = 1e-12 * (1.0 + max(abs(v) for v in z))
-                    slide_release = cfg.hysteresis * max(abs(g0), abs(g1), floor)
+                    slide_release = HYSTERESIS * max(abs(g0), abs(g1), floor)
                     branch = stage.slide_branch(z)
                     event, flag = Event(t, "surface-slide", step_index, "enter"), FLAG_SLIDE
                     last_switch_t = t
@@ -609,7 +572,7 @@ def run_stage(
                     last_switch_t = t
                     branch = stage.branch(z)
                     event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
-                _emit(event)
+                recorder.events.append(event)
                 recorder.extend(at, ai, ai + 1, at.controls(branch, ai, ai + 1), flag)
                 flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
                 break

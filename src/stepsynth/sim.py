@@ -100,7 +100,7 @@ def simulate(
         run, rec = stepwise.orchestrate(
             scn.system, z0, scn.policies, cfg, done_tol=delta
         )
-        states_z = [tuple(s) for s in rec.states]
+        states_z = rec.states
         states_x = [tuple(scn.from_z(z)) for z in states_z]
     else:
         run, rec = stepwise.orchestrate(
@@ -113,15 +113,15 @@ def simulate(
             z_of=scn.to_z,
             state0=x0,
         )
-        states_x = [tuple(s) for s in rec.states]
+        states_x = rec.states
         states_z = [tuple(z) for z in rec.states_z]
 
     traj = Trajectory(
-        times=list(rec.times),
+        times=rec.times,
         states_x=states_x,
         states_z=states_z,
-        controls=list(rec.controls),
-        flags=list(rec.flags),
+        controls=rec.controls,
+        flags=rec.flags,
         events=[(ev.t, ev.kind, ev.detail) for ev in rec.events],
     )
     final_norm = max(abs(v) for v in states_x[-1]) if states_x else 0.0

@@ -109,25 +109,27 @@ class StepPolicy:
         return None
 
 
+SURFACE_TOL = 1e-9  # ThetaSwitch's zero band on sigma, relative to max |w|
+
+
 @dataclass(frozen=True)
 class ThetaSwitch(StepPolicy):
     """Three-branch policy switching on the sign of sigma = b0* N(Theta)^{-1} z^i.
 
     u_minus acts where sigma > 0, u_plus where sigma < 0, u_zero (or the
-    midpoint fallback) inside the band |sigma| <= surface_tol * scale.
+    midpoint fallback) inside the band |sigma| <= SURFACE_TOL * scale.
     """
 
     synth: LinearSynth
     u_plus: Callable[[tuple], float]
     u_minus: Callable[[tuple], float]
     u_zero: Callable[[tuple], float] | None = None
-    surface_tol: float = 1e-9
 
     def branch(self, z: tuple, span: tuple) -> int:
         ev = theta_of(self.synth, z[span[0] : span[1]])
         if ev.theta < self.synth.theta_min:
             return 0
-        band = self.surface_tol * max(1.0, float(np.max(np.abs(ev.w))))
+        band = SURFACE_TOL * max(1.0, float(np.max(np.abs(ev.w))))
         if abs(ev.sigma) <= band:
             return 0
         return -1 if ev.sigma > 0 else +1
@@ -353,33 +355,38 @@ def eval_control(
         raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
 
 
-# Most rows per batch in a run integrated in another chart.  Each row read
-# past an event is mapped to z for nothing; 64 rows keep that under 1% of a
-# polyodd-x run's maps, and already spread the per-batch numpy calls thin.
+# Most rows per batch: ROWS, or MAPPED_ROWS in a run integrated in another
+# chart.  There each row read past an event is mapped to z for nothing; 64
+# rows keep that under 1% of a polyodd-x run's maps, and already spread the
+# per-batch numpy calls thin.
+ROWS = 4096
 MAPPED_ROWS = 64
 
 
 class _Stage:
-    """Step i's policy bound to its block span, chart map and done test.
+    """Step i's policy bound to its block span, chart map, done test and
+    hold check.
 
     This is the stage object engine.run_stage drives.  Its methods read
     states of the integrated chart and map them to z through z_of, or
     take them as z when z_of is None; rows reads a batch of them (_Rows).
+    hold folds the drift of blocks 1..i-1 into hold_residuals.
     """
 
     def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
-                 rhs: Callable, z_of: Callable | None, done_tol: float):
+                 rhs: Callable, z_of: Callable | None, done_tol: float, hold_residuals: list):
         self.policy, self.blocks, self.i = policy, blocks, i
         self.rhs, self.z_of, self.done_tol = rhs, z_of, done_tol
+        self.hold_residuals = hold_residuals
         self.span = blocks.bounds(i)
         self.arrive_idx = policy.arrive_coord(self.span)
         # only a Theta policy bounds its step: it must end by twice Theta(z0)
         self.theta_bound = policy.theta_bound(s0 if z_of is None else z_of(s0), self.span)
-        self.deadline = None
+        self.deadline = math.inf
         if self.theta_bound is not None and self.theta_bound > 0.0:
             self.deadline = t0 + 2.0 * self.theta_bound
         # a row read past an event costs a chart map when z_of is set
-        self.rows_max = engine.ROWS if z_of is None else MAPPED_ROWS
+        self.rows_max = ROWS if z_of is None else MAPPED_ROWS
 
     def deadline_error(self, t: float) -> Exception:
         return StepTimeout(f"step {self.i} ran past 2x its Theta bound {self.theta_bound:.6g} (t={t:.6g})")
@@ -398,6 +405,25 @@ class _Stage:
 
     def rows(self, t: list, s: list, y: np.ndarray) -> "_Rows":
         return _Rows(self, t, s, y)
+
+    def hold(self, rows: "_Rows", lo: int, hi: int) -> int:
+        """How many of rows lo..hi-1 keep blocks 1..i-1 pinned, folded into
+        hold_residuals; raises HoldViolation when row lo drifts."""
+        if self.i == 1:
+            return hi - lo
+        # the finished blocks are the first columns of z
+        drift = np.abs(rows.Z[lo:hi, : self.span[0]])
+        limit = 10.0 * self.done_tol
+        held = engine.first(drift.max(axis=1) > limit)
+        peaks = drift[: max(held, 1)].max(axis=0).tolist()
+        for j, (a, b) in enumerate(self.blocks.spans[: self.i - 1]):
+            r = max(peaks[a:b])
+            if held == 0 and r > limit:
+                raise HoldViolation(
+                    f"block {j + 1} drifted to {r:.3e} > {limit:.3e} at t={rows.t[lo]:.6g}"
+                )
+            self.hold_residuals[j] = max(self.hold_residuals[j], r)
+        return held
 
 
 class _Rows(engine.Rows):
@@ -441,10 +467,8 @@ def orchestrate(
 
     Each sample row is mapped to z once, in its batch (_Rows), and that
     map serves its switch residual, done test, arrive coordinate, hold
-    check, recorded control and the recorder's states_z.  z_of is also
-    wrapped in engine.reuse_last, so an event state's row, branch and
-    first field evaluation share one map.  z_of must be a pure function of
-    the state; the map it returns is treated as read-only.
+    check, recorded control and the recorder's states_z.  z_of must be a
+    pure function of the state; the map it returns is treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -462,45 +486,20 @@ def orchestrate(
     else:
         if state0 is None:
             raise ValueError("state0 is required when integrating a non-z chart")
-        z_of = engine.reuse_last(z_of)
         state = tuple(float(v) for v in state0)
 
     t = 0.0
     steps: list[StepRecord] = []
     hold_residuals = [0.0] * blocks.m
-    hold_limit = 10.0 * done_tol
-    completed: list[int] = []
-
-    def monitor(rows: _Rows, lo: int, hi: int) -> int:
-        """How many of rows lo..hi-1 keep the finished blocks pinned, folded
-        into hold_residuals; raises HoldViolation when row lo drifts."""
-        if not completed:
-            return hi - lo
-        # the finished blocks are the first columns of z
-        drift = np.abs(rows.Z[lo:hi, : blocks.spans[completed[-1] - 1][1]])
-        held = engine.first(drift.max(axis=1) > hold_limit)
-        peaks = drift[: max(held, 1)].max(axis=0).tolist()
-        for j in completed:
-            a, b = blocks.bounds(j)
-            r = max(peaks[a:b])
-            if held == 0 and r > hold_limit:
-                raise HoldViolation(
-                    f"block {j} drifted to {r:.3e} > {hold_limit:.3e} at t={rows.t[lo]:.6g}"
-                )
-            hold_residuals[j - 1] = max(hold_residuals[j - 1], r)
-        return held
 
     for i in range(1, blocks.m + 1):
-        stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol)
-        result = engine.run_stage(
-            step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder, monitor=monitor
-        )
+        stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol, hold_residuals)
+        result = engine.run_stage(step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder)
         steps.append(
             StepRecord(i=i, t_start=t, t_end=result.t_end, theta_bound=stage.theta_bound,
                        policy=type(stage.policy).__name__)
         )
         t, state = result.t_end, result.z_end
-        completed.append(i)
         a, b = stage.span
         zz = state if z_of is None else z_of(state)
         hold_residuals[i - 1] = max(abs(v) for v in zz[a:b])

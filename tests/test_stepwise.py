@@ -6,6 +6,7 @@ step 2 holds block 1 exactly; every time below is hand-computable.
 """
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +37,8 @@ from stepsynth import (
     theta_of,
 )
 from stepsynth import stepwise
-from stepsynth.engine import FLAG_COMPLETE, FLAG_SWITCH
-from stepsynth.stepwise import StepPolicy
+from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, Rows, leading
+from stepsynth.stepwise import ROWS, StepPolicy
 
 G1 = gram_n1(1)
 
@@ -402,9 +403,33 @@ def _counter(calls: dict, name: str, fn):
     return wrapper
 
 
+class _StateRows(Rows):
+    """Rows of a fake stage, read by its per-state methods done(s),
+    arrive(s), residual(s) and control(b, s), each called once per row."""
+
+    def __init__(self, stage, t: list, s: list, y: np.ndarray):
+        super().__init__(t, s)
+        self.stage = stage
+        done = leading(stage.done, s)
+        arrive = leading(stage.arrive, s[: len(done)])
+        self.done = np.array(done[: len(arrive)], dtype=bool)
+        self.arrive = np.array(arrive, dtype=float)
+
+    def residuals(self, lo: int, hi: int) -> list:
+        return leading(self.stage.residual, self.s[lo:hi])
+
+    def controls(self, branch: int, lo: int, hi: int) -> list:
+        return leading(lambda s: self.stage.control(branch, s), self.s[lo:hi])
+
+
 def _stage(**methods):
-    """A run_stage stage from the given methods: no deadline, no arrival."""
-    return SimpleNamespace(deadline=None, arrive=lambda s: 1.0, **methods)
+    """A run_stage stage from per-state methods, read in batches of at most
+    ROWS rows: no deadline, no finished block to hold, and no arrival
+    unless given."""
+    defaults = {"deadline": math.inf, "rows_max": ROWS, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: hi - lo}
+    stage = SimpleNamespace(**{**defaults, **methods})
+    stage.rows = lambda t, s, y: _StateRows(stage, t, s, y)
+    return stage
 
 
 def test_run_stage_work_per_step():
@@ -534,8 +559,7 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
         step_index=1,
         t0=0.0,
         z0=(-1.0,),
-        stage=SimpleNamespace(
-            deadline=None,
+        stage=_stage(
             field=lambda b: field,
             branch=lambda s: 1,
             control=lambda b, s: 1.0,
@@ -563,10 +587,8 @@ def _sample_times(t0: float, dt: float, t_max: float, count: int | None = None) 
 
 def _line(**methods):
     """A stage moving a scalar state at unit rate, with no events."""
-    return SimpleNamespace(
+    return _stage(
         **{
-            "deadline": None,
-            "arrive": lambda s: 1.0,
             "field": lambda b: lambda s: (1.0,),
             "branch": lambda s: 1,
             "control": lambda b, s: 1.0,
@@ -667,6 +689,28 @@ def test_run_stage_deadline_row():
     rec, msg = _run_line(stage, error=StepTimeout)
     assert msg == "late at t=0.05100000000000004"
     assert rec.times == _sample_times(0.0, 1e-3, 1.0, 51)
+
+
+def test_run_stage_step_size_underflow():
+    # dz = z^2 from z = 1 escapes at t = 1: the rejected steps shrink until
+    # a smaller one rounds to the same end time, and the stage fails there
+    # instead of retrying that step forever
+    rec = Recorder()
+    start = time.perf_counter()
+    with pytest.raises(NonFinite) as err:
+        run_stage(step_index=2, t0=0.0, z0=(1.0,), stage=_line(field=lambda b: lambda s: (s[0] * s[0],)),
+                  cfg=IntegratorConfig(dt=0.1, t_max=5.0), recorder=rec)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value).startswith("step size underflow at t=1 in step 2")
+    assert rec.times == _sample_times(0.0, 0.1, 1.0, 9)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"dt": 0.0}, {"dt": -1e-3}, {"dt": EVENT_TOL}, {"dt": 0.5 * EVENT_TOL}, {"t_max": 0.0}, {"t_max": -1.0}]
+)
+def test_integrator_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        IntegratorConfig(**kwargs)
 
 
 def test_run_stage_nonfinite_row():
