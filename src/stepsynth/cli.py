@@ -2,8 +2,9 @@
 
 Subcommands: simulate, theta, gramian, probe, list-scenarios.  Exit codes:
 0 success, 1 validation/usage error, 2 runtime failure (non-convergence,
-hold violation, I/O).  A flat `key = value` config file can preload any
-flag; explicit flags win.
+hold violation, arithmetic overflow, I/O).  A flat `key = value` config
+file can preload any flag; explicit flags win.  A value that neither sets
+is left to the library's default.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import os
 import re
 import sys
 
-from . import chain_gramian, ctrl_fn, engine, mappability, scenarios, sim, stepwise
-from .pendulum import NoRealRoot
+from . import chain_gramian, ctrl_fn, engine, mappability, scenarios, sim
 
 
 class _UsageError(Exception):
@@ -35,21 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-_RUNTIME_ERRORS = (
-    engine.Timeout,
-    engine.NonFinite,
-    stepwise.StepTimeout,
-    stepwise.HoldViolation,
-    stepwise.DomainError,
-    ctrl_fn.NonConvergence,
-    chain_gramian.GramianConditionError,
-    scenarios.RootBracketFailure,
-    NoRealRoot,
-    mappability.RegularityViolation,
-    mappability.RankDeficient,
-    mappability.CapExceeded,
-    OSError,
-)
+# every stepsynth failure class is a RuntimeError; ArithmeticError covers an
+# overflow inside a run
+_RUNTIME_ERRORS = (RuntimeError, ArithmeticError, OSError)
 
 
 def _parse_floats(text: str, what: str) -> tuple:
@@ -97,6 +85,13 @@ def _cfg_fill(args, config: dict, key: str, cast=None):
         setattr(args, key, cast(val) if cast is not None else val)
 
 
+def _given(args, **names) -> dict:
+    """Keyword arguments for the values a flag or the config file set:
+    keyword -> the args attribute that holds it."""
+    given = {kw: getattr(args, attr) for kw, attr in names.items()}
+    return {kw: val for kw, val in given.items() if val is not None}
+
+
 def _build_scenario(name: str, param_tokens) -> scenarios.Scenario:
     params = dict(_parse_param(tok) for tok in (param_tokens or []))
     return scenarios.get_scenario(name, **params)
@@ -121,15 +116,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--x0 is required (flag or config)")
     scn = _build_scenario(args.scenario, args.param)
     x0 = _parse_floats(args.x0, "--x0")
-    cfg = engine.IntegratorConfig(
-        dt=args.dt if args.dt is not None else 1e-4,
-        t_max=args.tmax if args.tmax is not None else 100.0,
-    )
-    chart = args.chart if args.chart is not None else "z"
-    x0_chart = args.x0_chart if args.x0_chart is not None else "x"
-    delta = args.delta if args.delta is not None else 1e-8
-
-    traj, summary = sim.simulate(scn, x0, cfg, chart=chart, delta=delta, x0_chart=x0_chart)
+    cfg = engine.IntegratorConfig(**_given(args, dt="dt", t_max="tmax"))
+    options = _given(args, chart="chart", delta="delta", x0_chart="x0_chart")
+    traj, summary = sim.simulate(scn, x0, cfg, **options)
 
     out_dir = args.out_dir if args.out_dir is not None else "."
     os.makedirs(out_dir, exist_ok=True)
@@ -217,8 +206,7 @@ def _cmd_probe(args) -> int:
     if scn.probe is None:
         raise ValueError(f"scenario {scn.name} does not expose probe fields")
     box = _parse_box(args.box, scn.n) if args.box is not None else scn.probe.box
-    count = args.samples if args.samples is not None else 32
-    samples = mappability.halton_samples(box, count)
+    samples = mappability.halton_samples(box, **_given(args, count="samples"))
     report = mappability.select_columns(scn.probe.a, scn.probe.bs, samples)
     print(
         json.dumps(
@@ -254,16 +242,15 @@ def _make_parser() -> _Parser:
         type=float,
         help="sample spacing of traj.csv (default 1e-4); the integrator picks its own steps",
     )
-    p.add_argument("--tmax", type=float)
+    p.add_argument("--tmax", type=float, help="simulated time limit (default 100)")
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--chart", choices=["z", "x"], help="integration chart (default z)")
+    p.add_argument("--chart", help="integration chart: z (default) or x")
     p.add_argument(
         "--x0-chart",
         dest="x0_chart",
-        choices=["x", "z"],
-        help="chart x0 is given in (default x, the original coordinates)",
+        help="chart x0 is given in: x (default, the original coordinates) or z",
     )
-    p.add_argument("--delta", type=float, help="per-block done tolerance")
+    p.add_argument("--delta", type=float, help="per-block done tolerance (default 1e-8)")
     p.add_argument("--param", action="append", help="scenario parameter key=value")
     p.add_argument("--config", help="flat key = value file; flags override")
     p.set_defaults(fn=_cmd_simulate)
@@ -283,7 +270,7 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("probe", help="numeric reducibility probe for a scenario")
     p.add_argument("--scenario")
     p.add_argument("--box", help="lo,hi or lo,hi;lo,hi;... sample box")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, help="Halton sample count, at least 1 (default 32)")
     p.add_argument("--param", action="append", help="scenario parameter key=value")
     p.add_argument("--config", help="flat key = value file; flags override")
     p.set_defaults(fn=_cmd_probe)

@@ -349,29 +349,6 @@ class Recorder:
         self.flags.extend([flag] * (hi - lo))
 
 
-def reuse_last(fn: Callable[..., T]) -> Callable[..., T]:
-    """fn with a one-entry reuse keyed on its last argument, the state.
-
-    A call whose state is the same object as the previous call's, and
-    whose other arguments are equal to its, returns the stored value.
-    example51 wraps its f2 inverse this way, read by several callbacks at
-    one z3.  fn must be a pure function of its arguments.  The memo holds
-    the last state, so that object's id cannot be reused while it is stored.
-    """
-    key: tuple = (object(),)  # no state is this object
-    value = None
-
-    def memo(*args):
-        nonlocal key, value
-        if args[-1] is key[-1] and args == key:
-            return value
-        value = fn(*args)
-        key = args
-        return value
-
-    return memo
-
-
 def run_stage(
     *,
     step_index: int,

@@ -108,6 +108,8 @@ def halton_samples(box: Sequence[tuple], count: int = 32) -> np.ndarray:
     Point i (from 0) of the unscrambled Halton sequence: coordinate j is the
     radical inverse of i in the j-th prime.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     box = list(box)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -162,6 +164,9 @@ def select_columns(
     m = len(bs)
     if m == 0:
         raise ValueError("need at least one control field")
+    # with no samples, every column would raise the rank "at every sample"
+    if samples.size == 0:
+        raise ValueError("need at least one sample state")
 
     bases: list[list] = [[] for _ in samples]
     current: list[Callable | None] = list(bs)  # ad_a^k b_j as callables, None once deleted

@@ -13,7 +13,7 @@ controls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -251,16 +251,7 @@ def pendulum(params: PendulumParams | None = None) -> Scenario:
         blocks=BlockPartition((2, 2)),
         H=H,
         policies=(step1, step2),
-        params={
-            "m1": p.m1,
-            "m2": p.m2,
-            "l1": p.l1,
-            "l2": p.l2,
-            "g": p.g,
-            "alpha": p.alpha,
-            "eps1p": p.eps1p,
-            "eps1m": p.eps1m,
-        },
+        params=asdict(p),
         analytic_schedule=schedule,
         probe=probe,
     )

@@ -10,6 +10,7 @@ cross-checking simulations.  Names accepted by the registry:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from .chain_gramian import gram_n1
 from .ctrl_fn import LinearSynth
 from .cubic import RootBracketFailure, real_roots
 from .cubic import bracket_root as _bracket_root  # module global: tests and the tracer patch it
-from .engine import reuse_last
 from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch, arrival_curve
 
 
@@ -300,9 +300,10 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
         f2_slope = lambda v: 1.0
     else:
         f2_fn = f2
-        # h1, f2_slope and u2_root read the same z[2] float object of a state:
-        # one inversion serves all three
-        f2_inv = reuse_last(_monotone_inverse(f2))
+        # h1, f2_slope and u2_root read the same z[2] of a state: one
+        # inversion serves all three.  The inverse is a pure function of one
+        # float, so reuse keyed on equality is safe
+        f2_inv = functools.lru_cache(maxsize=1)(_monotone_inverse(f2))
         h0 = _FD_H
 
         def f2_slope(z3):

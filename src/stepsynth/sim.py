@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import engine, stepwise
 from .scenarios import Scenario
@@ -49,20 +49,9 @@ class RunSummary:
     schema_version: int = 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "scenario": self.scenario,
-            "x0": self.x0,
-            "params": self.params,
-            "T_total": self.T_total,
-            "step_times": self.step_times,
-            "theta_bounds": self.theta_bounds,
-            "hold_residuals": self.hold_residuals,
-            "final_state_norm": self.final_state_norm,
-            "chart": self.chart,
-            "dt": self.dt,
-            "delta": self.delta,
-        }
+        """The fields in declaration order, schema_version first."""
+        fields = asdict(self)
+        return {"schema_version": fields.pop("schema_version"), **fields}
 
 
 def simulate(
@@ -91,27 +80,19 @@ def simulate(
     if x0_chart not in ("x", "z"):
         raise ValueError(f"x0_chart must be 'x' or 'z', got {x0_chart!r}")
 
+    given = x0
     if x0_chart == "z":
-        z0 = x0
-        x0 = tuple(float(v) for v in scn.from_z(z0))
-    else:
-        z0 = scn.to_z(x0)
+        x0 = tuple(float(v) for v in scn.from_z(given))
+    # the run starts in the chart it integrates, mapped there only when
+    # given in the other one
     if chart == "z":
-        run, rec = stepwise.orchestrate(
-            scn.system, z0, scn.policies, cfg, done_tol=delta
-        )
+        z0 = given if x0_chart == "z" else scn.to_z(x0)
+        run, rec = stepwise.orchestrate(scn.system, z0, scn.policies, cfg, done_tol=delta)
         states_z = rec.states
         states_x = [tuple(scn.from_z(z)) for z in states_z]
     else:
         run, rec = stepwise.orchestrate(
-            scn.system,
-            z0,
-            scn.policies,
-            cfg,
-            done_tol=delta,
-            rhs=scn.f,
-            z_of=scn.to_z,
-            state0=x0,
+            scn.system, x0, scn.policies, cfg, done_tol=delta, chart=(scn.f, scn.to_z)
         )
         states_x = rec.states
         states_z = [tuple(z) for z in rec.states_z]

@@ -450,20 +450,19 @@ class _Rows(engine.Rows):
 
 def orchestrate(
     system: BlockSystem,
-    z0: Sequence[float],
+    start: Sequence[float],
     policies: Sequence[StepPolicy],
     cfg: engine.IntegratorConfig,
     done_tol: float = 1e-8,
     recorder: engine.Recorder | None = None,
-    rhs: Callable[[tuple, float], tuple] | None = None,
-    z_of: Callable[[tuple], tuple] | None = None,
-    state0: Sequence[float] | None = None,
+    chart: tuple[Callable[[tuple, float], tuple], Callable[[tuple], tuple]] | None = None,
 ) -> tuple[StepwiseRun, engine.Recorder]:
-    """Run all steps in order from z0 and report times and hold residuals.
+    """Run all steps in order from start and report times and hold residuals.
 
     By default the block-form dynamics system.rhs are integrated on z
-    itself.  Passing rhs/z_of/state0 integrates an alternative chart whose
-    state maps to z through z_of (used for the x-chart cross-check).
+    itself, and start is a z.  chart=(rhs, z_of) integrates rhs in an
+    alternative chart whose state maps to z through z_of (used for the
+    x-chart cross-check); start is then a state of that chart.
 
     Each sample row is mapped to z once, in its batch (_Rows), and that
     map serves its switch residual, done test, arrive coordinate, hold
@@ -473,20 +472,14 @@ def orchestrate(
     blocks = system.blocks
     if len(policies) != blocks.m:
         raise ValueError(f"need {blocks.m} policies, got {len(policies)}")
-    if len(z0) != blocks.n:
-        raise ValueError(f"z0 must have length {blocks.n}, got {len(z0)}")
+    if len(start) != blocks.n:
+        raise ValueError(f"start must have length {blocks.n}, got {len(start)}")
     if done_tol <= 0:
         raise ValueError("done_tol must be positive")
 
     recorder = recorder if recorder is not None else engine.Recorder()
-    if rhs is None:
-        rhs = system.rhs
-    if z_of is None:
-        state = tuple(float(v) for v in z0)
-    else:
-        if state0 is None:
-            raise ValueError("state0 is required when integrating a non-z chart")
-        state = tuple(float(v) for v in state0)
+    rhs, z_of = chart if chart is not None else (system.rhs, None)
+    state = tuple(float(v) for v in start)
 
     t = 0.0
     steps: list[StepRecord] = []

@@ -69,6 +69,25 @@ def test_timeout_is_runtime_error(capsys, tmp_path):
     assert "Timeout" in err
 
 
+def test_overflow_in_a_run_is_runtime_error(capsys, tmp_path):
+    # the pendulum's drift overflows on the start row: an arithmetic
+    # failure inside the run, not a usage error
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--scenario",
+        "pendulum",
+        "--x0",
+        "0,1e155,0,0",
+        "--dt",
+        "1e-3",
+        "--out-dir",
+        str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("runtime error: OverflowError")
+
+
 # --- list-scenarios ---
 
 
@@ -203,6 +222,18 @@ def test_simulate_config_file(capsys, tmp_path):
     assert summary["dt"] == 1e-3
 
 
+def test_simulate_library_defaults(capsys, tmp_path):
+    # values no flag or config sets are the library's own defaults
+    code, _, _ = run_cli(
+        capsys, "simulate", "--scenario", "intro2d", "--x0", "1,1", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["dt"], summary["delta"], summary["chart"]) == (1e-4, 1e-8, "z")
+    rows = (tmp_path / "traj.csv").read_text().splitlines()
+    assert 17000 < len(rows) < 20000
+
+
 def test_simulate_malformed_config(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario intro2d\n")
@@ -289,6 +320,13 @@ def test_probe_config(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "probe", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["samples"] == 24
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_probe_needs_a_sample(capsys, count):
+    code, out, err = run_cli(capsys, "probe", "--scenario", "pendulum", "--samples", count)
+    assert code == 1
+    assert out == "" and "at least 1" in err
 
 
 def test_probe_missing_scenario(capsys):

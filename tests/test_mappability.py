@@ -121,6 +121,12 @@ def test_halton_box_validation():
         halton_samples(((1.0, -1.0),), 8)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_halton_count_validation(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        halton_samples(((0.0, 1.0),), count)
+
+
 # --- select_columns ---
 
 
@@ -195,6 +201,12 @@ def test_select_cap_exceeded():
 def test_select_requires_fields():
     with pytest.raises(ValueError):
         select_columns(const([0.0]), [], [[0.0]])
+
+
+def test_select_requires_samples():
+    # with no samples, every column would "raise the rank at every sample"
+    with pytest.raises(ValueError, match="sample"):
+        select_columns(const([0.0, 0.0]), [const([1.0, 0.0])], np.empty((0, 2)))
 
 
 # --- verify_phi_conditions ---

@@ -463,20 +463,6 @@ def test_run_stage_work_per_step():
     assert calls["control"] < 2 * steps
 
 
-def test_reuse_last_keys_on_the_state_object():
-    from stepsynth.engine import reuse_last
-
-    calls = {"map": 0, "control": 0}
-    zmap = reuse_last(_counter(calls, "map", lambda s: (2.0 * s[0],)))
-    control = reuse_last(_counter(calls, "control", lambda b, s: b * s[0]))
-    a, b = (1.0,), tuple([1.0])  # equal states, two objects
-    assert zmap(a) is zmap(a) and calls["map"] == 1
-    assert zmap(b) == zmap(a) and calls["map"] == 3  # equality is not reuse
-    assert control(1, a) == control(1, a) == 1.0 and calls["control"] == 1
-    assert control(-1, a) == -1.0 and calls["control"] == 2  # a new branch solves
-    assert control(1, a) == 1.0 and calls["control"] == 3  # one entry only
-
-
 def _orchestrate_work(monkeypatch, blocks, z0, policy):
     """Calls through the module-level routes orchestrate's stage takes, over
     a run that meets no event before t_max; returns them and the step count."""
