@@ -744,6 +744,94 @@ def test_first_failing_row_wins(fail_below, error, msg, rows):
     assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
 
 
+def _mapped_line(z_of, rec: Recorder):
+    """orchestrate on dz = 1 from z = -1, completing at t = 1, integrated
+    in a chart that is z itself but mapped to z through z_of."""
+    system = BlockSystem(blocks=BlockPartition(sizes=(1,)), H=lambda z, u: (u,))
+    run, _ = orchestrate(system, (-1.0,), [ConstSign(level=1.0)], IntegratorConfig(dt=1e-3, t_max=2.0),
+                         recorder=rec, chart=(lambda x, u: (u,), z_of))
+    return run
+
+
+@pytest.mark.parametrize("row", [1, 2, 11, 12, 75, 76, 300])
+def test_chart_map_failure_ends_the_run_at_its_row(row):
+    # the map raises from halfway before the given row on: every row before
+    # it is recorded, and the error is the map's own
+    edge = -1.0 + (row - 0.5) * 1e-3
+
+    def z_of(x):
+        if x[0] > edge:
+            raise ValueError(f"no chart past {edge}")
+        return x
+
+    rec = Recorder()
+    with pytest.raises(ValueError) as err:
+        _mapped_line(z_of, rec)
+    assert str(err.value) == f"no chart past {edge}"
+    assert rec.times == _sample_times(0.0, 1e-3, 2.0, row - 1)
+
+
+def test_chart_map_failure_past_the_completion_row():
+    # the map raises only on rows past the arrival at z = 0, which the
+    # batch that holds the completion row also reads: the step ends as if
+    # the map never raised
+    raised = []
+
+    def z_of(x):
+        if x[0] > 1e-6:
+            raised.append(x[0])
+            raise ValueError(f"no chart at {x[0]}")
+        return x
+
+    rec, clean = Recorder(), Recorder()
+    run = _mapped_line(z_of, rec)
+    clean_run = _mapped_line(lambda x: x, clean)
+    assert raised
+    assert run.step_times == clean_run.step_times
+    assert (rec.times, rec.states, rec.flags) == (clean.times, clean.states, clean.flags)
+
+
+def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
+    # the state moves along z1 up to the surface z1 = c, then along z2; the
+    # done test raises on the rows past the surface that the batch holding
+    # the switch row reads from the first branch's flow.  The batches read
+    # after the switch are the same as in a run whose done test never raises
+    dt = 1e-3
+    c = 49.5 * dt
+
+    def run(done):
+        sizes = []  # (events so far, rows) of each batch read
+        rec = Recorder()
+        stage = _stage(
+            field=lambda b: (lambda s: (1.0, 0.0)) if b > 0 else (lambda s: (0.0, 1.0)),
+            branch=lambda s: 1 if s[0] < c else -1,
+            control=lambda b, s: float(b),
+            residual=lambda s: s[0] - c,
+            slide_branch=lambda s: 0,
+            done=done,
+        )
+        rows = stage.rows
+        stage.rows = lambda t, s, y: sizes.append((len(rec.events), len(t))) or rows(t, s, y)
+        with pytest.raises(Timeout):
+            run_stage(step_index=1, t0=0.0, z0=(0.0, 0.0), stage=stage,
+                      cfg=IntegratorConfig(dt=dt, t_max=0.3), recorder=rec)
+        return rec, [n for events, n in sizes if events == 1]
+
+    raised = []
+
+    def done(s):
+        if s[0] > c + 0.75 * dt:
+            raised.append(s[0])
+            raise ValueError(f"no done test at {s[0]}")
+        return False
+
+    rec, after = run(done)
+    clean, clean_after = run(lambda s: False)
+    assert raised and [e.kind for e in rec.events] == ["branch-switch"]
+    assert (rec.times, rec.states, rec.controls) == (clean.times, clean.states, clean.controls)
+    assert after == clean_after and max(after) > 1
+
+
 def test_flow_rows_match_the_scalar_interpolant():
     # the batch read of the dense output is the scalar formula, bit for bit
     from stepsynth.engine import _Flow
