@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from . import chain_gramian, ctrl_fn, engine, mappability, scenarios, sim
+from . import chain_gramian, ctrl_fn, engine, mappability, scenarios, sim, stepwise
 
 
 class _UsageError(Exception):
@@ -250,7 +250,7 @@ def _make_parser() -> _Parser:
         dest="x0_chart",
         help="chart x0 is given in: x (default, the original coordinates) or z",
     )
-    p.add_argument("--delta", type=float, help="per-block done tolerance (default 1e-8)")
+    p.add_argument("--delta", type=float, help=f"per-block done tolerance (default {stepwise.DONE_TOL:g})")
     p.add_argument("--param", action="append", help="scenario parameter key=value")
     p.add_argument("--config", help="flat key = value file; flags override")
     p.set_defaults(fn=_cmd_simulate)

@@ -22,9 +22,11 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
-and the stage tests them as columns.  The integrator's own states and
-stages stay tuples of floats: a step has a handful of components, where
-numpy's per-call cost outweighs its arithmetic.
+and the stage tests them as columns.  A batch that fails is read again
+one row at a time up to the next event, so a run ends at the row where a
+row-by-row run ends.  The integrator's own states and stages stay tuples
+of floats: a step has a handful of components, where numpy's per-call
+cost outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
 State = tuple  # tuple of floats
 Rhs = Callable[[State], Sequence[float]]
-T = TypeVar("T")
 
 
 class Timeout(RuntimeError):
@@ -246,28 +247,6 @@ def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
     return hi
 
 
-def leading(fn: Callable[[T], object], items: Sequence[T]) -> list:
-    """[fn(x) for x in items], cut before the first x where fn raises.
-
-    The error itself propagates when it is the first item's: a batch of
-    rows stops before the row that fails, and the caller raises it by
-    asking again from that row, once the rows before it are recorded.
-    Any exception counts, as any would end the row-by-row run there.
-    """
-    try:
-        return [fn(x) for x in items]
-    except Exception:
-        out = []
-        for x in items:
-            try:
-                out.append(fn(x))
-            except Exception:
-                if not out:
-                    raise
-                break
-        return out
-
-
 class Rows:
     """A batch of sample rows: times t and states s (tuples of floats).
 
@@ -278,9 +257,7 @@ class Rows:
       residuals(lo, hi)    the switching function on rows lo..hi-1, a list;
       controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list;
       z                    the rows in the block chart to record, or None.
-    done and arrive cover fewer rows than given when the stage cannot read
-    the next one; residuals and controls stop before the first row where
-    the stage raises, and raise when that row is lo (see leading).
+    Each covers exactly the rows it is asked for, or raises.
     """
 
     z: list | None = None
@@ -332,15 +309,8 @@ class Recorder:
         self.states_z: list[State] = []
 
     def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
-        """Record rows lo..hi-1 of a batch, their controls and a flag each.
-
-        Times must increase, except that a row at or before the last
-        recorded time is dropped and its flag, if set, replaces that row's.
-        """
-        if self.times and rows.t[lo] <= self.times[-1]:
-            if flag:
-                self.flags[-1] = flag
-            lo, controls = lo + 1, controls[1:]
+        """Record rows lo..hi-1 of a batch, later than the last recorded
+        row, with their controls and a flag each."""
         self.times.extend(rows.t[lo:hi])
         self.states.extend(rows.s[lo:hi])
         if rows.z is not None:
@@ -375,9 +345,8 @@ def run_stage(
       done             the completion test;
       controls         the control value on a branch, for the record.
     hold(rows, lo, hi) checks that rows lo..hi-1 of a batch keep the
-    finished blocks pinned: the plain rows before they are recorded, and
-    each event row and the end row.  It returns how many of them pass, and
-    raises when the first one fails.
+    finished blocks pinned, and raises if one of them does not: the plain
+    rows before they are recorded, and each event row and the end row.
 
     The branch field is integrated by Dormand-Prince steps of their own
     size (_Flow).  Samples are taken every cfg.dt from the last event
@@ -388,6 +357,8 @@ def run_stage(
     alone fly over it; crossings of arrive are bisected and done is tested
     at the crossing point itself.  After an event the integration restarts
     from the event state on the new branch.  Events go to recorder.events.
+    The start row is recorded only by the first stage: a later stage starts
+    on the row its predecessor ended on.
 
     Evaluations per sample: the samples that the accepted steps cover, up
     to rows_max of them, are read as one batch.  Its done and arrive columns
@@ -399,10 +370,17 @@ def run_stage(
     tests each sample once, in about one stage call per batch and one
     residual and control per row where the policy computes them row by
     row.  The field's six evaluations per Dormand-Prince step are shared by
-    all samples the step covers.  Event bisection reads one-row batches at
-    its probe times.
+    all samples the step covers.  Event bisection and each event row read
+    one-row batches.
+
+    One rule keeps the outcome of a row-by-row run: a batch of more than
+    one row fails when reading it or testing its plain rows raises, or when
+    it holds a non-finite state, and is then read again from its first
+    unrecorded row in batches of one row until the next event.  In a
+    one-row batch every error is that row's and propagates, so the first
+    row that fails, and any event before it, end the stage.
     """
-    deadline, read_rows, rows_max = stage.deadline, stage.rows, stage.rows_max
+    deadline, read_rows = stage.deadline, stage.rows
     t, z = t0, z0
 
     def read(tm: float) -> Rows:
@@ -415,26 +393,29 @@ def run_stage(
     sliding = False
     slide_release = 0.0
 
-    # at[ai] is the row of the start or of the last event: nothing is known there yet
-    at, ai = read_rows([t], [z], np.array([z], dtype=float)), 0
-    recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
+    # at is the one-row batch of the start or of the last event: nothing is known there yet
+    at = read_rows([t], [z], np.array([z], dtype=float))
+    if not recorder.times:
+        recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
     fresh = True
+    size = stage.rows_max  # rows per batch: one from a batch that fails up to the next event
 
     while True:
-        if fresh and at.done[ai]:
+        if fresh and at.done[0]:
             recorder.events.append(Event(t, "step-complete", step_index))
             if recorder.flags:
                 recorder.flags[-1] = FLAG_COMPLETE
-            stage.hold(at, ai, ai + 1)
+            stage.hold(at, 0, 1)
             return StageResult(t_end=t, z_end=z)
         if t >= cfg.t_max:
             raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
         if t > deadline:
             raise stage.deadline_error(t)
         if fresh:
-            g0 = at.residuals(ai, ai + 1)[0]
-            a0 = float(at.arrive[ai])
+            # g0 and a0: the residual and arrive of the last row tested for events
+            g0 = at.residuals(0, 1)[0]
+            a0 = float(at.arrive[0])
             fresh = False
 
         # the batch: sample times by the same repeated addition as one row
@@ -442,63 +423,52 @@ def run_stage(
         flow.cover(t, t + min(cfg.dt, cfg.t_max - t))
         times = []
         tk = t
-        while len(times) < rows_max:
+        while len(times) < size:
             tk = tk + min(cfg.dt, cfg.t_max - tk)
             if tk > flow.t:
                 break
             times.append(tk)
             if tk >= cfg.t_max or tk > deadline:
                 break
-        y = flow.rows(times)
         k = len(times)
-        finite = np.isfinite(y).all(axis=1)
-        nf = k if finite.all() else int(finite.argmin())  # the first row that is not finite
-        if nf == 0:
-            raise NonFinite(f"non-finite state at t={times[0]:.6g} in step {step_index}")
-        s = list(map(tuple, y[:nf].tolist()))
-        rows = read_rows(times[:nf], s, y[:nf])
-        n = len(rows.done)  # rows the stage could read
-        arrive = rows.arrive
+        rows = None
         gs: list = []  # residuals of rows 0..len(gs)-1
-        i = 0  # the first row not yet recorded
-        start = 0  # the first row not yet tested for events
+        i = start = 0  # the first row not yet recorded, and not yet tested for events
         while True:
-            # c: the first row from start that may hold an event
-            c = min(start + first(rows.done[start:n]),
-                    start + _sign_change(float(arrive[start - 1]) if start else a0, arrive[start:n]))
-            need = min(c + 1, n)
-            if len(gs) < need:
-                gs += rows.residuals(len(gs), need)
-            # both searches end at len(gs): when a row's residual raised,
-            # that row is the candidate
-            g = np.array(gs[start:need])
-            if sliding:
-                c = min(c, start + first(np.abs(g) > slide_release))
-            else:
-                c = min(c, start + _sign_change(gs[start - 1] if start else g0, g))
+            try:
+                if rows is None:
+                    y = flow.rows(times)
+                    bad = first(~np.isfinite(y).all(axis=1))
+                    if bad < k:
+                        raise NonFinite(f"non-finite state at t={times[bad]:.6g} in step {step_index}")
+                    rows = read_rows(times, list(map(tuple, y.tolist())), y)
+                # c: the first row from start that may hold an event
+                c = start + min(first(rows.done[start:]), _sign_change(a0, rows.arrive[start:]))
+                gs += rows.residuals(start, min(c + 1, k))
+                g = np.array(gs[start:])
+                if sliding:
+                    c = min(c, start + first(np.abs(g) > slide_release))
+                else:
+                    c = min(c, start + _sign_change(g0, g))
+                if i < c:
+                    stage.hold(rows, i, c)
+                    recorder.extend(rows, i, c, rows.controls(branch, i, c))
+                    i = c
+            except Exception:
+                if k == 1:
+                    raise
+                # t and z are the last recorded row's: go on from the row after it
+                size = 1
+                break
 
-            while i < c:
-                held = stage.hold(rows, i, c)
-                u = rows.controls(branch, i, i + held)
-                recorder.extend(rows, i, i + len(u), u)
-                i += len(u)
+            if c:
+                t, z, g0, a0 = times[c - 1], rows.s[c - 1], gs[c - 1], float(rows.arrive[c - 1])
             if c == k:
-                t, z, g0, a0 = times[-1], s[-1], gs[-1], float(arrive[-1])
                 break
 
             # row c: its values against those of the row before it
-            if c:
-                t, z, g0, a0 = times[c - 1], s[c - 1], gs[c - 1], float(arrive[c - 1])
-            if c == nf:
-                raise NonFinite(f"non-finite state at t={times[c]:.6g} in step {step_index}")
-            # a row the stage could not read, or whose residual raised,
-            # raises the error there when asked for alone
-            if c == n:
-                read_rows(times[c : c + 1], s[c : c + 1], y[c : c + 1])
-            if c == len(gs):
-                rows.residuals(c, c + 1)
             h = min(cfg.dt, cfg.t_max - t)
-            g1, a1 = gs[c], float(arrive[c])
+            g1, a1 = gs[c], float(rows.arrive[c])
 
             # candidate event times within (0, h]
             tau_done = None
@@ -519,18 +489,18 @@ def run_stage(
                 tau_switch = _bisect(t, h, lambda tm: (read(tm).residuals(0, 1)[0] > 0.0) != pos0)
 
             if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
-                end, ei = (rows, c) if tau_done == h else (read(t + tau_done), 0)
-                t_end = t + tau_done
-                recorder.events.append(Event(t_end, "step-complete", step_index))
-                recorder.extend(end, ei, ei + 1, end.controls(branch, ei, ei + 1), FLAG_COMPLETE)
-                stage.hold(end, ei, ei + 1)
-                return StageResult(t_end=t_end, z_end=end.s[ei])
+                end = read(t + tau_done)
+                recorder.events.append(Event(end.t[0], "step-complete", step_index))
+                recorder.extend(end, 0, 1, end.controls(branch, 0, 1), FLAG_COMPLETE)
+                stage.hold(end, 0, 1)
+                return StageResult(t_end=end.t[0], z_end=end.s[0])
 
             if tau_switch is not None:
-                at, ai = (rows, c) if tau_switch == h else (read(t + tau_switch), 0)
-                t, z = t + tau_switch, at.s[ai]
+                at = read(t + tau_switch)
+                t, z = at.t[0], at.s[0]
                 fresh = True
-                stage.hold(at, ai, ai + 1)
+                size = stage.rows_max
+                stage.hold(at, 0, 1)
                 if sliding:
                     sliding = False
                     branch = stage.branch(z)
@@ -550,9 +520,9 @@ def run_stage(
                     branch = stage.branch(z)
                     event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
                 recorder.events.append(event)
-                recorder.extend(at, ai, ai + 1, at.controls(branch, ai, ai + 1), flag)
+                recorder.extend(at, 0, 1, at.controls(branch, 0, 1), flag)
                 flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
                 break
 
             # no event at row c: it is recorded with the plain rows after it
-            start = c + 1
+            start, g0, a0 = c + 1, g1, a1

@@ -73,7 +73,7 @@ def _drifts(p: PendulumParams, z) -> tuple:
     s = math.sin(z1)
     c = math.cos(z1)
     den = p.m1 + p.m2 * s * s
-    vsq = (z2 + z4) ** 2
+    vsq = (z2 + z4) * (z2 + z4)
     g2n = s * (p.l2 * p.m2 * z4 * z4 * c + (p.m1 + p.m2) * (p.g * math.cos(z1 + z3) + p.l1 * vsq))
     g1 = (
         -(

@@ -59,7 +59,7 @@ def simulate(
     x0,
     cfg: engine.IntegratorConfig,
     chart: str = "z",
-    delta: float = 1e-8,
+    delta: float = stepwise.DONE_TOL,
     x0_chart: str = "x",
 ) -> tuple[Trajectory, RunSummary]:
     """Run every step of the scenario from x0 (original chart).

@@ -78,12 +78,10 @@ class StepPolicy:
     """
 
     def residuals(self, zs: list, Z: np.ndarray, span: tuple) -> list:
-        """residual on each row, cut before a row that raises (engine.leading)."""
-        return engine.leading(lambda z: _switch_residual(self, z, span), zs)
+        return [_switch_residual(self, z, span) for z in zs]
 
     def controls(self, branch: int, zs: list, Z: np.ndarray) -> list:
-        """control on each row, cut before a row that raises (engine.leading)."""
-        return engine.leading(lambda z: _control_of(self, branch, z), zs)
+        return [_control_of(self, branch, z) for z in zs]
 
     def branch(self, z: tuple, span: tuple) -> int:
         """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
@@ -324,7 +322,10 @@ class StepwiseRun:
         }
 
 
-def step_done(z: Sequence[float] | np.ndarray, blocks: BlockPartition, i: int, delta: float = 1e-8):
+DONE_TOL = 1e-8  # default per-block done band
+
+
+def step_done(z: Sequence[float] | np.ndarray, blocks: BlockPartition, i: int, delta: float = DONE_TOL):
     """True when block i is inside the done band: max-abs <= delta.
 
     z is one state, or a (k, n) array of rows: then one bool per row.
@@ -406,24 +407,19 @@ class _Stage:
     def rows(self, t: list, s: list, y: np.ndarray) -> "_Rows":
         return _Rows(self, t, s, y)
 
-    def hold(self, rows: "_Rows", lo: int, hi: int) -> int:
-        """How many of rows lo..hi-1 keep blocks 1..i-1 pinned, folded into
-        hold_residuals; raises HoldViolation when row lo drifts."""
+    def hold(self, rows: "_Rows", lo: int, hi: int) -> None:
+        """Fold the drift of blocks 1..i-1 over rows lo..hi-1 into
+        hold_residuals; raises HoldViolation when one of them drifts."""
         if self.i == 1:
-            return hi - lo
+            return
         # the finished blocks are the first columns of z
-        drift = np.abs(rows.Z[lo:hi, : self.span[0]])
+        peaks = np.abs(rows.Z[lo:hi, : self.span[0]]).max(axis=0).tolist()
         limit = 10.0 * self.done_tol
-        held = engine.first(drift.max(axis=1) > limit)
-        peaks = drift[: max(held, 1)].max(axis=0).tolist()
         for j, (a, b) in enumerate(self.blocks.spans[: self.i - 1]):
             r = max(peaks[a:b])
-            if held == 0 and r > limit:
-                raise HoldViolation(
-                    f"block {j + 1} drifted to {r:.3e} > {limit:.3e} at t={rows.t[lo]:.6g}"
-                )
+            if r > limit:
+                raise HoldViolation(f"block {j + 1} drifted to {r:.3e} > {limit:.3e} at t={rows.t[lo]:.6g}")
             self.hold_residuals[j] = max(self.hold_residuals[j], r)
-        return held
 
 
 class _Rows(engine.Rows):
@@ -436,7 +432,7 @@ class _Rows(engine.Rows):
         if stage.z_of is None:
             self.zs, self.Z = s, y
         else:
-            self.zs = self.z = engine.leading(stage.z_of, s)
+            self.zs = self.z = [stage.z_of(x) for x in s]
             self.Z = np.array(self.zs, dtype=float)
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
@@ -453,7 +449,7 @@ def orchestrate(
     start: Sequence[float],
     policies: Sequence[StepPolicy],
     cfg: engine.IntegratorConfig,
-    done_tol: float = 1e-8,
+    done_tol: float = DONE_TOL,
     recorder: engine.Recorder | None = None,
     chart: tuple[Callable[[tuple, float], tuple], Callable[[tuple], tuple]] | None = None,
 ) -> tuple[StepwiseRun, engine.Recorder]:

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, exit codes, outputs, config files."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from stepsynth import chain_gramian
+from stepsynth import chain_gramian, scenarios
 from stepsynth.cli import main
 
 
@@ -70,8 +71,8 @@ def test_timeout_is_runtime_error(capsys, tmp_path):
 
 
 def test_overflow_in_a_run_is_runtime_error(capsys, tmp_path):
-    # the pendulum's drift overflows on the start row: an arithmetic
-    # failure inside the run, not a usage error
+    # the pendulum's drift overflows to inf, so the run escapes: a failure
+    # inside the run, not a usage error
     code, _, err = run_cli(
         capsys,
         "simulate",
@@ -85,7 +86,25 @@ def test_overflow_in_a_run_is_runtime_error(capsys, tmp_path):
         str(tmp_path),
     )
     assert code == 2
-    assert err.startswith("runtime error: OverflowError")
+    assert err.startswith("runtime error: NonFinite")
+
+
+def test_arithmetic_error_in_a_run_is_runtime_error(capsys, tmp_path, monkeypatch):
+    # a field that raises OverflowError fails the run the same way
+    get_scenario = scenarios.get_scenario
+
+    def overflowing(name, **params):
+        def H(z, u):
+            raise OverflowError("math range error")
+
+        return dataclasses.replace(get_scenario(name, **params), H=H)
+
+    monkeypatch.setattr(scenarios, "get_scenario", overflowing)
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", "intro2d", "--x0", "1,1", "--dt", "1e-3", "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert err.startswith("runtime error: OverflowError: math range error")
 
 
 # --- list-scenarios ---

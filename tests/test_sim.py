@@ -13,6 +13,7 @@ import pytest
 
 from stepsynth import (
     IntegratorConfig,
+    NonFinite,
     Timeout,
     Trajectory,
     default_projections,
@@ -198,6 +199,15 @@ def test_timeout_propagates():
     scn = get_scenario("intro2d")
     with pytest.raises(Timeout):
         simulate(scn, (1.0, 1.0), IntegratorConfig(dt=1e-3, t_max=0.5))
+
+
+def test_pendulum_escape_is_nonfinite():
+    # the velocity sum squares to inf on the first start instead of raising
+    # OverflowError, so both escapes fail as the engine reports them
+    scn = get_scenario("pendulum")
+    for x0 in ((0.0, 1e155, 0.0, 0.0), (0.0, 1e100, 0.0, 0.0)):
+        with pytest.raises(NonFinite):
+            simulate(scn, x0, IntegratorConfig(dt=1e-3))
 
 
 def test_simulate_validation():

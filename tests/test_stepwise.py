@@ -37,7 +37,7 @@ from stepsynth import (
     theta_of,
 )
 from stepsynth import stepwise
-from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, Rows, leading
+from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, Rows
 from stepsynth.stepwise import ROWS, StepPolicy
 
 G1 = gram_n1(1)
@@ -410,23 +410,21 @@ class _StateRows(Rows):
     def __init__(self, stage, t: list, s: list, y: np.ndarray):
         super().__init__(t, s)
         self.stage = stage
-        done = leading(stage.done, s)
-        arrive = leading(stage.arrive, s[: len(done)])
-        self.done = np.array(done[: len(arrive)], dtype=bool)
-        self.arrive = np.array(arrive, dtype=float)
+        self.done = np.array([stage.done(x) for x in s], dtype=bool)
+        self.arrive = np.array([stage.arrive(x) for x in s], dtype=float)
 
     def residuals(self, lo: int, hi: int) -> list:
-        return leading(self.stage.residual, self.s[lo:hi])
+        return [self.stage.residual(x) for x in self.s[lo:hi]]
 
     def controls(self, branch: int, lo: int, hi: int) -> list:
-        return leading(lambda s: self.stage.control(branch, s), self.s[lo:hi])
+        return [self.stage.control(branch, x) for x in self.s[lo:hi]]
 
 
 def _stage(**methods):
     """A run_stage stage from per-state methods, read in batches of at most
     ROWS rows: no deadline, no finished block to hold, and no arrival
     unless given."""
-    defaults = {"deadline": math.inf, "rows_max": ROWS, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: hi - lo}
+    defaults = {"deadline": math.inf, "rows_max": ROWS, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: None}
     stage = SimpleNamespace(**{**defaults, **methods})
     stage.rows = lambda t, s, y: _StateRows(stage, t, s, y)
     return stage
