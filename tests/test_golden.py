@@ -3,9 +3,9 @@
 Each case is one of the benchmark's workload starts, run in its chart at
 dt = 1e-3, and the polyodd and pendulum starts again at the benchmark's
 dt = 1e-4, where one integrator step covers thousands of sample rows.
-tests/golden.json holds the sha256 of the traj.csv and
-summary.json that `stepsynth simulate` writes for it, and the step times
-as float.hex.  A change that moves any output byte fails here; a change
+tests/golden.json holds the sha256 of the traj.csv,
+summary.json and phase-plane SVGs that `stepsynth simulate` writes for it,
+and the step times as float.hex.  A change that moves any output byte fails here; a change
 meant to move them regenerates the file with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -20,7 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from stepsynth import IntegratorConfig, emit_csv, emit_json, get_scenario, simulate
+from stepsynth import (
+    IntegratorConfig,
+    default_projections,
+    emit_csv,
+    emit_json,
+    emit_svg,
+    get_scenario,
+    simulate,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 CASES = {
@@ -36,8 +44,9 @@ T_MAX, DELTA = 100.0, 1e-8
 
 def run_case(name: str, out: Path) -> dict:
     scenario, start, chart, x0_chart, dt = CASES[name]
+    scn = get_scenario(scenario)
     traj, summary = simulate(
-        get_scenario(scenario),
+        scn,
         start,
         IntegratorConfig(dt=dt, t_max=T_MAX),
         chart=chart,
@@ -46,10 +55,12 @@ def run_case(name: str, out: Path) -> dict:
     )
     emit_csv(traj, out / "traj.csv")
     emit_json(summary, out / "summary.json")
+    written = ["traj.csv", "summary.json"]
+    for i, j in default_projections(scn.n):
+        written.append(f"traj_x{i}x{j}.svg")
+        emit_svg(traj, (i, j), out / written[-1])
     return {
-        "sha256": {
-            f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("traj.csv", "summary.json")
-        },
+        "sha256": {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in written},
         "step_times": [float.hex(t) for t in summary.step_times],
     }
 
