@@ -240,9 +240,12 @@ def _make_parser() -> _Parser:
     p.add_argument(
         "--dt",
         type=float,
-        help="sample spacing of traj.csv (default 1e-4); the integrator picks its own steps",
+        help=f"sample spacing of traj.csv (default {engine.IntegratorConfig.dt:g}); "
+        "the integrator picks its own steps",
     )
-    p.add_argument("--tmax", type=float, help="simulated time limit (default 100)")
+    p.add_argument(
+        "--tmax", type=float, help=f"simulated time limit (default {engine.IntegratorConfig.t_max:g})"
+    )
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--chart", help="integration chart: z (default) or x")
     p.add_argument(

@@ -22,11 +22,15 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
-and the stage tests them as columns.  A batch that fails is read again
-one row at a time up to the next event, so a run ends at the row where a
-row-by-row run ends.  The integrator's own states and stages stay tuples
-of floats: a step has a handful of components, where numpy's per-call
-cost outweighs its arithmetic.
+and the stage tests them as columns.  The rows stay arrays from there to
+the Recorder, which joins them into one (k, n) array.  A tuple is built
+only for one state: the start and each event row, which the integrator
+restarts from, each row that a policy's scalar callback reads, and in a
+run integrated in another chart each row that its map to z reads.  A
+batch that fails is read again one row at a time up to the next event,
+so a run ends at the row where a row-by-row run ends.  The integrator's
+own states and stages stay tuples of floats: a step has a handful of
+components, where numpy's per-call cost outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -248,22 +252,27 @@ def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
 
 
 class Rows:
-    """A batch of sample rows: times t and states s (tuples of floats).
+    """A batch of sample rows: times t, a list, and states y, a (k, n)
+    float array with one row per time.
 
-    The stage's rows(t, s, y), where y holds the states s as a (k, n)
-    array, returns a Rows that also gives, per row:
+    The stage's rows(t, y) returns a Rows that also gives, per row:
       done                 the completion test, a bool array;
       arrive               the arrival coordinate, a float array;
       residuals(lo, hi)    the switching function on rows lo..hi-1, a list;
       controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list;
-      z                    the rows in the block chart to record, or None.
+      z                    the rows in the block chart to record, a (k, n)
+                           array, or None.
     Each covers exactly the rows it is asked for, or raises.
     """
 
-    z: list | None = None
+    z: np.ndarray | None = None
 
-    def __init__(self, t: list, s: list):
-        self.t, self.s = t, s
+    def __init__(self, t: list, y: np.ndarray):
+        self.t, self.y = t, y
+
+    def state(self, i: int) -> State:
+        """Row i as a tuple of floats, for the integrator to start from."""
+        return tuple(self.y[i].tolist())
 
 
 def first(hits: np.ndarray) -> int:
@@ -293,28 +302,46 @@ FLAG_COMPLETE = 2
 FLAG_SLIDE = 3
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The (k, n) arrays in parts joined into one, left as its only item."""
+    if len(parts) != 1:
+        parts[:] = [np.concatenate(parts) if parts else np.empty((0, 0))]
+    return parts[0]
+
+
 class Recorder:
     """Columnar trajectory accumulator (times, states, controls, event flags).
 
-    states_z keeps the block-chart state of each sample of a run
-    integrated in another chart: the z of the Rows it was recorded from.
+    times, controls and flags are lists.  states is a (k, n) float array:
+    the batches' row slices are kept as they are recorded and joined on
+    the first read.  states_z keeps the block-chart state of each sample
+    of a run integrated in another chart, the z of the Rows it was
+    recorded from, in the same way.
     """
 
     def __init__(self):
         self.times: list[float] = []
-        self.states: list[State] = []
         self.controls: list[float] = []
         self.flags: list[int] = []
         self.events: list[Event] = []
-        self.states_z: list[State] = []
+        self._states: list = []
+        self._states_z: list = []
+
+    @property
+    def states(self) -> np.ndarray:
+        return _joined(self._states)
+
+    @property
+    def states_z(self) -> np.ndarray:
+        return _joined(self._states_z)
 
     def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
         """Record rows lo..hi-1 of a batch, later than the last recorded
         row, with their controls and a flag each."""
         self.times.extend(rows.t[lo:hi])
-        self.states.extend(rows.s[lo:hi])
+        self._states.append(rows.y[lo:hi])
         if rows.z is not None:
-            self.states_z.extend(rows.z[lo:hi])
+            self._states_z.append(rows.z[lo:hi])
         self.controls.extend(controls)
         self.flags.extend([flag] * (hi - lo))
 
@@ -336,8 +363,8 @@ def run_stage(
       slide_branch(z)  the branch that holds a chattering state on the surface;
       deadline         a time past which the stage fails with
                        deadline_error(t); math.inf when there is none;
-    and, for a batch of at most rows_max sample rows, rows(t, s, y): a Rows
-    that gives each row's
+    and, for a batch of at most rows_max sample rows at times t with states
+    y, a (k, n) array, rows(t, y): a Rows that gives each row's
       residuals        the switching function: a sign change is a branch switch;
       arrive           a coordinate that crosses zero transversally at the
                        instant the stage should complete (the block velocity
@@ -385,8 +412,7 @@ def run_stage(
 
     def read(tm: float) -> Rows:
         """The one-row batch at time tm of the current flow."""
-        y = flow.rows([tm])
-        return read_rows([tm], [tuple(y[0].tolist())], y)
+        return read_rows([tm], flow.rows([tm]))
 
     branch = stage.branch(z)
     last_switch_t: float | None = None
@@ -394,7 +420,7 @@ def run_stage(
     slide_release = 0.0
 
     # at is the one-row batch of the start or of the last event: nothing is known there yet
-    at = read_rows([t], [z], np.array([z], dtype=float))
+    at = read_rows([t], np.array([z], dtype=float))
     if not recorder.times:
         recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
@@ -441,7 +467,7 @@ def run_stage(
                     bad = first(~np.isfinite(y).all(axis=1))
                     if bad < k:
                         raise NonFinite(f"non-finite state at t={times[bad]:.6g} in step {step_index}")
-                    rows = read_rows(times, list(map(tuple, y.tolist())), y)
+                    rows = read_rows(times, y)
                 # c: the first row from start that may hold an event
                 c = start + min(first(rows.done[start:]), _sign_change(a0, rows.arrive[start:]))
                 gs += rows.residuals(start, min(c + 1, k))
@@ -457,12 +483,12 @@ def run_stage(
             except Exception:
                 if k == 1:
                     raise
-                # t and z are the last recorded row's: go on from the row after it
+                # t is the last recorded row's: go on from the row after it
                 size = 1
                 break
 
             if c:
-                t, z, g0, a0 = times[c - 1], rows.s[c - 1], gs[c - 1], float(rows.arrive[c - 1])
+                t, g0, a0 = times[c - 1], gs[c - 1], float(rows.arrive[c - 1])
             if c == k:
                 break
 
@@ -493,11 +519,11 @@ def run_stage(
                 recorder.events.append(Event(end.t[0], "step-complete", step_index))
                 recorder.extend(end, 0, 1, end.controls(branch, 0, 1), FLAG_COMPLETE)
                 stage.hold(end, 0, 1)
-                return StageResult(t_end=end.t[0], z_end=end.s[0])
+                return StageResult(t_end=end.t[0], z_end=end.state(0))
 
             if tau_switch is not None:
                 at = read(t + tau_switch)
-                t, z = at.t[0], at.s[0]
+                t, z = at.t[0], at.state(0)
                 fresh = True
                 size = stage.rows_max
                 stage.hold(at, 0, 1)

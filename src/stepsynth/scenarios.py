@@ -41,9 +41,10 @@ class Scenario:
     """A system in both charts plus the stepwise policy stack.
 
     f is the original-chart right side f(x, u) -> dx/dt on tuples; to_z and
-    from_z convert states between charts; blocks/H/policies feed the
-    stepwise driver; analytic_schedule(z0), when set, returns a prefix of
-    the exact step completion times.
+    from_z convert states between charts: one state, or the n columns of
+    the transpose of a (k, n) array, with the same floats as row by row;
+    blocks/H/policies feed the stepwise driver; analytic_schedule(z0), when
+    set, returns a prefix of the exact step completion times.
     """
 
     name: str
@@ -315,11 +316,15 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
         s = math.sin(f1(x[0], x[1], x[2], u))
         return (u ** 3 + 0.1 * s * s, u, f2_fn(x[1]))
 
+    # a custom f2 and its cached inverse read one float: on columns of
+    # states they go element by element
+    f2_map, f2_inv_map = (_each(f2_fn), _each(f2_inv)) if custom_f2 else (f2_fn, f2_inv)
+
     def to_z(x):
-        return (x[0] - x[1], x[2], f2_fn(x[1]))
+        return (x[0] - x[1], x[2], f2_map(x[1]))
 
     def from_z(z):
-        x2 = f2_inv(z[2])
+        x2 = f2_inv_map(z[2])
         return (z[0] + x2, x2, z[1])
 
     def h1(z, u):
@@ -414,6 +419,17 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
 
 
 _FD_H = float(np.cbrt(np.finfo(float).eps))
+
+
+def _each(fn: Callable) -> Callable:
+    """fn on one float, or on each float of a column of them."""
+
+    def each(v):
+        if isinstance(v, np.ndarray):
+            return np.array([fn(e) for e in v.tolist()], dtype=float)
+        return fn(v)
+
+    return each
 
 
 def _monotone_inverse(fn: Callable) -> Callable:

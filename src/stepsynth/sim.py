@@ -6,6 +6,12 @@ By default the block-form dynamics are integrated (the chart where the
 switching functions live); chart="x" integrates the original right side
 instead, as a transform cross-check, and reports the z that the run's
 callbacks mapped each sample to through to_z.
+
+The recorded states stay (k, n) float arrays from the engine's Recorder
+to the files.  A block-chart record goes to the original chart in one
+call of the scenario's from_z on its columns (Z.T), which gives the same
+floats as one call per row; the emitters convert a chunk of rows to
+Python floats only as they write it.
 """
 
 from __future__ import annotations
@@ -14,17 +20,24 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import engine, stepwise
 from .scenarios import Scenario
 
 
 @dataclass
 class Trajectory:
-    """Sampled closed-loop run: both charts, controls, and typed events."""
+    """Sampled closed-loop run: both charts, controls, and typed events.
+
+    states_x and states_z are (k, n) float arrays, one row per sample;
+    times, controls and flags are lists.  The emitters also take
+    trajectories built by hand with lists of state tuples.
+    """
 
     times: list
-    states_x: list
-    states_z: list
+    states_x: np.ndarray
+    states_z: np.ndarray
     controls: list
     flags: list
     events: list  # (time, kind, detail) tuples, time-sorted
@@ -89,13 +102,13 @@ def simulate(
         z0 = given if x0_chart == "z" else scn.to_z(x0)
         run, rec = stepwise.orchestrate(scn.system, z0, scn.policies, cfg, done_tol=delta)
         states_z = rec.states
-        states_x = [tuple(scn.from_z(z)) for z in states_z]
+        states_x = np.column_stack(scn.from_z(states_z.T))
     else:
         run, rec = stepwise.orchestrate(
             scn.system, x0, scn.policies, cfg, done_tol=delta, chart=(scn.f, scn.to_z)
         )
         states_x = rec.states
-        states_z = [tuple(z) for z in rec.states_z]
+        states_z = rec.states_z
 
     traj = Trajectory(
         times=rec.times,
@@ -105,7 +118,7 @@ def simulate(
         flags=rec.flags,
         events=[(ev.t, ev.kind, ev.detail) for ev in rec.events],
     )
-    final_norm = max(abs(v) for v in states_x[-1]) if states_x else 0.0
+    final_norm = max(map(abs, states_x[-1].tolist())) if len(states_x) else 0.0
     summary = RunSummary(
         scenario=scn.name,
         x0=list(x0),
@@ -122,9 +135,20 @@ def simulate(
     return traj, summary
 
 
+def _as_rows(states) -> np.ndarray:
+    """states as a (k, n) float array, also when built by hand as a list
+    of tuples; (0, 0) when there are none."""
+    rows = np.asarray(states, dtype=float)
+    return rows.reshape(len(rows), rows.shape[1] if len(rows) else 0)
+
+
+_CSV_CHUNK = 4096  # rows converted to Python floats at a time
+
+
 def emit_csv(traj: Trajectory, path) -> None:
     """t, x1..xn, z1..zn, u, event columns; %.12e; header row."""
-    n = len(traj.states_x[0]) if traj.states_x else 0
+    xs, zs = _as_rows(traj.states_x), _as_rows(traj.states_z)
+    n = xs.shape[1]
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
@@ -135,10 +159,14 @@ def emit_csv(traj: Trajectory, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
             fmt = ",".join(["%.12e"] * (2 * n + 2)) + ",%d\n"
-            for t, x, z, u, flag in zip(
-                traj.times, traj.states_x, traj.states_z, traj.controls, traj.flags
-            ):
-                fh.write(fmt % (t, *x, *z, u, flag))
+            for lo in range(0, len(xs), _CSV_CHUNK):
+                hi = lo + _CSV_CHUNK
+                # one row of floats per sample, formatted with one % per
+                # chunk; '%d' writes the flag 2.0 as 2
+                chunk = np.column_stack(
+                    (traj.times[lo:hi], xs[lo:hi], zs[lo:hi], traj.controls[lo:hi], traj.flags[lo:hi])
+                )
+                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"could not write CSV to {path}: {exc}") from exc
 
@@ -161,19 +189,20 @@ def emit_svg(traj: Trajectory, projection: tuple, path) -> None:
     projection uses 1-based original-chart coordinates; the sample list is
     strided down to at most 4000 points, event samples always kept.
     """
-    n = len(traj.states_x[0]) if traj.states_x else 0
+    states = _as_rows(traj.states_x)
+    k, n = states.shape
     i, j = projection
-    if traj.states_x and not (1 <= i <= n and 1 <= j <= n):
+    if k and not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"projection {projection} outside 1..{n}")
 
     stride = max(1, math.ceil(len(traj.times) / _SVG_MAX_POINTS))
-    pts = []
-    marks = []
-    for idx, (x, flag) in enumerate(zip(traj.states_x, traj.flags)):
-        if idx % stride == 0 or flag or idx == len(traj.times) - 1:
-            pts.append((x[i - 1], x[j - 1]))
-            if flag:
-                marks.append((x[i - 1], x[j - 1]))
+    flagged = np.asarray(traj.flags) != 0
+    kept = flagged.copy()
+    kept[::stride] = True
+    kept[-1:] = True
+    xy = states[:, [i - 1, j - 1]] if k else np.empty((0, 2))
+    pts = xy[kept].tolist()
+    marks = xy[flagged].tolist()
 
     xs = [p[0] for p in pts] or [0.0]
     ys = [p[1] for p in pts] or [0.0]

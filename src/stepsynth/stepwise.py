@@ -73,15 +73,15 @@ class StepPolicy:
     its block.  Each one gives control(branch, z), the control value on a
     branch, and residual(z, span), the switching function whose sign picks
     the branch; the defaults below cover the rest.  residuals and controls
-    read a batch of sample rows, zs as tuples and Z as the same rows in a
-    (k, n) array.
+    read a batch of sample rows as a (k, n) array Z; by default they call
+    the scalar residual and control on each row as a tuple of floats.
     """
 
-    def residuals(self, zs: list, Z: np.ndarray, span: tuple) -> list:
-        return [_switch_residual(self, z, span) for z in zs]
+    def residuals(self, Z: np.ndarray, span: tuple) -> list:
+        return [_switch_residual(self, z, span) for z in map(tuple, Z.tolist())]
 
-    def controls(self, branch: int, zs: list, Z: np.ndarray) -> list:
-        return [_control_of(self, branch, z) for z in zs]
+    def controls(self, branch: int, Z: np.ndarray) -> list:
+        return [_control_of(self, branch, z) for z in map(tuple, Z.tolist())]
 
     def branch(self, z: tuple, span: tuple) -> int:
         """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
@@ -258,11 +258,11 @@ class ConstSign(StepPolicy):
     def residual(self, z: tuple, span: tuple) -> float:
         return z[span[0] if self.coord is None else self.coord]
 
-    def residuals(self, zs: list, Z: np.ndarray, span: tuple) -> list:
+    def residuals(self, Z: np.ndarray, span: tuple) -> list:
         return Z[:, span[0] if self.coord is None else self.coord].tolist()
 
-    def controls(self, branch: int, zs: list, Z: np.ndarray) -> list:
-        return [self.control(branch, ())] * len(zs)
+    def controls(self, branch: int, Z: np.ndarray) -> list:
+        return [self.control(branch, ())] * len(Z)
 
 
 @dataclass(frozen=True)
@@ -404,8 +404,8 @@ class _Stage:
     def slide_branch(self, s: tuple) -> int:
         return self.policy.slide_branch(s if self.z_of is None else self.z_of(s), self.span)
 
-    def rows(self, t: list, s: list, y: np.ndarray) -> "_Rows":
-        return _Rows(self, t, s, y)
+    def rows(self, t: list, y: np.ndarray) -> "_Rows":
+        return _Rows(self, t, y)
 
     def hold(self, rows: "_Rows", lo: int, hi: int) -> None:
         """Fold the drift of blocks 1..i-1 over rows lo..hi-1 into
@@ -423,25 +423,26 @@ class _Stage:
 
 
 class _Rows(engine.Rows):
-    """A batch of sample rows as step i reads them: each row is mapped to z
-    once, and the done band and arrive coordinate are columns of Z."""
+    """A batch of sample rows as step i reads them, in the block chart as
+    the (k, n) array Z: y itself, or each row of y mapped to z once by
+    z_of, which reads it as a tuple.  The done band and arrive coordinate
+    are columns of Z."""
 
-    def __init__(self, stage: _Stage, t: list, s: list, y: np.ndarray):
-        super().__init__(t, s)
+    def __init__(self, stage: _Stage, t: list, y: np.ndarray):
+        super().__init__(t, y)
         self.policy, self.span = stage.policy, stage.span
         if stage.z_of is None:
-            self.zs, self.Z = s, y
+            self.Z = y
         else:
-            self.zs = self.z = [stage.z_of(x) for x in s]
-            self.Z = np.array(self.zs, dtype=float)
+            self.Z = self.z = np.array([stage.z_of(x) for x in map(tuple, y.tolist())], dtype=float)
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 
     def residuals(self, lo: int, hi: int) -> list:
-        return self.policy.residuals(self.zs[lo:hi], self.Z[lo:hi], self.span)
+        return self.policy.residuals(self.Z[lo:hi], self.span)
 
     def controls(self, branch: int, lo: int, hi: int) -> list:
-        return self.policy.controls(branch, self.zs[lo:hi], self.Z[lo:hi])
+        return self.policy.controls(branch, self.Z[lo:hi])
 
 
 def orchestrate(

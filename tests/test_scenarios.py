@@ -231,6 +231,35 @@ def test_polyodd_maps_bit_identical_to_generator_forms(n, custom):
         assert bits(scn.f(s, u)) == bits(f(s, u))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        intro2d,
+        lambda: polyodd(2),
+        lambda: polyodd(3),
+        lambda: polyodd(5, lambdas=[0.95 * k / 4.5 for k in range(1, 5)]),
+        lambda: get_scenario("pendulum"),
+        example51,
+        lambda: example51(f1=lambda x1, x2, x3, u: 0.4 * x1 + 0.1 * x3),
+        lambda: example51(f2=lambda v: v + 0.2 * math.sin(v)),
+    ],
+    ids=["intro2d", "polyodd:2", "polyodd:3", "polyodd:5-custom", "pendulum", "example51",
+         "example51-f1", "example51-f2"],
+)
+def test_chart_maps_on_columns_equal_the_per_row_maps(make):
+    # simulate maps a whole record through from_z on its columns (Z.T):
+    # every bundled map gives the floats of one call per row, bit for bit
+    scn = make()
+    rng = np.random.default_rng(31)
+    rows = rng.uniform(-2.0, 2.0, size=(300, scn.n)) * 10.0 ** rng.integers(-8, 3, size=(300, 1))
+    rows = np.vstack([rows, np.zeros(scn.n), -np.zeros(scn.n)])
+    bits = lambda a: [[float(v).hex() for v in row] for row in a]
+    for chart_map in (scn.from_z, scn.to_z):
+        by_columns = np.column_stack(chart_map(rows.T))
+        by_rows = [chart_map(tuple(r)) for r in rows.tolist()]
+        assert bits(by_columns.tolist()) == bits(by_rows)
+
+
 def test_polyodd_custom_lambdas():
     scn = polyodd(3, lambdas=(0.25, 0.5), alpha=0.75)
     assert [p.level for p in scn.policies] == pytest.approx([0.75, 0.5, 0.25])

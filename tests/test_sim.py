@@ -131,7 +131,7 @@ def _count_x_chart_maps(monkeypatch, name, x0, x0_chart, dt):
     )
     assert len(summary.step_times) == scn.blocks.m
     # the recorded z are the maps the run made, so simulate maps no sample
-    assert traj.states_z == [tuple(scn.to_z(x)) for x in traj.states_x]
+    assert traj.states_z.tolist() == [list(scn.to_z(x)) for x in map(tuple, traj.states_x.tolist())]
     return calls, len(traj) - 1
 
 
@@ -155,6 +155,35 @@ def test_x_chart_maps_each_state_once_curve_switch(monkeypatch):
     assert steps > 35000
     assert calls["orchestrate"] <= 4.05 * steps
     assert calls["simulate"] == 0
+
+
+@pytest.mark.parametrize(
+    "name, x0, x0_chart",
+    [("polyodd:3", (1.0, 1.0, 1.0), "z"), ("pendulum", (-2.0, 1.0, -1.0, 0.5), "x")],
+    ids=["polyodd:3", "pendulum"],
+)
+def test_z_chart_record_maps_by_columns(name, x0, x0_chart):
+    # a block-chart run maps the start once and its whole record once, on
+    # the columns, where a map per row would make thousands of calls
+    scn = get_scenario(name)
+    calls = []
+
+    def counted(chart_map):
+        def wrapper(s):
+            calls.append(s)
+            return chart_map(s)
+
+        return wrapper
+
+    traj, _ = simulate(
+        dataclasses.replace(scn, to_z=counted(scn.to_z), from_z=counted(scn.from_z)),
+        x0,
+        IntegratorConfig(dt=1e-3, t_max=50.0),
+        x0_chart=x0_chart,
+    )
+    assert len(traj) > 3000
+    assert len(calls) <= 2
+    assert traj.states_x.tolist() == [list(scn.from_z(z)) for z in map(tuple, traj.states_z.tolist())]
 
 
 def test_polyodd_integrates_in_few_field_evaluations(monkeypatch):

@@ -350,7 +350,7 @@ def test_orchestrate_deterministic():
     assert r1.step_times == r2.step_times
     assert r1.hold_residuals == r2.hold_residuals
     assert rec1.times == rec2.times
-    assert rec1.states == rec2.states
+    assert rec1.states.tolist() == rec2.states.tolist()
     assert rec1.controls == rec2.controls
 
 
@@ -407,9 +407,10 @@ class _StateRows(Rows):
     """Rows of a fake stage, read by its per-state methods done(s),
     arrive(s), residual(s) and control(b, s), each called once per row."""
 
-    def __init__(self, stage, t: list, s: list, y: np.ndarray):
-        super().__init__(t, s)
+    def __init__(self, stage, t: list, y: np.ndarray):
+        super().__init__(t, y)
         self.stage = stage
+        self.s = s = [tuple(x) for x in y.tolist()]
         self.done = np.array([stage.done(x) for x in s], dtype=bool)
         self.arrive = np.array([stage.arrive(x) for x in s], dtype=float)
 
@@ -426,7 +427,7 @@ def _stage(**methods):
     unless given."""
     defaults = {"deadline": math.inf, "rows_max": ROWS, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: None}
     stage = SimpleNamespace(**{**defaults, **methods})
-    stage.rows = lambda t, s, y: _StateRows(stage, t, s, y)
+    stage.rows = lambda t, y: _StateRows(stage, t, y)
     return stage
 
 
@@ -786,7 +787,7 @@ def test_chart_map_failure_past_the_completion_row():
     clean_run = _mapped_line(lambda x: x, clean)
     assert raised
     assert run.step_times == clean_run.step_times
-    assert (rec.times, rec.states, rec.flags) == (clean.times, clean.states, clean.flags)
+    assert (rec.times, rec.states.tolist(), rec.flags) == (clean.times, clean.states.tolist(), clean.flags)
 
 
 def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
@@ -809,7 +810,7 @@ def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
             done=done,
         )
         rows = stage.rows
-        stage.rows = lambda t, s, y: sizes.append((len(rec.events), len(t))) or rows(t, s, y)
+        stage.rows = lambda t, y: sizes.append((len(rec.events), len(t))) or rows(t, y)
         with pytest.raises(Timeout):
             run_stage(step_index=1, t0=0.0, z0=(0.0, 0.0), stage=stage,
                       cfg=IntegratorConfig(dt=dt, t_max=0.3), recorder=rec)
@@ -826,7 +827,7 @@ def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
     rec, after = run(done)
     clean, clean_after = run(lambda s: False)
     assert raised and [e.kind for e in rec.events] == ["branch-switch"]
-    assert (rec.times, rec.states, rec.controls) == (clean.times, clean.states, clean.controls)
+    assert (rec.times, rec.states.tolist(), rec.controls) == (clean.times, clean.states.tolist(), clean.controls)
     assert after == clean_after and max(after) > 1
 
 
