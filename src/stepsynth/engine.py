@@ -25,8 +25,7 @@ the accepted steps already cover come out of the dense output as one
 and the stage tests them as columns.  The rows stay arrays from there to
 the Recorder, which joins them into one (k, n) array.  A tuple is built
 only for one state: the start and each event row, which the integrator
-restarts from, each row that a policy's scalar callback reads, and in a
-run integrated in another chart each row that its map to z reads.  A
+restarts from, and each row that a policy's scalar callback reads.  A
 batch that fails is read again one row at a time up to the next event,
 so a run ends at the row where a row-by-row run ends.  The integrator's
 own states and stages stay tuples of floats: a step has a handful of
@@ -56,6 +55,7 @@ class NonFinite(RuntimeError):
 
 
 EVENT_TOL = 1e-10  # the width to which event times are bisected
+ROWS = 4096  # most sample rows per batch
 HYSTERESIS = 2.0  # slide release band, in units of the overshoot at entry
 
 
@@ -259,13 +259,9 @@ class Rows:
       done                 the completion test, a bool array;
       arrive               the arrival coordinate, a float array;
       residuals(lo, hi)    the switching function on rows lo..hi-1, a list;
-      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list;
-      z                    the rows in the block chart to record, a (k, n)
-                           array, or None.
+      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list.
     Each covers exactly the rows it is asked for, or raises.
     """
-
-    z: np.ndarray | None = None
 
     def __init__(self, t: list, y: np.ndarray):
         self.t, self.y = t, y
@@ -302,21 +298,12 @@ FLAG_COMPLETE = 2
 FLAG_SLIDE = 3
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The (k, n) arrays in parts joined into one, left as its only item."""
-    if len(parts) != 1:
-        parts[:] = [np.concatenate(parts) if parts else np.empty((0, 0))]
-    return parts[0]
-
-
 class Recorder:
     """Columnar trajectory accumulator (times, states, controls, event flags).
 
     times, controls and flags are lists.  states is a (k, n) float array:
     the batches' row slices are kept as they are recorded and joined on
-    the first read.  states_z keeps the block-chart state of each sample
-    of a run integrated in another chart, the z of the Rows it was
-    recorded from, in the same way.
+    the first read.
     """
 
     def __init__(self):
@@ -325,23 +312,19 @@ class Recorder:
         self.flags: list[int] = []
         self.events: list[Event] = []
         self._states: list = []
-        self._states_z: list = []
 
     @property
     def states(self) -> np.ndarray:
-        return _joined(self._states)
-
-    @property
-    def states_z(self) -> np.ndarray:
-        return _joined(self._states_z)
+        parts = self._states
+        if len(parts) != 1:
+            parts[:] = [np.concatenate(parts) if parts else np.empty((0, 0))]
+        return parts[0]
 
     def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
         """Record rows lo..hi-1 of a batch, later than the last recorded
         row, with their controls and a flag each."""
         self.times.extend(rows.t[lo:hi])
         self._states.append(rows.y[lo:hi])
-        if rows.z is not None:
-            self._states_z.append(rows.z[lo:hi])
         self.controls.extend(controls)
         self.flags.extend([flag] * (hi - lo))
 
@@ -363,7 +346,7 @@ def run_stage(
       slide_branch(z)  the branch that holds a chattering state on the surface;
       deadline         a time past which the stage fails with
                        deadline_error(t); math.inf when there is none;
-    and, for a batch of at most rows_max sample rows at times t with states
+    and, for a batch of at most ROWS sample rows at times t with states
     y, a (k, n) array, rows(t, y): a Rows that gives each row's
       residuals        the switching function: a sign change is a branch switch;
       arrive           a coordinate that crosses zero transversally at the
@@ -388,13 +371,14 @@ def run_stage(
     on the row its predecessor ended on.
 
     Evaluations per sample: the samples that the accepted steps cover, up
-    to rows_max of them, are read as one batch.  Its done and arrive columns
+    to ROWS of them, are read as one batch.  Its done and arrive columns
     are tested over the whole batch, and residuals up to the first row
     that may hold an event; the rows before that row are plain and are
     held, given their controls and recorded together.  The row itself goes
     through the event tests with the batch's values, and the batch goes on
     after it unless an event ends the batch.  So a run without events
-    tests each sample once, in about one stage call per batch and one
+    tests each sample once, in about one stage call per batch (a stage
+    that tests rows in another chart maps the whole batch there) and one
     residual and control per row where the policy computes them row by
     row.  The field's six evaluations per Dormand-Prince step are shared by
     all samples the step covers.  Event bisection and each event row read
@@ -425,7 +409,7 @@ def run_stage(
         recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
     fresh = True
-    size = stage.rows_max  # rows per batch: one from a batch that fails up to the next event
+    size = ROWS  # rows per batch: one from a batch that fails up to the next event
 
     while True:
         if fresh and at.done[0]:
@@ -525,7 +509,7 @@ def run_stage(
                 at = read(t + tau_switch)
                 t, z = at.t[0], at.state(0)
                 fresh = True
-                size = stage.rows_max
+                size = ROWS
                 stage.hold(at, 0, 1)
                 if sliding:
                     sliding = False

@@ -190,13 +190,11 @@ def select_columns(
             fld = current[j]
             if fld is None:
                 continue
-            votes = [
-                _raises_rank(bases[s_idx], np.asarray(fld(x), dtype=float), svd_tol)
-                for s_idx, x in enumerate(samples)
-            ]
+            cols = [np.asarray(fld(x), dtype=float) for x in samples]
+            votes = [_raises_rank(basis, col, svd_tol) for basis, col in zip(bases, cols)]
             if all(votes):
-                for s_idx, x in enumerate(samples):
-                    bases[s_idx].append(np.asarray(fld(x), dtype=float))
+                for basis, col in zip(bases, cols):
+                    basis.append(col)
                 kept.append((j + 1, k))
                 counts[j] += 1
                 rank += 1

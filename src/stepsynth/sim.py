@@ -4,14 +4,14 @@ simulate() runs the stepwise policy stack of a scenario from an
 original-chart initial state and reports the trajectory in both charts.
 By default the block-form dynamics are integrated (the chart where the
 switching functions live); chart="x" integrates the original right side
-instead, as a transform cross-check, and reports the z that the run's
-callbacks mapped each sample to through to_z.
+instead, as a transform cross-check.
 
 The recorded states stay (k, n) float arrays from the engine's Recorder
-to the files.  A block-chart record goes to the original chart in one
-call of the scenario's from_z on its columns (Z.T), which gives the same
-floats as one call per row; the emitters convert a chunk of rows to
-Python floats only as they write it.
+to the files.  The run records only the chart it integrates; the record
+goes to the other chart in one call of the scenario's from_z or to_z on
+its columns (the transpose), which gives the same floats as one call per
+row.  The emitters convert a chunk of rows to Python floats only as they
+write it.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def simulate(
             scn.system, x0, scn.policies, cfg, done_tol=delta, chart=(scn.f, scn.to_z)
         )
         states_x = rec.states
-        states_z = rec.states_z
+        states_z = np.column_stack(scn.to_z(states_x.T))
 
     traj = Trajectory(
         times=rec.times,

@@ -356,22 +356,14 @@ def eval_control(
         raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
 
 
-# Most rows per batch: ROWS, or MAPPED_ROWS in a run integrated in another
-# chart.  There each row read past an event is mapped to z for nothing; 64
-# rows keep that under 1% of a polyodd-x run's maps, and already spread the
-# per-batch numpy calls thin.
-ROWS = 4096
-MAPPED_ROWS = 64
-
-
 class _Stage:
     """Step i's policy bound to its block span, chart map, done test and
     hold check.
 
     This is the stage object engine.run_stage drives.  Its methods read
-    states of the integrated chart and map them to z through z_of, or
-    take them as z when z_of is None; rows reads a batch of them (_Rows).
-    hold folds the drift of blocks 1..i-1 into hold_residuals.
+    states of the integrated chart, which z(s) maps to the block chart;
+    rows reads a batch of them (_Rows).  hold folds the drift of blocks
+    1..i-1 into hold_residuals.
     """
 
     def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
@@ -382,12 +374,15 @@ class _Stage:
         self.span = blocks.bounds(i)
         self.arrive_idx = policy.arrive_coord(self.span)
         # only a Theta policy bounds its step: it must end by twice Theta(z0)
-        self.theta_bound = policy.theta_bound(s0 if z_of is None else z_of(s0), self.span)
+        self.theta_bound = policy.theta_bound(self.z(s0), self.span)
         self.deadline = math.inf
         if self.theta_bound is not None and self.theta_bound > 0.0:
             self.deadline = t0 + 2.0 * self.theta_bound
-        # a row read past an event costs a chart map when z_of is set
-        self.rows_max = ROWS if z_of is None else MAPPED_ROWS
+
+    def z(self, s: tuple) -> tuple:
+        """State s of the integrated chart as a z: z_of(s), or s itself
+        when z_of is None."""
+        return s if self.z_of is None else self.z_of(s)
 
     def deadline_error(self, t: float) -> Exception:
         return StepTimeout(f"step {self.i} ran past 2x its Theta bound {self.theta_bound:.6g} (t={t:.6g})")
@@ -396,13 +391,13 @@ class _Stage:
         return self.policy.field(branch, self.rhs, self.control)
 
     def control(self, branch: int, s: tuple) -> float:
-        return _control_of(self.policy, branch, s if self.z_of is None else self.z_of(s))
+        return _control_of(self.policy, branch, self.z(s))
 
     def branch(self, s: tuple) -> int:
-        return self.policy.branch(s if self.z_of is None else self.z_of(s), self.span)
+        return self.policy.branch(self.z(s), self.span)
 
     def slide_branch(self, s: tuple) -> int:
-        return self.policy.slide_branch(s if self.z_of is None else self.z_of(s), self.span)
+        return self.policy.slide_branch(self.z(s), self.span)
 
     def rows(self, t: list, y: np.ndarray) -> "_Rows":
         return _Rows(self, t, y)
@@ -424,17 +419,13 @@ class _Stage:
 
 class _Rows(engine.Rows):
     """A batch of sample rows as step i reads them, in the block chart as
-    the (k, n) array Z: y itself, or each row of y mapped to z once by
-    z_of, which reads it as a tuple.  The done band and arrive coordinate
-    are columns of Z."""
+    the (k, n) array Z: y itself, or y mapped to z by one call of z_of on
+    its n columns.  The done band and arrive coordinate are columns of Z."""
 
     def __init__(self, stage: _Stage, t: list, y: np.ndarray):
         super().__init__(t, y)
         self.policy, self.span = stage.policy, stage.span
-        if stage.z_of is None:
-            self.Z = y
-        else:
-            self.Z = self.z = np.array([stage.z_of(x) for x in map(tuple, y.tolist())], dtype=float)
+        self.Z = y if stage.z_of is None else np.column_stack(stage.z_of(y.T))
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 
@@ -459,12 +450,15 @@ def orchestrate(
     By default the block-form dynamics system.rhs are integrated on z
     itself, and start is a z.  chart=(rhs, z_of) integrates rhs in an
     alternative chart whose state maps to z through z_of (used for the
-    x-chart cross-check); start is then a state of that chart.
+    x-chart cross-check); start is then a state of that chart, and so are
+    the recorded states.
 
-    Each sample row is mapped to z once, in its batch (_Rows), and that
-    map serves its switch residual, done test, arrive coordinate, hold
-    check, recorded control and the recorder's states_z.  z_of must be a
-    pure function of the state; the map it returns is treated as read-only.
+    z_of takes one state, or the n columns of a batch of rows (the
+    transpose of a (k, n) array), with the same floats as row by row.  Each
+    batch of sample rows is mapped to z in one call (_Rows), and that map
+    serves the rows' switch residuals, done tests, arrive coordinates,
+    hold check and recorded controls.  z_of must be a pure function of the
+    state; the map it returns is treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -491,8 +485,7 @@ def orchestrate(
         )
         t, state = result.t_end, result.z_end
         a, b = stage.span
-        zz = state if z_of is None else z_of(state)
-        hold_residuals[i - 1] = max(abs(v) for v in zz[a:b])
+        hold_residuals[i - 1] = max(abs(v) for v in stage.z(state)[a:b])
 
     return (
         StepwiseRun(steps=steps, T_total=t, hold_residuals=hold_residuals, done_tol=done_tol),

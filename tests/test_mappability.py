@@ -165,6 +165,28 @@ def test_select_example51_fields():
     assert report.indices == scn.blocks.sizes
 
 
+@pytest.mark.parametrize("make", [pendulum, example51], ids=["pendulum", "example51"])
+def test_select_evaluates_each_column_once_per_sample(make, monkeypatch):
+    # every order-1 column is one bracket per sample: the pendulum keeps
+    # both, example51 keeps one and deletes the other.  A kept column is
+    # appended to the basis from its rank vote, not evaluated again
+    import stepsynth.mappability as mappability
+
+    calls = []
+    bracket = mappability.lie_bracket
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(mappability, "lie_bracket", counted)
+    scn = make()
+    samples = halton_samples(scn.probe.box, 32)
+    report = select_columns(scn.probe.a, scn.probe.bs, samples)
+    assert report.indices == scn.blocks.sizes
+    assert len(calls) == 2 * len(samples)
+
+
 def test_select_permutation_invariant():
     scn = pendulum()
     samples = halton_samples(scn.probe.box, 16)

@@ -37,8 +37,8 @@ from stepsynth import (
     theta_of,
 )
 from stepsynth import stepwise
-from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, Rows
-from stepsynth.stepwise import ROWS, StepPolicy
+from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS, Rows
+from stepsynth.stepwise import StepPolicy
 
 G1 = gram_n1(1)
 
@@ -425,7 +425,7 @@ def _stage(**methods):
     """A run_stage stage from per-state methods, read in batches of at most
     ROWS rows: no deadline, no finished block to hold, and no arrival
     unless given."""
-    defaults = {"deadline": math.inf, "rows_max": ROWS, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: None}
+    defaults = {"deadline": math.inf, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: None}
     stage = SimpleNamespace(**{**defaults, **methods})
     stage.rows = lambda t, y: _StateRows(stage, t, y)
     return stage
@@ -743,13 +743,32 @@ def test_first_failing_row_wins(fail_below, error, msg, rows):
     assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
 
 
-def _mapped_line(z_of, rec: Recorder):
+def _mapped_line(z_of, rec: Recorder, dt: float = 1e-3):
     """orchestrate on dz = 1 from z = -1, completing at t = 1, integrated
     in a chart that is z itself but mapped to z through z_of."""
     system = BlockSystem(blocks=BlockPartition(sizes=(1,)), H=lambda z, u: (u,))
-    run, _ = orchestrate(system, (-1.0,), [ConstSign(level=1.0)], IntegratorConfig(dt=1e-3, t_max=2.0),
+    run, _ = orchestrate(system, (-1.0,), [ConstSign(level=1.0)], IntegratorConfig(dt=dt, t_max=2.0),
                          recorder=rec, chart=(lambda x, u: (u,), z_of))
     return run
+
+
+def test_chart_map_reads_a_batch_per_call():
+    # z_of maps a batch of sample rows in one call on its columns, in
+    # batches of up to ROWS rows that grow with the integrator's steps;
+    # one-state calls are the start, the end and the probes of the
+    # completion's bisection
+    sizes = []
+
+    def z_of(x):
+        sizes.append(np.size(x[0]))
+        return x
+
+    rec = Recorder()
+    _mapped_line(z_of, rec, dt=1e-4)
+    batches = [n for n in sizes if n > 1]
+    assert len(rec.times) > 2 * ROWS
+    assert max(batches) == ROWS and len(batches) < 10
+    assert len(sizes) < 50
 
 
 @pytest.mark.parametrize("row", [1, 2, 11, 12, 75, 76, 300])
@@ -759,7 +778,8 @@ def test_chart_map_failure_ends_the_run_at_its_row(row):
     edge = -1.0 + (row - 0.5) * 1e-3
 
     def z_of(x):
-        if x[0] > edge:
+        # x is one state or the columns of a batch: raise if any row is past
+        if np.any(np.asarray(x[0]) > edge):
             raise ValueError(f"no chart past {edge}")
         return x
 
@@ -777,7 +797,7 @@ def test_chart_map_failure_past_the_completion_row():
     raised = []
 
     def z_of(x):
-        if x[0] > 1e-6:
+        if np.any(np.asarray(x[0]) > 1e-6):
             raised.append(x[0])
             raise ValueError(f"no chart at {x[0]}")
         return x
