@@ -18,7 +18,6 @@ from .ctrl_fn import (
     ThetaEval,
     a0_max,
     closed_loop_rhs,
-    synth_for,
     theta_of,
     v_of,
 )
@@ -38,7 +37,6 @@ from .mappability import (
     ProbeReport,
     RankDeficient,
     RegularityViolation,
-    VectorField,
     ad_pow,
     halton_samples,
     lie_bracket,
@@ -84,7 +82,6 @@ from .stepwise import (
     CurveSwitch,
     DomainError,
     HoldViolation,
-    StepRecord,
     StepTimeout,
     StepwiseRun,
     ThetaSwitch,

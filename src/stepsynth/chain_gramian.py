@@ -149,21 +149,21 @@ def _power_scale(g: GramSet, theta: float, base: np.ndarray, sign: int) -> np.nd
 
 def gram_theta(g: GramSet, theta: float) -> np.ndarray:
     """N(Theta): entry (i,j) is Theta^(2k-i-j+1) N(1)[i][j]."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     return _power_scale(g, theta, g.n1, +1)
 
 
 def gram_theta_inv(g: GramSet, theta: float) -> np.ndarray:
     """N(Theta)^{-1}: entry (i,j) is Theta^{-(2k-i-j+1)} N(1)^{-1}[i][j]."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     return _power_scale(g, theta, g.n1_inv, -1)
 
 
 def dilation_matrix(g: GramSet, theta: float) -> np.ndarray:
     """D(Theta) = diag(Theta^{-(2k-2j+1)/2}); satisfies D N(Theta) D = N(1)."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     return np.diag(theta ** (-g.dil))
 
@@ -173,7 +173,7 @@ def gram_hat(g: GramSet, theta: float) -> np.ndarray:
 
     Entry (i,j) is (-1)^(p+q) Theta^(p+q) / (p! q! (p+q+1)) with p=k-i, q=k-j.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     k = g.k
     out = np.empty((k, k))
@@ -191,7 +191,7 @@ def gram_tilde(g: GramSet, theta: float) -> np.ndarray:
 
     Entry (i,j) is (-1)^(p+q) Theta^(p+q) / (p! q! (p+q+2)).
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     k = g.k
     out = np.empty((k, k))

@@ -3,8 +3,9 @@
 Subcommands: simulate, theta, gramian, probe, list-scenarios.  Exit codes:
 0 success, 1 validation/usage error, 2 runtime failure (non-convergence,
 hold violation, arithmetic overflow, I/O).  A flat `key = value` config
-file can preload any flag; explicit flags win.  A value that neither sets
-is left to the library's default.
+file can preload any flag of its command: its values go through the
+flag's own type, a key that names no flag is an error, and explicit flags
+win.  A value that neither sets is left to the library's default.
 """
 
 from __future__ import annotations
@@ -78,11 +79,18 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _cfg_fill(args, config: dict, key: str, cast=None):
-    """Fill a missing CLI value from the config file."""
-    if getattr(args, key) is None and key in config:
-        val = config[key]
-        setattr(args, key, cast(val) if cast is not None else val)
+def _config_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Make the values of the config file args.config the defaults of the
+    command's parser; parsing again converts them with each flag's type."""
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "fn", "config"}))
+    if unknown:
+        raise ValueError(f"config {args.config}: no flag named {', '.join(unknown)}")
+    if "param" in config:
+        tokens = [tok.strip() for tok in config.pop("param").split(",") if tok.strip()]
+        if args.param is None:  # an explicit --param replaces the file's list
+            config["param"] = tokens
+    parser.set_defaults(**config)
 
 
 def _given(args, **names) -> dict:
@@ -98,18 +106,6 @@ def _build_scenario(name: str, param_tokens) -> scenarios.Scenario:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    _cfg_fill(args, config, "scenario")
-    _cfg_fill(args, config, "x0")
-    _cfg_fill(args, config, "dt", float)
-    _cfg_fill(args, config, "tmax", float)
-    _cfg_fill(args, config, "out_dir")
-    _cfg_fill(args, config, "chart")
-    _cfg_fill(args, config, "x0_chart")
-    _cfg_fill(args, config, "delta", float)
-    if args.param is None and "param" in config:
-        args.param = [tok.strip() for tok in config["param"].split(",") if tok.strip()]
-
     if args.scenario is None:
         raise ValueError("--scenario is required (flag or config)")
     if args.x0 is None:
@@ -196,15 +192,9 @@ def _parse_box(text: str, n: int) -> tuple:
 
 
 def _cmd_probe(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    _cfg_fill(args, config, "scenario")
-    _cfg_fill(args, config, "box")
-    _cfg_fill(args, config, "samples", int)
     if args.scenario is None:
         raise ValueError("--scenario is required (flag or config)")
     scn = _build_scenario(args.scenario, args.param)
-    if scn.probe is None:
-        raise ValueError(f"scenario {scn.name} does not expose probe fields")
     box = _parse_box(args.box, scn.n) if args.box is not None else scn.probe.box
     samples = mappability.halton_samples(box, **_given(args, count="samples"))
     report = mappability.select_columns(scn.probe.a, scn.probe.bs, samples)
@@ -216,7 +206,7 @@ def _cmd_probe(args) -> int:
                 "indices": list(report.indices),
                 "rank_history": list(report.rank_history),
                 "samples": int(samples.shape[0]),
-                "svd_tol": report.svd_tol,
+                "svd_tol": mappability.SVD_TOL,
             },
             indent=2,
         )
@@ -230,11 +220,14 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _make_parser() -> _Parser:
+def _make_parser() -> tuple[_Parser, dict]:
+    """The top parser and each command's parser by name."""
     top = _Parser(prog="stepsynth", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    commands = {}
+    add = lambda name, **kw: commands.setdefault(name, sub.add_parser(name, **kw))
 
-    p = sub.add_parser("simulate", help="run a scenario and write traj.csv/summary.json/SVGs")
+    p = add("simulate", help="run a scenario and write traj.csv/summary.json/SVGs")
     p.add_argument("--scenario")
     p.add_argument("--x0", help="comma-separated initial state (original chart)")
     p.add_argument(
@@ -258,19 +251,19 @@ def _make_parser() -> _Parser:
     p.add_argument("--config", help="flat key = value file; flags override")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("theta", help="evaluate the controllability function at x")
+    p = add("theta", help="evaluate the controllability function at x")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a0", type=float, required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--d", type=float, help="control bound (default: tight for a0)")
     p.set_defaults(fn=_cmd_theta)
 
-    p = sub.add_parser("gramian", help="print N(1), its inverse, optionally N(theta)")
+    p = add("gramian", help="print N(1), its inverse, optionally N(theta)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta", type=float)
     p.set_defaults(fn=_cmd_gramian)
 
-    p = sub.add_parser("probe", help="numeric reducibility probe for a scenario")
+    p = add("probe", help="numeric reducibility probe for a scenario")
     p.add_argument("--scenario")
     p.add_argument("--box", help="lo,hi or lo,hi;lo,hi;... sample box")
     p.add_argument("--samples", type=int, help="Halton sample count, at least 1 (default 32)")
@@ -278,15 +271,18 @@ def _make_parser() -> _Parser:
     p.add_argument("--config", help="flat key = value file; flags override")
     p.set_defaults(fn=_cmd_probe)
 
-    p = sub.add_parser("list-scenarios", help="print registered scenario names")
+    p = add("list-scenarios", help="print registered scenario names")
     p.set_defaults(fn=_cmd_list)
-    return top
+    return top, commands
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
+    parser, commands = _make_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            _config_defaults(commands[args.command], args)
+            args = parser.parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -8,6 +8,9 @@ unique positive root of
 and the feedback is v(x) = -1/2 b0* N(Theta(x))^{-1} x.  Along the closed
 loop Theta decays at unit rate, so Theta(x0) is the exact time to the
 origin, and |v| <= d holds whenever 0 < a0 <= 2 d^2 / (N(1)^{-1} b0, b0).
+The hold band THETA_MIN, under which v is 0 and a block counts as done,
+and the residual tolerance ROOT_TOL of the Theta solve are constants of
+the method.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .chain_gramian import GramSet
 from .cubic import bracket_root
 
 _MAX_ITER = 200
+THETA_MIN = 1e-9  # hold band: v = 0 and the block is done below it
+ROOT_TOL = 1e-12  # relative residual tolerance of the Theta root
 
 
 class NonConvergence(RuntimeError):
@@ -31,7 +36,7 @@ class NonConvergence(RuntimeError):
 
 def a0_max(gram: GramSet, d: float) -> float:
     """Largest admissible a0 for control bound d: 2 d^2 / (N(1)^{-1} b0, b0)."""
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"control bound d must be positive, got {d}")
     return 2.0 * d * d / gram.n1_inv[gram.k - 1][gram.k - 1]
 
@@ -40,28 +45,22 @@ def a0_max(gram: GramSet, d: float) -> float:
 class LinearSynth:
     """Feedback synthesis constants for one chain.
 
-    Requires 0 < a0 <= a0_max(gram, d); theta_min is the hold band under
-    which the block is reported done, root_tol the residual tolerance of
-    the Theta solve.
+    Requires 0 < a0 <= a0_max(gram, d).
     """
 
     gram: GramSet
     a0: float
     d: float
-    theta_min: float = 1e-9
-    root_tol: float = 1e-12
     # float copies of N(1)^{-1} and the dilation exponents, for theta_of
     _n1_inv: tuple = field(init=False, repr=False, compare=False)
     _dil: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.a0 <= 0:
+        if not self.a0 > 0:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         cap = a0_max(self.gram, self.d)
         if self.a0 > cap * (1 + 1e-12):
             raise ValueError(f"a0={self.a0} exceeds a0_max={cap} for d={self.d}")
-        if self.theta_min <= 0 or self.root_tol <= 0:
-            raise ValueError("theta_min and root_tol must be positive")
         object.__setattr__(self, "_n1_inv", tuple(tuple(float(v) for v in row) for row in self.gram.n1_inv))
         object.__setattr__(self, "_dil", tuple(float(e) for e in self.gram.dil))
 
@@ -74,11 +73,6 @@ class ThetaEval:
     w: np.ndarray
     v: float
     sigma: float
-
-
-def synth_for(gram: GramSet, d: float, a0: float | None = None, **kw) -> LinearSynth:
-    """LinearSynth with a0 defaulting to its maximum for the given d."""
-    return LinearSynth(gram=gram, a0=a0 if a0 is not None else a0_max(gram, d), d=d, **kw)
 
 
 def _as_floats(x, k: int) -> list:
@@ -135,7 +129,7 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         w = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, ninv)]
 
     residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, w, xs)))
-    if residual > s.root_tol * max(1.0, 2.0 * s.a0 * th):
+    if residual > ROOT_TOL * max(1.0, 2.0 * s.a0 * th):
         raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
     sigma = w[k - 1]
     return ThetaEval(theta=th, w=np.array(w), v=-0.5 * sigma, sigma=sigma)
@@ -158,9 +152,9 @@ def _theta_root(s: LinearSynth, c: list) -> float:
 
 
 def v_of(s: LinearSynth, x: np.ndarray) -> float:
-    """Feedback value v(x); 0 below the theta_min hold band."""
+    """Feedback value v(x); 0 below the THETA_MIN hold band."""
     ev = theta_of(s, x)
-    if ev.theta < s.theta_min:
+    if ev.theta < THETA_MIN:
         return 0.0
     return ev.v
 

@@ -68,11 +68,11 @@ class IntegratorConfig:
     t_max: float = 100.0
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.dt <= EVENT_TOL:
+        if not self.dt > EVENT_TOL:
             raise ValueError(f"dt must exceed the event width {EVENT_TOL}, got {self.dt}")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ValueError("t_max must be positive")
 
 

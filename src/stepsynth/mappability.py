@@ -4,20 +4,22 @@ Builds the bracket columns q_{k m + j} = ad_a^k b_j at sampled states,
 selects the columns that raise numeric rank at every sample (left to
 right, with deletion of (j, k) propagating to (j, k+s)), and checks the
 first-integral gradient conditions that the block transform must satisfy.
-Jacobians are central finite differences; rank decisions use an SVD
-threshold relative to the largest singular value.
+Fields are plain callables x -> R^n.  Jacobians are central finite
+differences with the step default_step; rank decisions use the SVD
+threshold SVD_TOL relative to the largest singular value, and the
+gradient conditions the tolerance PHI_TOL.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 AD_CAP = 3
-DEFAULT_SVD_TOL = 1e-6
+SVD_TOL = 1e-6  # rank threshold, relative to the largest singular value
+PHI_TOL = 1e-5  # orthogonality tolerance of the gradient conditions
 _EPS_CBRT = float(np.cbrt(np.finfo(float).eps))
 
 
@@ -31,17 +33,6 @@ class RegularityViolation(RuntimeError):
 
 class RankDeficient(RuntimeError):
     """Kept columns span less than the full state dimension at the samples."""
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """A state-dimension and a callable x -> R^dim."""
-
-    dim: int
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
 
 def default_step(x: np.ndarray) -> float:
@@ -68,7 +59,7 @@ def lie_bracket(a: Callable, b: Callable, x: np.ndarray, h: float | None = None)
     return _jacobian(b, x, h) @ np.asarray(a(x), dtype=float) - _jacobian(a, x, h) @ np.asarray(b(x), dtype=float)
 
 
-def ad_pow(a: Callable, b: Callable, k: int, x: np.ndarray, h: float | None = None) -> np.ndarray:
+def ad_pow(a: Callable, b: Callable, k: int, x: np.ndarray) -> np.ndarray:
     """ad_a^k b at x; k = 0 returns b(x).  Raises CapExceeded for k > 3."""
     if k < 0:
         raise ValueError(f"bracket order must be >= 0, got {k}")
@@ -78,8 +69,8 @@ def ad_pow(a: Callable, b: Callable, k: int, x: np.ndarray, h: float | None = No
         return np.asarray(b(np.asarray(x, dtype=float)), dtype=float)
     field = b
     for _ in range(k - 1):
-        field = (lambda g: (lambda y: lie_bracket(a, g, y, h)))(field)
-    return lie_bracket(a, field, x, h)
+        field = (lambda g: (lambda y: lie_bracket(a, g, y)))(field)
+    return lie_bracket(a, field, x)
 
 
 def _first_primes(d: int) -> list:
@@ -113,7 +104,7 @@ def halton_samples(box: Sequence[tuple], count: int = 32) -> np.ndarray:
     box = list(box)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
-    if np.any(hi <= lo):
+    if not np.all(lo < hi):
         raise ValueError("box bounds must satisfy lo < hi in every coordinate")
     bases = _first_primes(len(box))
     pts = np.array([[_radical_inverse(i, b) for b in bases] for i in range(count)], dtype=float)
@@ -134,14 +125,12 @@ class ProbeReport:
     indices: tuple
     rank_history: tuple
     samples: np.ndarray
-    h: float | None
-    svd_tol: float
 
 
-def _raises_rank(basis: list, col: np.ndarray, svd_tol: float) -> bool:
+def _raises_rank(basis: list, col: np.ndarray) -> bool:
     mat = np.column_stack(basis + [col]) if basis else col.reshape(-1, 1)
     sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > svd_tol * sv[0])) if sv[0] > 0 else 0
+    rank = int(np.sum(sv > SVD_TOL * sv[0])) if sv[0] > 0 else 0
     return rank == len(basis) + 1
 
 
@@ -149,8 +138,6 @@ def select_columns(
     a: Callable,
     bs: Sequence[Callable],
     samples: np.ndarray,
-    h: float | None = None,
-    svd_tol: float = DEFAULT_SVD_TOL,
 ) -> ProbeReport:
     """Scan columns b_j, ad_a b_j, ... and keep those independent at every sample.
 
@@ -191,7 +178,7 @@ def select_columns(
             if fld is None:
                 continue
             cols = [np.asarray(fld(x), dtype=float) for x in samples]
-            votes = [_raises_rank(basis, col, svd_tol) for basis, col in zip(bases, cols)]
+            votes = [_raises_rank(basis, col) for basis, col in zip(bases, cols)]
             if all(votes):
                 for basis, col in zip(bases, cols):
                     basis.append(col)
@@ -211,7 +198,7 @@ def select_columns(
             for j in range(m):
                 fld = current[j]
                 if fld is not None:
-                    current[j] = (lambda g: (lambda y: lie_bracket(a, g, y, h)))(fld)
+                    current[j] = (lambda g: (lambda y: lie_bracket(a, g, y)))(fld)
 
     if rank < n:
         raise RankDeficient(f"kept columns span rank {rank} < n = {n}")
@@ -222,8 +209,6 @@ def select_columns(
         indices=tuple(counts),
         rank_history=tuple(rank_hist),
         samples=samples,
-        h=h,
-        svd_tol=svd_tol,
     )
 
 
@@ -232,18 +217,15 @@ def verify_phi_conditions(
     report: ProbeReport,
     a: Callable,
     bs: Sequence[Callable],
-    samples: np.ndarray | None = None,
-    h: float | None = None,
-    tol: float = 1e-5,
 ) -> dict:
-    """Check the transform-gradient conditions at the probe samples.
+    """Check the transform-gradient conditions at the probe's samples.
 
     For block i with index n_i:  (phi_i)_x ad_a^k b_j = 0 for all j and
     k <= min(n_i - 2, n_j - 1), and (phi_i)_x ad_a^(n_i - 1) b_i != 0.
     Returns {(kind, i, j, k): bool} with kind 'orthogonal' or 'nonvanish'
     (j, k = 0 for the latter).
     """
-    samples = report.samples if samples is None else np.atleast_2d(samples)
+    samples = report.samples
     idx = report.indices
     out: dict = {}
     for i, grad_i in enumerate(phi_grads, start=1):
@@ -254,17 +236,17 @@ def verify_phi_conditions(
                 ok = True
                 for x in samples:
                     g = np.asarray(grad_i(x), dtype=float)
-                    col = ad_pow(a, bs[j - 1], k, x, h)
+                    col = ad_pow(a, bs[j - 1], k, x)
                     scale = max(1.0, float(np.linalg.norm(g)) * float(np.linalg.norm(col)))
-                    if abs(float(g @ col)) > tol * scale:
+                    if abs(float(g @ col)) > PHI_TOL * scale:
                         ok = False
                         break
                 out[("orthogonal", i, j, k)] = ok
         ok = True
         for x in samples:
             g = np.asarray(grad_i(x), dtype=float)
-            col = ad_pow(a, bs[i - 1], n_i - 1, x, h)
-            if abs(float(g @ col)) <= report.svd_tol:
+            col = ad_pow(a, bs[i - 1], n_i - 1, x)
+            if abs(float(g @ col)) <= SVD_TOL:
                 ok = False
                 break
         out[("nonvanish", i, 0, 0)] = ok

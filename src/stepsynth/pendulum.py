@@ -41,7 +41,7 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("m1", "m2", "l1", "l2", "g", "eps1p", "eps1m"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         hi = (4.0 / 27.0) * self.l1 ** 2 / self.g ** 2
         if not 0.0 < self.alpha <= hi * (1.0 + 1e-12):

@@ -43,8 +43,9 @@ class Scenario:
     f is the original-chart right side f(x, u) -> dx/dt on tuples; to_z and
     from_z convert states between charts: one state, or the n columns of
     the transpose of a (k, n) array, with the same floats as row by row;
-    blocks/H/policies feed the stepwise driver; analytic_schedule(z0), when
-    set, returns a prefix of the exact step completion times.
+    blocks/H/policies feed the stepwise orchestrator; analytic_schedule(z0)
+    returns a prefix of the exact step completion times, and probe holds the
+    fields of the reducibility probe.
     """
 
     name: str
@@ -55,9 +56,9 @@ class Scenario:
     blocks: BlockPartition
     H: Callable
     policies: tuple
+    analytic_schedule: Callable
+    probe: ProbeFields
     params: dict = field(default_factory=dict)
-    analytic_schedule: Optional[Callable] = None
-    probe: Optional[ProbeFields] = None
 
     @property
     def system(self) -> BlockSystem:
@@ -172,9 +173,9 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
         lams = [float(l) for l in lambdas]
         if len(lams) != n - 1:
             raise ValueError(f"need {n - 1} lambda values, got {len(lams)}")
-        if any(lams[j] <= (lams[j - 1] if j else 0.0) for j in range(len(lams))):
+        if not all(lams[j] > (lams[j - 1] if j else 0.0) for j in range(len(lams))):
             raise ValueError("lambda values must be strictly increasing and positive")
-        if lams[-1] >= 1.0:
+        if not lams[-1] < 1.0:
             raise ValueError("lambda values must stay below the control bound 1")
     if alpha is None:
         alpha = 1.0

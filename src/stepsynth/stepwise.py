@@ -5,7 +5,9 @@ driven by the residual channel H_i(z, u).  Step i drives block i to the
 done band while earlier blocks are pinned by controls that keep their
 channels at zero; the orchestrator runs the steps in order, monitors the
 pinned blocks, and reports per-step times together with Theta bounds where
-the step uses the controllability-function policy.
+the step uses the controllability-function policy.  A policy states every
+control it applies (ThetaSwitch needs u_zero) and reads its block head;
+the hold band is ctrl_fn.THETA_MIN.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .ctrl_fn import LinearSynth, theta_of
+from .ctrl_fn import THETA_MIN, LinearSynth, theta_of
 
 
 class DomainError(RuntimeError):
@@ -114,18 +116,19 @@ SURFACE_TOL = 1e-9  # ThetaSwitch's zero band on sigma, relative to max |w|
 class ThetaSwitch(StepPolicy):
     """Three-branch policy switching on the sign of sigma = b0* N(Theta)^{-1} z^i.
 
-    u_minus acts where sigma > 0, u_plus where sigma < 0, u_zero (or the
-    midpoint fallback) inside the band |sigma| <= SURFACE_TOL * scale.
+    u_minus acts where sigma > 0, u_plus where sigma < 0, u_zero inside
+    the band |sigma| <= SURFACE_TOL * scale and below the THETA_MIN hold
+    band.
     """
 
     synth: LinearSynth
     u_plus: Callable[[tuple], float]
     u_minus: Callable[[tuple], float]
-    u_zero: Callable[[tuple], float] | None = None
+    u_zero: Callable[[tuple], float]
 
     def branch(self, z: tuple, span: tuple) -> int:
         ev = theta_of(self.synth, z[span[0] : span[1]])
-        if ev.theta < self.synth.theta_min:
+        if ev.theta < THETA_MIN:
             return 0
         band = SURFACE_TOL * max(1.0, float(np.max(np.abs(ev.w))))
         if abs(ev.sigma) <= band:
@@ -137,9 +140,7 @@ class ThetaSwitch(StepPolicy):
             return self.u_plus(z)
         if branch < 0:
             return self.u_minus(z)
-        if self.u_zero is not None:
-            return self.u_zero(z)
-        return 0.5 * (self.u_plus(z) + self.u_minus(z))
+        return self.u_zero(z)
 
     def residual(self, z: tuple, span: tuple) -> float:
         return theta_of(self.synth, z[span[0] : span[1]]).sigma
@@ -242,10 +243,9 @@ def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]
 
 @dataclass(frozen=True)
 class ConstSign(StepPolicy):
-    """Constant-level policy u = -level * sign(designated coordinate)."""
+    """Constant-level policy u = -level * sign(block head)."""
 
     level: float
-    coord: int | None = None  # absolute index into z; block start if None
 
     def control(self, branch: int, z: tuple) -> float:
         return -self.level * float(branch == -1) + self.level * float(branch == +1)
@@ -256,10 +256,10 @@ class ConstSign(StepPolicy):
         return lambda s: rhs(s, u)
 
     def residual(self, z: tuple, span: tuple) -> float:
-        return z[span[0] if self.coord is None else self.coord]
+        return z[span[0]]
 
     def residuals(self, Z: np.ndarray, span: tuple) -> list:
-        return Z[:, span[0] if self.coord is None else self.coord].tolist()
+        return Z[:, span[0]].tolist()
 
     def controls(self, branch: int, Z: np.ndarray) -> list:
         return [self.control(branch, ())] * len(Z)
@@ -282,44 +282,18 @@ class BlockSystem:
 
 
 @dataclass
-class StepRecord:
-    i: int
-    t_start: float
-    t_end: float
-    theta_bound: float | None
-    policy: str
-
-
-@dataclass
 class StepwiseRun:
-    steps: list
-    T_total: float
+    """End time and Theta bound (None off a Theta policy) of each step, and
+    the peak drift of each block once it is done."""
+
+    step_times: list
+    theta_bounds: list
     hold_residuals: list
     done_tol: float
 
     @property
-    def step_times(self) -> list:
-        return [s.t_end for s in self.steps]
-
-    @property
-    def theta_bounds(self) -> list:
-        return [s.theta_bound for s in self.steps]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "i": s.i,
-                    "T_start": s.t_start,
-                    "T_end": s.t_end,
-                    "theta_bound": s.theta_bound,
-                    "policy": s.policy,
-                }
-                for s in self.steps
-            ],
-            "T_total": self.T_total,
-            "hold_residuals": list(self.hold_residuals),
-        }
+    def T_total(self) -> float:
+        return self.step_times[-1]
 
 
 DONE_TOL = 1e-8  # default per-block done band
@@ -465,7 +439,7 @@ def orchestrate(
         raise ValueError(f"need {blocks.m} policies, got {len(policies)}")
     if len(start) != blocks.n:
         raise ValueError(f"start must have length {blocks.n}, got {len(start)}")
-    if done_tol <= 0:
+    if not done_tol > 0:
         raise ValueError("done_tol must be positive")
 
     recorder = recorder if recorder is not None else engine.Recorder()
@@ -473,22 +447,21 @@ def orchestrate(
     state = tuple(float(v) for v in start)
 
     t = 0.0
-    steps: list[StepRecord] = []
+    step_times: list[float] = []
+    theta_bounds: list[float | None] = []
     hold_residuals = [0.0] * blocks.m
 
     for i in range(1, blocks.m + 1):
         stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol, hold_residuals)
         result = engine.run_stage(step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder)
-        steps.append(
-            StepRecord(i=i, t_start=t, t_end=result.t_end, theta_bound=stage.theta_bound,
-                       policy=type(stage.policy).__name__)
-        )
+        step_times.append(result.t_end)
+        theta_bounds.append(stage.theta_bound)
         t, state = result.t_end, result.z_end
         a, b = stage.span
         hold_residuals[i - 1] = max(abs(v) for v in stage.z(state)[a:b])
 
     return (
-        StepwiseRun(steps=steps, T_total=t, hold_residuals=hold_residuals, done_tol=done_tol),
+        StepwiseRun(step_times, theta_bounds, hold_residuals, done_tol),
         recorder,
     )
 

@@ -101,13 +101,18 @@ def _dilate(x, s, k):
     return np.array([v * s ** (k - i) for i, v in enumerate(x)])
 
 
+def _unit_synth(g):
+    """The synth for |v| <= 1 at the largest admissible a0."""
+    return ctrl_fn.LinearSynth(gram=g, a0=ctrl_fn.a0_max(g, 1.0), d=1.0)
+
+
 def test_feedback_bound_descent_and_arrival():
     failures = []
     rng = np.random.default_rng(42)
 
     for k in range(1, 6):
         g = gram_n1(k)
-        s = ctrl_fn.synth_for(g, d=1.0)
+        s = _unit_synth(g)
         worst = 0.0
         for _ in range(10_000):
             x = rng.uniform(-1.0, 1.0, size=k) * 10.0 ** rng.uniform(-2.0, 2.0)
@@ -116,7 +121,7 @@ def test_feedback_bound_descent_and_arrival():
 
     for k in range(1, 6):
         g = gram_n1(k)
-        s = ctrl_fn.synth_for(g, d=1.0)
+        s = _unit_synth(g)
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=k)
             ev = ctrl_fn.theta_of(s, x)
@@ -138,7 +143,7 @@ def test_feedback_bound_descent_and_arrival():
     h = 1e-3
     for k in (2, 3):
         g = gram_n1(k)
-        s = ctrl_fn.synth_for(g, d=1.0)
+        s = _unit_synth(g)
         x = np.zeros(k)
         x[0] = 1.0
         theta0 = ctrl_fn.theta_of(s, x).theta

@@ -262,6 +262,56 @@ def test_simulate_malformed_config(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "line, what",
+    [("dt = abc", "--dt"), ("tmax = 1,2", "--tmax"), ("dtt = 1e-3", "dtt"), ("fn = x", "fn")],
+)
+def test_simulate_config_value_errors(capsys, tmp_path, line, what):
+    # each value goes through its flag's type; a key that names no flag is
+    # an error, not a silently ignored line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = intro2d\nx0 = 1,1\n{line}\nout-dir = {tmp_path}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert what in err
+    assert out == "" and not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_config_param_and_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = polyodd:3\nx0 = 0.5,0,0\nparam = alpha=0.9\nout-dir = {tmp_path}\n")
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["params"]["alpha"] == 0.9
+    # an explicit --param replaces the file's list
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--param", "alpha=0.8")
+    assert code == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["params"]["alpha"] == 0.8
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--tmax", "nan", "--delta", "nan"), "t_max"),
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--tmax", "nan"), "t_max"),
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--dt", "nan"), "dt"),
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--delta", "nan"), "done_tol"),
+        (("simulate", "--scenario", "pendulum", "--x0", "1,1,1,1", "--param", "m1=nan"), "m1"),
+        (("simulate", "--scenario", "polyodd:3", "--x0", "1,1,1", "--param", "lambdas=nan;0.5"), "lambda"),
+        (("theta", "--k", "2", "--a0", "1", "--d", "nan", "--x", "1,0"), "control bound"),
+        (("gramian", "--k", "2", "--theta", "nan"), "theta"),
+        (("probe", "--scenario", "intro2d", "--box", "nan,1"), "box"),
+    ],
+)
+def test_nan_settings_exit_1(capsys, tmp_path, argv, what):
+    # checked before any integration starts: nothing is written
+    extra = ("--out-dir", str(tmp_path)) if argv[0] == "simulate" else ()
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 1
+    assert what in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 # --- theta ---
 
 
@@ -339,6 +389,14 @@ def test_probe_config(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "probe", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["samples"] == 24
+    cfg.write_text("scenario = example51\nsamples = 8\n")
+    code, out, _ = run_cli(capsys, "probe", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["samples"] == 8
+    # an explicit flag wins over the file
+    code, out, _ = run_cli(capsys, "probe", "--config", str(cfg), "--samples", "16")
+    assert code == 0
+    assert json.loads(out)["samples"] == 16
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

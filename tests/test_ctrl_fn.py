@@ -20,14 +20,19 @@ from stepsynth import (
     closed_loop_rhs,
     gram_n1,
     gram_theta_inv,
-    synth_for,
     theta_of,
     v_of,
 )
+from stepsynth.ctrl_fn import ROOT_TOL, THETA_MIN
 
 G1 = gram_n1(1)
 G2 = gram_n1(2)
 G3 = gram_n1(3)
+
+
+def synth_for(gram, d: float) -> LinearSynth:
+    """The synth at the largest admissible a0 for the bound d."""
+    return LinearSynth(gram=gram, a0=a0_max(gram, d), d=d)
 
 
 def bisect_theta(s: LinearSynth, x, lo=1e-12, hi=1e12, iters=200) -> float:
@@ -78,12 +83,6 @@ def test_synth_validation():
         LinearSynth(gram=G2, a0=0.0, d=1.0)
     with pytest.raises(ValueError):
         LinearSynth(gram=G2, a0=0.4, d=1.0)  # cap is 1/3 for k=2, d=1
-    with pytest.raises(ValueError):
-        LinearSynth(gram=G2, a0=0.1, d=1.0, theta_min=0.0)
-    with pytest.raises(ValueError):
-        LinearSynth(gram=G2, a0=0.1, d=1.0, root_tol=-1e-12)
-    s = synth_for(G2, d=1.0)
-    assert s.a0 == pytest.approx(a0_max(G2, 1.0), rel=1e-15)
 
 
 # --- theta_of hand values ---
@@ -177,7 +176,7 @@ def test_theta_residual_contract():
     x = np.array([0.4, -1.1, 2.3])
     ev = theta_of(s, x)
     resid = abs(2 * s.a0 * ev.theta - float(ev.w @ x))
-    assert resid <= s.root_tol * max(1.0, 2 * s.a0 * ev.theta)
+    assert resid <= ROOT_TOL * max(1.0, 2 * s.a0 * ev.theta)
 
 
 def test_theta_input_validation():
@@ -255,7 +254,7 @@ def test_theta_decay_rate_is_minus_one():
     for _ in range(600):
         x = rk4(lambda y: closed_loop_rhs(s, y), x, h)
         cur = theta_of(s, x).theta
-        if cur <= 0.05 * prev or cur <= 10 * s.theta_min:
+        if cur <= 0.05 * prev or cur <= 10 * THETA_MIN:
             break
         slope = (cur - prev) / h
         assert slope == pytest.approx(-1.0, abs=1e-3)
@@ -280,7 +279,7 @@ def test_time_to_origin_equals_theta(k):
 
 
 def test_closed_loop_rhs_values():
-    s2 = synth_for(G2, d=math.sqrt(3.0), a0=1.0)
+    s2 = LinearSynth(gram=G2, a0=1.0, d=math.sqrt(3.0))
     assert np.array_equal(closed_loop_rhs(s2, [0.0, 0.0]), [0.0, 0.0])
     out = closed_loop_rhs(s2, [1.0, 0.0])
     assert out[0] == 0.0
@@ -292,9 +291,10 @@ def test_closed_loop_rhs_values():
 
 
 def test_v_of_hold_band():
-    s = synth_for(G2, d=1.0, theta_min=1e-3)
-    x = 1e-9 * np.array([1.0, 1.0])
-    assert theta_of(s, x).theta < 1e-3
+    s = synth_for(G2, d=1.0)
+    x = 1e-20 * np.array([1.0, 1.0])
+    assert 0.0 < theta_of(s, x).theta < THETA_MIN
+    assert theta_of(s, x).v != 0.0
     assert v_of(s, x) == 0.0
 
 

@@ -7,7 +7,6 @@ from stepsynth import (
     CapExceeded,
     RankDeficient,
     RegularityViolation,
-    VectorField,
     ad_pow,
     halton_samples,
     lie_bracket,
@@ -19,7 +18,7 @@ from stepsynth import example51, get_scenario, pendulum
 
 def const(vec):
     v = np.asarray(vec, dtype=float)
-    return VectorField(dim=len(v), fn=lambda x: v)
+    return lambda x: v
 
 
 # --- lie_bracket ---
@@ -33,14 +32,14 @@ def test_bracket_with_zero_drift_of_constant_is_zero():
 
 
 def test_bracket_shift_field():
-    a = VectorField(dim=2, fn=lambda x: np.array([x[1], 0.0]))
+    a = lambda x: np.array([x[1], 0.0])
     b = const([0.0, 1.0])
     out = lie_bracket(a, b, [2.0, 5.0])
     assert out == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
 def test_bracket_four_dim_double_shift():
-    a = VectorField(dim=4, fn=lambda x: np.array([x[1], 0.0, x[3], 0.0]))
+    a = lambda x: np.array([x[1], 0.0, x[3], 0.0])
     b1 = const([0.0, 1.0, 0.0, 0.0])
     b2 = const([0.0, 0.0, 0.0, 1.0])
     assert lie_bracket(a, b1, [0.1, 0.2, 0.3, 0.4]) == pytest.approx([-1.0, 0, 0, 0], abs=1e-9)
@@ -48,8 +47,8 @@ def test_bracket_four_dim_double_shift():
 
 
 def test_bracket_polynomial_hand_value():
-    a = VectorField(dim=2, fn=lambda x: np.array([x[0] ** 2, x[0] * x[1]]))
-    b = VectorField(dim=2, fn=lambda x: np.array([x[1] ** 2, x[0]]))
+    a = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
+    b = lambda x: np.array([x[1] ** 2, x[0]])
     out = lie_bracket(a, b, [1.3, 0.7], h=1e-5)
     # Jb a - Ja b = (1.274, 1.69) - (1.274, 2.033)
     assert out == pytest.approx([0.0, -0.343], abs=1e-8)
@@ -58,8 +57,8 @@ def test_bracket_polynomial_hand_value():
 def test_bracket_second_order_convergence():
     # cubic fields have a nonvanishing third derivative, so the central
     # difference error scales as h^2
-    a = VectorField(dim=2, fn=lambda x: np.array([x[1] ** 3, 0.0]))
-    b = VectorField(dim=2, fn=lambda x: np.array([0.0, x[0] ** 3]))
+    a = lambda x: np.array([x[1] ** 3, 0.0])
+    b = lambda x: np.array([0.0, x[0] ** 3])
     x = np.array([1.2, 0.8])
     exact = np.array([-3 * x[1] ** 2 * x[0] ** 3, 3 * x[0] ** 2 * x[1] ** 3])
     e1 = np.max(np.abs(lie_bracket(a, b, x, h=2e-2) - exact))
@@ -72,12 +71,12 @@ def test_bracket_second_order_convergence():
 
 
 def test_ad_pow_zero_is_field_value():
-    b = VectorField(dim=2, fn=lambda x: np.array([x[0], 2.0]))
+    b = lambda x: np.array([x[0], 2.0])
     assert np.array_equal(ad_pow(None, b, 0, [3.0, 1.0]), [3.0, 2.0])
 
 
 def test_ad_pow_chain():
-    a = VectorField(dim=3, fn=lambda x: np.array([x[1], x[2], 0.0]))
+    a = lambda x: np.array([x[1], x[2], 0.0])
     b = const([0.0, 0.0, 1.0])
     x = np.array([0.4, -0.2, 0.9])
     assert ad_pow(a, b, 1, x) == pytest.approx([0.0, -1.0, 0.0], abs=1e-8)
@@ -138,7 +137,7 @@ def test_select_constant_single_field():
 
 
 def test_select_chain_three():
-    a = VectorField(dim=3, fn=lambda x: np.array([x[1], x[2], 0.0]))
+    a = lambda x: np.array([x[1], x[2], 0.0])
     b = const([0.0, 0.0, 1.0])
     samples = halton_samples(((-1, 1),) * 3, 8)
     report = select_columns(a, [b], samples)
@@ -199,7 +198,7 @@ def test_select_permutation_invariant():
 def test_select_regularity_violation():
     a = const([0.0, 0.0])
     b1 = const([1.0, 0.0])
-    b2 = VectorField(dim=2, fn=lambda x: np.array([0.0, x[0]]))
+    b2 = lambda x: np.array([0.0, x[0]])
     # b2 vanishes at the first sample but not the second
     with pytest.raises(RegularityViolation):
         select_columns(a, [b1, b2], [[0.0, 0.0], [1.0, 0.0]])
@@ -213,7 +212,7 @@ def test_select_rank_deficient():
 
 def test_select_cap_exceeded():
     # a 5-chain from a single input needs bracket order 4, above the cap
-    a = VectorField(dim=5, fn=lambda x: np.array([x[1], x[2], x[3], x[4], 0.0]))
+    a = lambda x: np.array([x[1], x[2], x[3], x[4], 0.0])
     b = const([0.0, 0.0, 0.0, 0.0, 1.0])
     samples = halton_samples(((-1, 1),) * 5, 4)
     with pytest.raises(CapExceeded):

@@ -14,6 +14,7 @@ import pytest
 from stepsynth import (
     IntegratorConfig,
     NonFinite,
+    PendulumParams,
     Timeout,
     Trajectory,
     default_projections,
@@ -24,6 +25,7 @@ from stepsynth import (
     simulate,
     stepwise,
 )
+from stepsynth import chain_gramian, ctrl_fn, mappability
 
 CFG = IntegratorConfig(dt=1e-3, t_max=50.0)
 
@@ -256,6 +258,39 @@ def test_simulate_validation():
         simulate(scn, (1.0, 1.0), CFG, chart="y")
     with pytest.raises(ValueError):
         simulate(scn, (1.0, 1.0), CFG, x0_chart="w")
+
+
+NAN = float("nan")
+G2 = chain_gramian.gram_n1(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: IntegratorConfig(dt=NAN), id="dt"),
+        pytest.param(lambda: IntegratorConfig(t_max=NAN), id="t_max"),
+        pytest.param(
+            lambda: simulate(get_scenario("intro2d"), (1.0, 1.0), CFG, delta=NAN), id="delta"
+        ),
+        pytest.param(lambda: ctrl_fn.a0_max(G2, NAN), id="a0_max-d"),
+        pytest.param(lambda: ctrl_fn.LinearSynth(gram=G2, a0=NAN, d=1.0), id="synth-a0"),
+        pytest.param(lambda: ctrl_fn.LinearSynth(gram=G2, a0=0.1, d=NAN), id="synth-d"),
+        pytest.param(lambda: chain_gramian.gram_theta(G2, NAN), id="gram_theta"),
+        pytest.param(lambda: chain_gramian.gram_theta_inv(G2, NAN), id="gram_theta_inv"),
+        pytest.param(lambda: chain_gramian.dilation_matrix(G2, NAN), id="dilation_matrix"),
+        pytest.param(lambda: chain_gramian.gram_hat(G2, NAN), id="gram_hat"),
+        pytest.param(lambda: chain_gramian.gram_tilde(G2, NAN), id="gram_tilde"),
+        pytest.param(lambda: mappability.halton_samples(((NAN, 1.0),), 8), id="box-lo"),
+        pytest.param(lambda: mappability.halton_samples(((-1.0, NAN),), 8), id="box-hi"),
+        pytest.param(lambda: PendulumParams(m1=NAN), id="pendulum-m1"),
+        pytest.param(lambda: get_scenario("polyodd:3", lambdas=[NAN, 0.5]), id="polyodd-lambda1"),
+        pytest.param(lambda: get_scenario("polyodd:3", lambdas=[0.3, NAN]), id="polyodd-lambda2"),
+    ],
+)
+def test_nan_settings_are_rejected(call):
+    # each check is written so that a NaN fails it, before any integration
+    with pytest.raises(ValueError):
+        call()
 
 
 # --- summary serialization ---

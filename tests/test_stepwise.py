@@ -37,6 +37,7 @@ from stepsynth import (
     theta_of,
 )
 from stepsynth import stepwise
+from stepsynth.ctrl_fn import THETA_MIN
 from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS, Rows
 from stepsynth.stepwise import StepPolicy
 
@@ -102,21 +103,14 @@ def test_theta_switch_branches():
     # sigma has the sign of the coordinate for a scalar block
     assert eval_control(pol, (0.8,), b, 1) == -7.0
     assert eval_control(pol, (-0.8,), b, 1) == 7.0
-    # inside the theta_min hold band the zero branch applies
+    # inside the THETA_MIN hold band the zero branch applies
     assert eval_control(pol, (1e-12,), b, 1) == 0.25
-
-
-def test_theta_switch_midpoint_fallback():
-    b = BlockPartition(sizes=(1,))
-    s = LinearSynth(gram=G1, a0=1.0, d=1.0)
-    pol = ThetaSwitch(synth=s, u_plus=lambda z: 3.0, u_minus=lambda z: -1.0)
-    assert eval_control(pol, (0.0,), b, 1) == 1.0  # midpoint of 3 and -1
 
 
 def test_theta_switch_dimension_mismatch():
     b = BlockPartition(sizes=(2,))
     s = LinearSynth(gram=G1, a0=1.0, d=1.0)  # k=1 synth on a 2-block
-    pol = ThetaSwitch(synth=s, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
+    pol = ThetaSwitch(synth=s, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0, u_zero=lambda z: 0.0)
     with pytest.raises((ValueError, DomainError)):
         eval_control(pol, (1.0, 0.0), b, 1)
 
@@ -141,8 +135,6 @@ def test_const_sign_branches():
     pol2 = ConstSign(level=math.pi)
     assert eval_control(pol2, (0.0, -2.0), b, 2) == math.pi
     assert eval_control(pol2, (0.0, 0.0), b, 2) == 0.0
-    pol_abs = ConstSign(level=2.0, coord=0)
-    assert eval_control(pol_abs, (-1.0, 9.0), b, 2) == 2.0
 
 
 def test_eval_control_wraps_callback_errors():
@@ -152,7 +144,7 @@ def test_eval_control_wraps_callback_errors():
     def bad(z):
         raise ValueError("outside the admissible set")
 
-    pol = ThetaSwitch(synth=s, u_plus=bad, u_minus=bad)
+    pol = ThetaSwitch(synth=s, u_plus=bad, u_minus=bad, u_zero=bad)
     with pytest.raises(DomainError):
         eval_control(pol, (1.0,), b, 1)
 
@@ -226,9 +218,9 @@ def test_orchestrate_two_scalar_blocks():
 
     # per-step time never exceeds its theta bound (1% slack)
     t_prev = 0.0
-    for rec_step, bound in zip(run.steps, run.theta_bounds):
-        assert rec_step.t_end - t_prev <= bound * 1.01
-        t_prev = rec_step.t_end
+    for t_end, bound in zip(run.step_times, run.theta_bounds):
+        assert t_end - t_prev <= bound * 1.01
+        t_prev = t_end
 
     assert all(r <= 10 * run.done_tol for r in run.hold_residuals)
     final = rec.states[-1]
@@ -266,7 +258,7 @@ def test_theta_descent_along_step():
         if t > t1 - 1e-6:
             break
         th = theta_of(s1, [z[0]]).theta
-        if prev is not None and th > 10 * s1.theta_min:
+        if prev is not None and th > 10 * THETA_MIN:
             slope = (th - prev[1]) / (t - prev[0])
             assert slope <= -1.0 + 1e-2
         prev = (t, th)
@@ -277,7 +269,7 @@ def test_step_timeout_on_bad_policy():
     system = BlockSystem(blocks=blocks, H=lambda z, u: (u,))
     s = LinearSynth(gram=G1, a0=1.0, d=1.0)
     # inverted signs: the control pushes away from the origin
-    bad = ThetaSwitch(synth=s, u_plus=lambda z: -1.0, u_minus=lambda z: 1.0)
+    bad = ThetaSwitch(synth=s, u_plus=lambda z: -1.0, u_minus=lambda z: 1.0, u_zero=lambda z: 0.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=50.0)
     with pytest.raises(StepTimeout):
         orchestrate(system, (1.0,), [bad], cfg)
@@ -290,7 +282,7 @@ def test_hold_violation_detected():
     system = BlockSystem(blocks=blocks, H=lambda z, u: (u, u))
     s = LinearSynth(gram=G1, a0=1.0, d=1.0)
     pol1 = ThetaSwitch(synth=s, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0, u_zero=lambda z: 0.0)
-    pol2 = ConstSign(level=1.0, coord=1)
+    pol2 = ConstSign(level=1.0)
     cfg = IntegratorConfig(dt=1e-3, t_max=10.0)
     with pytest.raises(HoldViolation):
         orchestrate(system, (0.5, 0.8), [pol1, pol2], cfg)
@@ -352,19 +344,6 @@ def test_orchestrate_deterministic():
     assert rec1.times == rec2.times
     assert rec1.states.tolist() == rec2.states.tolist()
     assert rec1.controls == rec2.controls
-
-
-def test_run_json_shape():
-    system, policies = two_scalar_fixture()
-    cfg = IntegratorConfig(dt=1e-3, t_max=10.0)
-    run, _ = orchestrate(system, (1.0, 1.0), policies, cfg)
-    d = run.to_json_dict()
-    assert set(d) == {"steps", "T_total", "hold_residuals"}
-    assert [s["i"] for s in d["steps"]] == [1, 2]
-    for s in d["steps"]:
-        assert set(s) == {"i", "T_start", "T_end", "theta_bound", "policy"}
-        assert s["policy"] == "ThetaSwitch"
-    assert d["T_total"] == run.T_total
 
 
 def test_audit_theta_switch():
