@@ -3,23 +3,16 @@
 from .chain_gramian import (
     GramianConditionError,
     GramSet,
-    chain_matrices,
-    dilation_matrix,
-    expm_chain_b,
-    gram_hat,
     gram_n1,
     gram_theta,
     gram_theta_inv,
-    gram_tilde,
 )
 from .ctrl_fn import (
     LinearSynth,
     NonConvergence,
     ThetaEval,
     a0_max,
-    closed_loop_rhs,
     theta_of,
-    v_of,
 )
 from .cubic import extreme_root, real_roots
 from .engine import (
@@ -37,7 +30,6 @@ from .mappability import (
     ProbeReport,
     RankDeficient,
     RegularityViolation,
-    ad_pow,
     halton_samples,
     lie_bracket,
     select_columns,
@@ -49,7 +41,6 @@ from .pendulum import (
     pendulum,
     pendulum_H,
     pendulum_T1_analytic,
-    pendulum_energy,
     pendulum_u1pm,
     pendulum_u2pm,
     pendulum_w1,
@@ -80,14 +71,12 @@ from .stepwise import (
     BlockSystem,
     ConstSign,
     CurveSwitch,
-    DomainError,
     HoldViolation,
     StepTimeout,
     StepwiseRun,
     ThetaSwitch,
     arrival_curve,
     audit_theta_switch,
-    eval_control,
     orchestrate,
     step_done,
 )

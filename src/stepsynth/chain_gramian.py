@@ -56,25 +56,6 @@ class GramSet:
     n1_inv_exact: tuple
 
 
-def chain_matrices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (A0, b0) for the k-chain: upshift matrix and last basis vector."""
-    _check_k(k)
-    a0 = np.diag(np.ones(k - 1), 1) if k > 1 else np.zeros((1, 1))
-    b0 = np.zeros(k)
-    b0[k - 1] = 1.0
-    return a0, b0
-
-
-def expm_chain_b(k: int, t: float) -> np.ndarray:
-    """e^{-A0 t} b0 componentwise: entry i is (-t)^(k-i)/(k-i)! (1-based i)."""
-    _check_k(k)
-    out = np.empty(k)
-    for i in range(1, k + 1):
-        p = k - i
-        out[i - 1] = (-t) ** p / math.factorial(p)
-    return out
-
-
 def _n1_fractions(k: int) -> list[list[Fraction]]:
     rows = []
     for i in range(1, k + 1):
@@ -139,6 +120,8 @@ def gram_n1(k: int) -> GramSet:
 
 
 def _power_scale(g: GramSet, theta: float, base: np.ndarray, sign: int) -> np.ndarray:
+    if not (theta > 0 and math.isfinite(theta)):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     k = g.k
     out = np.empty((k, k))
     for i in range(1, k + 1):
@@ -149,56 +132,9 @@ def _power_scale(g: GramSet, theta: float, base: np.ndarray, sign: int) -> np.nd
 
 def gram_theta(g: GramSet, theta: float) -> np.ndarray:
     """N(Theta): entry (i,j) is Theta^(2k-i-j+1) N(1)[i][j]."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
     return _power_scale(g, theta, g.n1, +1)
 
 
 def gram_theta_inv(g: GramSet, theta: float) -> np.ndarray:
     """N(Theta)^{-1}: entry (i,j) is Theta^{-(2k-i-j+1)} N(1)^{-1}[i][j]."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
     return _power_scale(g, theta, g.n1_inv, -1)
-
-
-def dilation_matrix(g: GramSet, theta: float) -> np.ndarray:
-    """D(Theta) = diag(Theta^{-(2k-2j+1)/2}); satisfies D N(Theta) D = N(1)."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return np.diag(theta ** (-g.dil))
-
-
-def gram_hat(g: GramSet, theta: float) -> np.ndarray:
-    """N^(Theta) from the Lyapunov identity A0 N + N A0* = b0 b0* - N^(Theta).
-
-    Entry (i,j) is (-1)^(p+q) Theta^(p+q) / (p! q! (p+q+1)) with p=k-i, q=k-j.
-    """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    k = g.k
-    out = np.empty((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            p, q = k - i, k - j
-            out[i - 1][j - 1] = (
-                (-1) ** (p + q) * theta ** (p + q) / (math.factorial(p) * math.factorial(q) * (p + q + 1))
-            )
-    return out
-
-
-def gram_tilde(g: GramSet, theta: float) -> np.ndarray:
-    """N~(Theta); satisfies Theta (N^ - N~) = N(Theta).
-
-    Entry (i,j) is (-1)^(p+q) Theta^(p+q) / (p! q! (p+q+2)).
-    """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    k = g.k
-    out = np.empty((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            p, q = k - i, k - j
-            out[i - 1][j - 1] = (
-                (-1) ** (p + q) * theta ** (p + q) / (math.factorial(p) * math.factorial(q) * (p + q + 2))
-            )
-    return out

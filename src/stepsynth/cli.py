@@ -2,10 +2,13 @@
 
 Subcommands: simulate, theta, gramian, probe, list-scenarios.  Exit codes:
 0 success, 1 validation/usage error, 2 runtime failure (non-convergence,
-hold violation, arithmetic overflow, I/O).  A flat `key = value` config
-file can preload any flag of its command: its values go through the
-flag's own type, a key that names no flag is an error, and explicit flags
-win.  A value that neither sets is left to the library's default.
+hold violation, arithmetic overflow, I/O, or a Phi-gradient condition that
+probe finds false, after the report is printed).  theta, gramian and
+probe print strict JSON on exit 0: a value that is not finite is refused
+with exit 1 rather than printed.  A flat `key = value` config file can
+preload any flag of its command: its values go through the flag's own
+type, a key that names no flag is an error, and explicit flags win.  A
+value that neither sets is left to the library's default.
 """
 
 from __future__ import annotations
@@ -143,6 +146,8 @@ def _cmd_theta(args) -> int:
         raise ValueError(f"--x must have {args.k} entries, got {len(x)}")
     q = gram.n1_inv[args.k - 1][args.k - 1]
     d = args.d if args.d is not None else math.sqrt(args.a0 * q / 2.0)
+    if not math.isfinite(d):
+        raise ValueError(f"--d, the control bound, must be finite, got {d}")
     synth = ctrl_fn.LinearSynth(gram=gram, a0=args.a0, d=d)
     ev = ctrl_fn.theta_of(synth, x)
     print(
@@ -157,6 +162,7 @@ def _cmd_theta(args) -> int:
                 "sigma": float(ev.sigma),
             },
             indent=2,
+            allow_nan=False,
         )
     )
     return 0
@@ -173,7 +179,7 @@ def _cmd_gramian(args) -> int:
     if args.theta is not None:
         out["theta"] = args.theta
         out["n_theta"] = as_lists(chain_gramian.gram_theta(gram, args.theta))
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
@@ -198,6 +204,7 @@ def _cmd_probe(args) -> int:
     box = _parse_box(args.box, scn.n) if args.box is not None else scn.probe.box
     samples = mappability.halton_samples(box, **_given(args, count="samples"))
     report = mappability.select_columns(scn.probe.a, scn.probe.bs, samples)
+    conditions = mappability.verify_phi_conditions(scn.probe.phi_grads, report)
     print(
         json.dumps(
             {
@@ -207,10 +214,19 @@ def _cmd_probe(args) -> int:
                 "rank_history": list(report.rank_history),
                 "samples": int(samples.shape[0]),
                 "svd_tol": mappability.SVD_TOL,
+                "phi_conditions": [
+                    {"kind": kind, "block": i, "field": j, "order": k, "ok": ok}
+                    for (kind, i, j, k), ok in conditions.items()
+                ],
             },
             indent=2,
+            allow_nan=False,
         )
     )
+    failed = [key for key, ok in conditions.items() if not ok]
+    if failed:
+        print(f"runtime error: Phi-gradient conditions fail: {failed}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -149,20 +149,3 @@ def _theta_root(s: LinearSynth, c: list) -> float:
             lo, hi = (0.5 * th, th) if up else (th, 2.0 * th)
             return bracket_root(F, lo, hi, xtol=1e-14 * hi)
     raise NonConvergence("bracket for theta did not close")
-
-
-def v_of(s: LinearSynth, x: np.ndarray) -> float:
-    """Feedback value v(x); 0 below the THETA_MIN hold band."""
-    ev = theta_of(s, x)
-    if ev.theta < THETA_MIN:
-        return 0.0
-    return ev.v
-
-
-def closed_loop_rhs(s: LinearSynth, x: np.ndarray) -> np.ndarray:
-    """Right-hand side of the closed chain: (x_2, ..., x_k, v(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(s.gram.k)
-    out[:-1] = x[1:]
-    out[-1] = v_of(s, x)
-    return out

@@ -3,7 +3,9 @@
 Builds the bracket columns q_{k m + j} = ad_a^k b_j at sampled states,
 selects the columns that raise numeric rank at every sample (left to
 right, with deletion of (j, k) propagating to (j, k+s)), and checks the
-first-integral gradient conditions that the block transform must satisfy.
+Phi-gradient conditions that the block transform must satisfy on the
+columns the selection kept, so every bracket is built once.  `stepsynth
+probe` runs both and prints the conditions as phi_conditions.
 Fields are plain callables x -> R^n.  Jacobians are central finite
 differences with the step default_step; rank decisions use the SVD
 threshold SVD_TOL relative to the largest singular value, and the
@@ -59,20 +61,6 @@ def lie_bracket(a: Callable, b: Callable, x: np.ndarray, h: float | None = None)
     return _jacobian(b, x, h) @ np.asarray(a(x), dtype=float) - _jacobian(a, x, h) @ np.asarray(b(x), dtype=float)
 
 
-def ad_pow(a: Callable, b: Callable, k: int, x: np.ndarray) -> np.ndarray:
-    """ad_a^k b at x; k = 0 returns b(x).  Raises CapExceeded for k > 3."""
-    if k < 0:
-        raise ValueError(f"bracket order must be >= 0, got {k}")
-    if k > AD_CAP:
-        raise CapExceeded(f"bracket order {k} exceeds the cap {AD_CAP}")
-    if k == 0:
-        return np.asarray(b(np.asarray(x, dtype=float)), dtype=float)
-    field = b
-    for _ in range(k - 1):
-        field = (lambda g: (lambda y: lie_bracket(a, g, y)))(field)
-    return lie_bracket(a, field, x)
-
-
 def _first_primes(d: int) -> list:
     primes: list = []
     n = 2
@@ -104,6 +92,8 @@ def halton_samples(box: Sequence[tuple], count: int = 32) -> np.ndarray:
     box = list(box)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box bounds must be finite in every coordinate")
     if not np.all(lo < hi):
         raise ValueError("box bounds must satisfy lo < hi in every coordinate")
     bases = _first_primes(len(box))
@@ -118,13 +108,15 @@ class ProbeReport:
     kept: (field j, order k) pairs that raised rank at every sample,
     1-based fields, field-major order.  indices: per-field kept counts
     (n_1, ..., n_m).  rank_history: rank after each scanned column (shared
-    across samples by the regularity check).
+    across samples by the regularity check).  columns: (j, k) -> the
+    (samples, n) array of ad_a^k b_j at the samples, for each kept pair.
     """
 
     kept: tuple
     indices: tuple
     rank_history: tuple
     samples: np.ndarray
+    columns: dict
 
 
 def _raises_rank(basis: list, col: np.ndarray) -> bool:
@@ -158,6 +150,7 @@ def select_columns(
     bases: list[list] = [[] for _ in samples]
     current: list[Callable | None] = list(bs)  # ad_a^k b_j as callables, None once deleted
     kept: list[tuple] = []
+    columns: dict = {}
     counts = [0] * m
     rank_hist: list[int] = []
     rank = 0
@@ -183,6 +176,7 @@ def select_columns(
                 for basis, col in zip(bases, cols):
                     basis.append(col)
                 kept.append((j + 1, k))
+                columns[(j + 1, k)] = np.array(cols)
                 counts[j] += 1
                 rank += 1
             elif not any(votes):
@@ -209,45 +203,37 @@ def select_columns(
         indices=tuple(counts),
         rank_history=tuple(rank_hist),
         samples=samples,
+        columns=columns,
     )
 
 
-def verify_phi_conditions(
-    phi_grads: Sequence[Callable],
-    report: ProbeReport,
-    a: Callable,
-    bs: Sequence[Callable],
-) -> dict:
-    """Check the transform-gradient conditions at the probe's samples.
+def verify_phi_conditions(phi_grads: Sequence[Callable], report: ProbeReport) -> dict:
+    """Check the transform-gradient conditions on the probe's kept columns.
 
     For block i with index n_i:  (phi_i)_x ad_a^k b_j = 0 for all j and
-    k <= min(n_i - 2, n_j - 1), and (phi_i)_x ad_a^(n_i - 1) b_i != 0.
+    k <= min(n_i - 2, n_j - 1), and (phi_i)_x ad_a^(n_i - 1) b_i != 0, at
+    every sample.  Every column these read is one that select_columns kept,
+    so report.columns holds it; each gradient is evaluated once per sample.
     Returns {(kind, i, j, k): bool} with kind 'orthogonal' or 'nonvanish'
-    (j, k = 0 for the latter).
+    (j, k = 0 for the latter).  Raises ValueError for a block whose field
+    kept no column.
     """
-    samples = report.samples
     idx = report.indices
+    cols = report.columns
     out: dict = {}
     for i, grad_i in enumerate(phi_grads, start=1):
         n_i = idx[i - 1]
-        for j in range(1, len(bs) + 1):
-            n_j = idx[j - 1]
-            for k in range(0, min(n_i - 2, n_j - 1) + 1):
-                ok = True
-                for x in samples:
-                    g = np.asarray(grad_i(x), dtype=float)
-                    col = ad_pow(a, bs[j - 1], k, x)
-                    scale = max(1.0, float(np.linalg.norm(g)) * float(np.linalg.norm(col)))
-                    if abs(float(g @ col)) > PHI_TOL * scale:
-                        ok = False
-                        break
-                out[("orthogonal", i, j, k)] = ok
-        ok = True
-        for x in samples:
-            g = np.asarray(grad_i(x), dtype=float)
-            col = ad_pow(a, bs[i - 1], n_i - 1, x)
-            if abs(float(g @ col)) <= SVD_TOL:
-                ok = False
-                break
-        out[("nonvanish", i, 0, 0)] = ok
+        if n_i < 1:
+            raise ValueError(f"field {i} kept no column, so block {i} has no Phi-gradient conditions")
+        grads = [np.asarray(grad_i(x), dtype=float) for x in report.samples]
+        norms = [float(np.linalg.norm(g)) for g in grads]
+        for j in range(1, len(idx) + 1):
+            for k in range(0, min(n_i - 2, idx[j - 1] - 1) + 1):
+                out[("orthogonal", i, j, k)] = all(
+                    abs(float(g @ col)) <= PHI_TOL * max(1.0, gn * float(np.linalg.norm(col)))
+                    for g, gn, col in zip(grads, norms, cols[(j, k)])
+                )
+        out[("nonvanish", i, 0, 0)] = all(
+            abs(float(g @ col)) > SVD_TOL for g, col in zip(grads, cols[(i, n_i - 1)])
+        )
     return out

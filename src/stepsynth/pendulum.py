@@ -244,7 +244,6 @@ def pendulum(params: PendulumParams | None = None) -> Scenario:
     )
     return Scenario(
         name="pendulum",
-        n=4,
         f=f,
         to_z=to_z,
         from_z=from_z,
@@ -254,16 +253,4 @@ def pendulum(params: PendulumParams | None = None) -> Scenario:
         params=asdict(p),
         analytic_schedule=schedule,
         probe=probe,
-    )
-
-
-def pendulum_energy(p: PendulumParams, x) -> float:
-    """Total mechanical energy of the uncontrolled pendulum (u = 0 check)."""
-    x1, x2, x3, x4 = x
-    return (
-        0.5 * (p.m1 + p.m2) * p.l1 ** 2 * x2 * x2
-        + 0.5 * p.m2 * p.l2 ** 2 * x4 * x4
-        + p.m2 * p.l1 * p.l2 * x2 * x4 * math.cos(x1 - x3)
-        - (p.m1 + p.m2) * p.g * p.l1 * math.cos(x1)
-        - p.m2 * p.g * p.l2 * math.cos(x3)
     )

@@ -49,7 +49,6 @@ class Scenario:
     """
 
     name: str
-    n: int
     f: Callable
     to_z: Callable
     from_z: Callable
@@ -59,6 +58,11 @@ class Scenario:
     analytic_schedule: Callable
     probe: ProbeFields
     params: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        """State dimension: the total size of the blocks."""
+        return self.blocks.n
 
     @property
     def system(self) -> BlockSystem:
@@ -101,7 +105,6 @@ def intro2d() -> Scenario:
     )
     return Scenario(
         name="intro2d",
-        n=2,
         f=f,
         to_z=ident,
         from_z=ident,
@@ -257,7 +260,6 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
     )
     return Scenario(
         name=f"polyodd:{n}",
-        n=n,
         f=f,
         to_z=to_z,
         from_z=from_z,
@@ -406,7 +408,6 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
     )
     return Scenario(
         name="example51",
-        n=3,
         f=f,
         to_z=to_z,
         from_z=from_z,

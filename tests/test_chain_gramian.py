@@ -15,16 +15,13 @@ from scipy.linalg import expm
 
 from stepsynth import (
     GramianConditionError,
-    chain_matrices,
-    dilation_matrix,
-    expm_chain_b,
-    gram_hat,
     gram_n1,
     gram_theta,
     gram_theta_inv,
-    gram_tilde,
 )
 from stepsynth.chain_gramian import _invert_fractions
+
+from paper_oracles import chain_matrices, dilation_matrix, expm_chain_b, gram_hat, gram_tilde
 
 
 def quad_gram(k: int, theta: float, with_weight: bool = True) -> np.ndarray:
@@ -226,6 +223,13 @@ def test_theta_must_be_positive(fn):
         fn(g, 0.0)
     with pytest.raises(ValueError):
         fn(g, -1.0)
+
+
+@pytest.mark.parametrize("fn", [gram_theta, gram_theta_inv])
+def test_theta_must_be_finite(fn):
+    # Theta^-p would read 0 and Theta^p inf: neither is a Gramian
+    with pytest.raises(ValueError, match="finite"):
+        fn(gram_n1(2), math.inf)
 
 
 def test_singular_inversion_raises():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from stepsynth import chain_gramian, scenarios
@@ -14,6 +15,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # --- exit codes ---
@@ -301,6 +311,11 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         (("theta", "--k", "2", "--a0", "1", "--d", "nan", "--x", "1,0"), "control bound"),
         (("gramian", "--k", "2", "--theta", "nan"), "theta"),
         (("probe", "--scenario", "intro2d", "--box", "nan,1"), "box"),
+        # an infinite value where it has no meaning would print a token
+        # that is not JSON
+        (("gramian", "--k", "2", "--theta", "inf"), "theta"),
+        (("theta", "--k", "1", "--a0", "1", "--d", "inf", "--x", "1"), "--d"),
+        (("probe", "--scenario", "intro2d", "--box", "0,inf"), "box"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):
@@ -366,6 +381,39 @@ def test_probe_pendulum(capsys):
     d = json.loads(out)
     assert d["samples"] == 32
     assert {tuple(p) for p in d["kept"]} == {(1, 0), (1, 1), (2, 0), (2, 1)}
+
+
+@pytest.mark.parametrize("name", ["pendulum", "example51", "polyodd:3", "intro2d"])
+def test_probe_phi_conditions_hold(capsys, name):
+    code, out, err = run_cli(capsys, "probe", "--scenario", name)
+    assert code == 0 and err == ""
+    d = strict_json(out)
+    conditions = d["phi_conditions"]
+    assert conditions and all(c["ok"] is True for c in conditions)
+    for c in conditions:
+        assert set(c) == {"kind", "block", "field", "order", "ok"}
+    # one nonvanish condition per block, in block order
+    assert [c["block"] for c in conditions if c["kind"] == "nonvanish"] == list(
+        range(1, len(d["indices"]) + 1)
+    )
+
+
+def test_probe_failing_phi_condition_exits_2(capsys, monkeypatch):
+    # a zero gradient for block 1 cannot satisfy its nonvanish condition
+    get_scenario = scenarios.get_scenario
+
+    def broken(name, **params):
+        scn = get_scenario(name, **params)
+        grads = (lambda x: np.zeros(scn.n),) + scn.probe.phi_grads[1:]
+        return dataclasses.replace(scn, probe=dataclasses.replace(scn.probe, phi_grads=grads))
+
+    monkeypatch.setattr(scenarios, "get_scenario", broken)
+    code, out, err = run_cli(capsys, "probe", "--scenario", "pendulum")
+    assert code == 2
+    # the report is printed first, so the failing entry shows
+    failed = [c for c in strict_json(out)["phi_conditions"] if not c["ok"]]
+    assert failed == [{"kind": "nonvanish", "block": 1, "field": 0, "order": 0, "ok": False}]
+    assert err.startswith("runtime error:")
 
 
 def test_probe_example51(capsys):

@@ -17,13 +17,13 @@ from stepsynth import (
     NonConvergence,
     ThetaEval,
     a0_max,
-    closed_loop_rhs,
     gram_n1,
     gram_theta_inv,
     theta_of,
-    v_of,
 )
 from stepsynth.ctrl_fn import ROOT_TOL, THETA_MIN
+
+from paper_oracles import closed_loop_rhs, v_of
 
 G1 = gram_n1(1)
 G2 = gram_n1(2)

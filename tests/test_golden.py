@@ -1,8 +1,8 @@
-"""Golden outputs: the bytes of four reference runs are pinned.
+"""Golden outputs: the bytes of eight reference runs are pinned.
 
-Each case is one of the benchmark's workload starts, run in its chart at
-dt = 1e-3, and the polyodd and pendulum starts again at the benchmark's
-dt = 1e-4, where one integrator step covers thousands of sample rows.
+Each case is one of the benchmark's four workload starts, run in its chart
+at dt = 1e-3, and again at the benchmark's dt = 1e-4, where one integrator
+step covers thousands of sample rows.
 tests/golden.json holds the sha256 of the traj.csv,
 summary.json and phase-plane SVGs that `stepsynth simulate` writes for it,
 and the step times as float.hex.  A change that moves any output byte fails here; a change
@@ -38,6 +38,8 @@ CASES = {
     "polyodd-x": ("polyodd:3", (1.0, 1.0, 1.0), "x", "z", 1e-3),
     "pendulum-dt1e-4": ("pendulum", (-2.0, 1.0, -1.0, 0.5), "z", "x", 1e-4),
     "polyodd-dt1e-4": ("polyodd:3", (1.0, 1.0, 1.0), "z", "z", 1e-4),
+    "example51-dt1e-4": ("example51", (0.5, 0.1, -0.3), "z", "x", 1e-4),
+    "polyodd-x-dt1e-4": ("polyodd:3", (1.0, 1.0, 1.0), "x", "z", 1e-4),
 }
 T_MAX, DELTA = 100.0, 1e-8
 

@@ -7,7 +7,6 @@ from stepsynth import (
     CapExceeded,
     RankDeficient,
     RegularityViolation,
-    ad_pow,
     halton_samples,
     lie_bracket,
     select_columns,
@@ -67,32 +66,6 @@ def test_bracket_second_order_convergence():
     assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
 
-# --- ad_pow ---
-
-
-def test_ad_pow_zero_is_field_value():
-    b = lambda x: np.array([x[0], 2.0])
-    assert np.array_equal(ad_pow(None, b, 0, [3.0, 1.0]), [3.0, 2.0])
-
-
-def test_ad_pow_chain():
-    a = lambda x: np.array([x[1], x[2], 0.0])
-    b = const([0.0, 0.0, 1.0])
-    x = np.array([0.4, -0.2, 0.9])
-    assert ad_pow(a, b, 1, x) == pytest.approx([0.0, -1.0, 0.0], abs=1e-8)
-    # nesting compounds finite-difference roundoff, so the tolerance is looser
-    assert ad_pow(a, b, 2, x) == pytest.approx([1.0, 0.0, 0.0], abs=1e-5)
-
-
-def test_ad_pow_cap_and_validation():
-    a = const([0.0])
-    b = const([1.0])
-    with pytest.raises(CapExceeded):
-        ad_pow(a, b, 4, [0.0])
-    with pytest.raises(ValueError):
-        ad_pow(a, b, -1, [0.0])
-
-
 # --- halton_samples ---
 
 
@@ -118,6 +91,9 @@ def test_halton_matches_scipy(d, count):
 def test_halton_box_validation():
     with pytest.raises(ValueError):
         halton_samples(((1.0, -1.0),), 8)
+    for box in (((0.0, np.inf),), ((-np.inf, 0.0),), ((0.0, 1.0), (0.0, np.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            halton_samples(box, 8)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -186,6 +162,28 @@ def test_select_evaluates_each_column_once_per_sample(make, monkeypatch):
     assert len(calls) == 2 * len(samples)
 
 
+# --- ad_a^k b columns kept in the report ---
+
+
+def test_ad_pow_zero_is_field_value():
+    # order 0 is the field's own value at each sample
+    b = lambda x: np.array([x[0], 2.0])
+    report = select_columns(const([0.0, 0.0]), [b, const([0.0, 1.0])], [[3.0, 1.0]])
+    assert np.array_equal(report.columns[(1, 0)], [[3.0, 2.0]])
+
+
+def test_ad_pow_chain():
+    # a 3-chain keeps ad_a b and ad_a^2 b, one row per sample
+    a = lambda x: np.array([x[1], x[2], 0.0])
+    x = np.array([0.4, -0.2, 0.9])
+    report = select_columns(a, [const([0.0, 0.0, 1.0])], [x])
+    assert set(report.columns) == set(report.kept)
+    assert report.columns[(1, 1)].shape == (1, 3)
+    assert report.columns[(1, 1)][0] == pytest.approx([0.0, -1.0, 0.0], abs=1e-8)
+    # nesting compounds finite-difference roundoff, so the tolerance is looser
+    assert report.columns[(1, 2)][0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-5)
+
+
 def test_select_permutation_invariant():
     scn = pendulum()
     samples = halton_samples(scn.probe.box, 16)
@@ -237,7 +235,7 @@ def test_phi_conditions_pendulum():
     scn = pendulum()
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
-    res = verify_phi_conditions(scn.probe.phi_grads, report, scn.probe.a, scn.probe.bs)
+    res = verify_phi_conditions(scn.probe.phi_grads, report)
     assert res and all(res.values())
     assert ("nonvanish", 1, 0, 0) in res
     assert ("nonvanish", 2, 0, 0) in res
@@ -247,7 +245,7 @@ def test_phi_conditions_example51():
     scn = example51()
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
-    res = verify_phi_conditions(scn.probe.phi_grads, report, scn.probe.a, scn.probe.bs)
+    res = verify_phi_conditions(scn.probe.phi_grads, report)
     assert res and all(res.values())
 
 
@@ -256,11 +254,18 @@ def test_phi_conditions_zero_gradient_fails_nonvanish():
     samples = halton_samples(scn.probe.box, 8)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
     zero = lambda x: np.zeros(4)
-    res = verify_phi_conditions(
-        (zero, scn.probe.phi_grads[1]), report, scn.probe.a, scn.probe.bs
-    )
+    res = verify_phi_conditions((zero, scn.probe.phi_grads[1]), report)
     assert res[("nonvanish", 1, 0, 0)] is False
     assert res[("nonvanish", 2, 0, 0)] is True
+
+
+def test_phi_conditions_field_without_column():
+    # the third field lies in the span of the first two and keeps no column
+    bs = [const([1.0, 0.0]), const([0.0, 1.0]), const([1.0, 1.0])]
+    report = select_columns(const([0.0, 0.0]), bs, [[0.1, 0.2]])
+    assert report.indices == (1, 1, 0)
+    with pytest.raises(ValueError, match="field 3"):
+        verify_phi_conditions([const([1.0, 0.0]), const([0.0, 1.0]), const([1.0, 1.0])], report)
 
 
 def test_polyodd_probe_matches_blocks():
@@ -268,5 +273,5 @@ def test_polyodd_probe_matches_blocks():
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
     assert report.indices == scn.blocks.sizes
-    res = verify_phi_conditions(scn.probe.phi_grads, report, scn.probe.a, scn.probe.bs)
+    res = verify_phi_conditions(scn.probe.phi_grads, report)
     assert all(res.values())

@@ -15,7 +15,6 @@ from stepsynth import (
     pendulum,
     pendulum_H,
     pendulum_T1_analytic,
-    pendulum_energy,
     pendulum_u1pm,
     pendulum_u2pm,
     pendulum_w1,
@@ -23,6 +22,8 @@ from stepsynth import (
     orchestrate,
     rk4_step,
 )
+
+from paper_oracles import pendulum_energy
 
 P = PendulumParams()
 

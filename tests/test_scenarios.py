@@ -13,7 +13,6 @@ from stepsynth import (
     ConstSign,
     CurveSwitch,
     ThetaSwitch,
-    eval_control,
     example51,
     get_scenario,
     intro2d,
@@ -22,6 +21,8 @@ from stepsynth import (
     simulate,
 )
 from stepsynth import scenarios
+
+from paper_oracles import eval_control
 
 ALL_NAMES = ("intro2d", "example51", "polyodd:3", "pendulum")
 

@@ -17,7 +17,6 @@ from stepsynth import (
     BlockSystem,
     ConstSign,
     CurveSwitch,
-    DomainError,
     HoldViolation,
     IntegratorConfig,
     LinearSynth,
@@ -28,7 +27,6 @@ from stepsynth import (
     Timeout,
     arrival_curve,
     audit_theta_switch,
-    eval_control,
     gram_n1,
     orchestrate,
     rk4_step,
@@ -40,6 +38,8 @@ from stepsynth import stepwise
 from stepsynth.ctrl_fn import THETA_MIN
 from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS, Rows
 from stepsynth.stepwise import StepPolicy
+
+from paper_oracles import DomainError, eval_control
 
 G1 = gram_n1(1)
 
