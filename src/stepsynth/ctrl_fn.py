@@ -120,8 +120,8 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         return ThetaEval(theta=0.0, w=np.zeros(k), v=0.0, sigma=0.0)
 
     if k == 1:
-        th = abs(xs[0]) * math.sqrt(ninv[0][0] / (2.0 * s.a0))
-        w = [ninv[0][0] * xs[0] / th]
+        th, sigma = _theta1(s, xs[0])
+        w = [sigma]
     else:
         th = _theta_root(s, c)
         dil = [th ** -e for e in s._dil]
@@ -133,6 +133,34 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
     sigma = w[k - 1]
     return ThetaEval(theta=th, w=np.array(w), v=-0.5 * sigma, sigma=sigma)
+
+
+def _theta1(s: LinearSynth, x):
+    """Theta and sigma of a 1-chain at x != 0, in closed form: floats, or
+    columns of them for a column x."""
+    n = s._n1_inv[0][0]
+    th = abs(x) * math.sqrt(n / (2.0 * s.a0))
+    return th, n * x / th
+
+
+def sigmas(s: LinearSynth, X: np.ndarray) -> list:
+    """theta_of(s, x).sigma for each row x of the (rows, k) array X, as a list.
+
+    For k = 1 by theta_of's closed form (_theta1) on the column itself,
+    the same floats.  For k >= 2, and for a batch with a row that theta_of
+    rejects, theta_of one row at a time: the first such row raises.
+    """
+    if s.gram.k == 1 and X.shape[1] == 1:
+        x = X[:, 0]
+        with np.errstate(all="ignore"):
+            origin = s._n1_inv[0][0] * (x * x) == 0.0  # theta_of's zero quadratic form
+            th, sigma = _theta1(s, x)
+            lhs = 2.0 * s.a0 * th
+            residual = np.abs(lhs - sigma * x)
+            ok = origin | (np.isfinite(x) & ~(residual > ROOT_TOL * np.fmax(lhs, 1.0)))
+        if ok.all():
+            return np.where(origin, 0.0, sigma).tolist()
+    return [theta_of(s, x).sigma for x in X.tolist()]
 
 
 def _theta_root(s: LinearSynth, c: list) -> float:

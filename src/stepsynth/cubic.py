@@ -11,6 +11,7 @@ bracket_root is the package's one bracketed scalar solve (brentq).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -75,8 +76,12 @@ def extreme_root(c3: float, c2: float, c1: float, c0: float, sign: int) -> float
 
     Equals real_roots(...)[-1] (or [0]) but computes and polishes only
     that root: the trigonometric branch n = 0 (largest) or n = 2
-    (smallest), or the one Cardano root.
+    (smallest), or the one Cardano root.  c0 may also be a column of
+    constant terms (a float array): the roots are then a column of the
+    same floats as one call per element.
     """
+    if isinstance(c0, np.ndarray):
+        return _extreme_root_column(c3, c2, c1, c0, sign)
     if c3 != 0.0:
         shift, p, q = _depressed(c3, c2, c1, c0)
         (t,) = _depressed_roots(p, q, (0,) if sign > 0 else (2,))
@@ -89,8 +94,29 @@ def extreme_root(c3: float, c2: float, c1: float, c0: float, sign: int) -> float
     return roots[-1] if sign > 0 else roots[0]
 
 
-def _depressed(c3: float, c2: float, c1: float, c0: float) -> tuple:
-    """(shift, p, q): the cubic over c3 is t^3 + p t + q with u = t - shift."""
+def _extreme_root_column(c3: float, c2: float, c1: float, c0: np.ndarray, sign: int) -> np.ndarray:
+    """extreme_root on a column c0, element for element the same floats.
+
+    numpy's +, -, *, / and sqrt are correctly rounded, as Python's are, so
+    the scalar formulas in the same order give the same floats on columns;
+    acos, cos and the Cardano cube roots go through math one element at a
+    time (libm_map).  A degenerate cubic, and an element that the scalar
+    path would hand to real_roots, take the scalar path.
+    """
+    if c3 == 0.0:
+        return np.array([extreme_root(c3, c2, c1, v, sign) for v in c0.tolist()])
+    shift, p, q = _depressed(c3, c2, c1, c0)
+    u = _polish_column(c3, c2, c1, c0, _depressed_root_column(p, q, 0 if sign > 0 else 2) - shift)
+    if shift != 0.0:
+        for i in np.flatnonzero(~_settled(c3, c2, c1, c0, u)).tolist():
+            u[i] = extreme_root(c3, c2, c1, float(c0[i]), sign)
+    return u
+
+
+def _depressed(c3: float, c2: float, c1: float, c0) -> tuple:
+    """(shift, p, q): the cubic over c3 is t^3 + p t + q with u = t - shift.
+
+    c0 may be a column: then so is q."""
     shift = c2 / (3.0 * c3)
     p = c1 / c3 - shift * shift * 3.0
     q = 2.0 * shift**3 - shift * c1 / c3 + c0 / c3
@@ -119,6 +145,47 @@ def _depressed_roots(p: float, q: float, branches: tuple) -> list:
     return [t]
 
 
+def _depressed_root_column(p: float, q: np.ndarray, n: int) -> np.ndarray:
+    """_depressed_roots(p, q, (n,)) on a column q: the trigonometric root
+    of branch n where there are three real roots, else Cardano's (which
+    gives the triple root 0 as well)."""
+    disc = -4.0 * p**3 - 27.0 * q * q
+    trig = disc >= 0.0 if p < 0.0 else np.zeros(len(q), dtype=bool)
+    k = np.count_nonzero(trig)
+    if k in (0, len(q)):
+        return _trig_roots(p, q, n) if k else _cardano_roots(p, q)
+    t = np.empty(len(q))
+    t[trig] = _trig_roots(p, q[trig], n)
+    t[~trig] = _cardano_roots(p, q[~trig])
+    return t
+
+
+def _trig_roots(p: float, q: np.ndarray, n: int) -> np.ndarray:
+    m = 2.0 * math.sqrt(-p / 3.0)
+    # max(-1.0, min(1.0, arg)): fmin and fmax keep the bound, as min and max do
+    arg = np.fmax(np.fmin(3.0 * q / (p * m), 1.0), -1.0)
+    phi = libm_map(math.acos, arg) / 3.0
+    return m * libm_map(math.cos, phi - _TWO_PI_3 * n)
+
+
+def _cardano_roots(p: float, q: np.ndarray) -> np.ndarray:
+    # max(0.0, r): r is never -0.0, and fmax keeps 0.0 for a NaN r, as max does
+    s = np.sqrt(np.fmax(q * q / 4.0 + p**3 / 27.0, 0.0))
+    h = -q / 2.0
+    return _cbrt(h + s) + _cbrt(h - s)
+
+
+def _cbrt(x: np.ndarray) -> np.ndarray:
+    """copysign(|x| ** (1/3), x) on a column, the power by libm per element."""
+    return np.copysign(libm_map(math.pow, np.abs(x), 1.0 / 3.0), x)
+
+
+def libm_map(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) of math for each float v of the column x: numpy's own
+    transcendental functions may differ from libm's in the last bits."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, len(x))
+
+
 def _polish(c3: float, c2: float, c1: float, c0: float, u: float) -> float:
     """Two guarded Newton steps on the original coefficients."""
     for _ in range(2):
@@ -130,6 +197,21 @@ def _polish(c3: float, c2: float, c1: float, c0: float, u: float) -> float:
         if not math.isfinite(step) or abs(step) > 0.5 * (1.0 + abs(u)):
             break
         u -= step
+    return u
+
+
+def _polish_column(c3: float, c2: float, c1: float, c0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_polish on columns: an element stops where the scalar loop breaks."""
+    go = True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2):
+            f = ((c3 * u + c2) * u + c1) * u + c0
+            fp = (3.0 * c3 * u + 2.0 * c2) * u + c1
+            step = f / fp
+            # a step that is not finite fails the bound as well: it is NaN
+            # where u is not finite, and fp == 0 gives an infinite or NaN step
+            go = go & (np.abs(step) <= 0.5 * (1.0 + np.abs(u)))
+            u = u - step if go.all() else np.where(go, u - step, u)
     return u
 
 
@@ -146,8 +228,10 @@ def _companion_roots(c3: float, c2: float, c1: float, c0: float) -> list:
     ]
 
 
-def _settled(c3: float, c2: float, c1: float, c0: float, u: float) -> bool:
-    """The cubic at u is small against the sum of its absolute terms."""
+def _settled(c3: float, c2: float, c1: float, c0, u):
+    """The cubic at u is small against the sum of its absolute terms.
+
+    On columns c0 and u, a bool column."""
     a = abs(u)
     f = ((c3 * u + c2) * u + c1) * u + c0
     return abs(f) <= _RESIDUAL_TOL * (((abs(c3) * a + abs(c2)) * a + abs(c1)) * a + abs(c0))

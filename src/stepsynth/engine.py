@@ -22,14 +22,15 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
-and the stage tests them as columns.  The rows stay arrays from there to
-the Recorder, which joins them into one (k, n) array.  A tuple is built
-only for one state: the start and each event row, which the integrator
-restarts from, and each row that a policy's scalar callback reads.  A
-batch that fails is read again one row at a time up to the next event,
-so a run ends at the row where a row-by-row run ends.  The integrator's
-own states and stages stay tuples of floats: a step has a handful of
-components, where numpy's per-call cost outweighs its arithmetic.
+and the stage tests them as columns: the switching residuals and the
+recorded controls too, each in one call per batch.  The rows stay arrays
+from there to the Recorder, which joins them into one (k, n) array.  A
+tuple is built only for one state: the start and each event row, which
+the integrator restarts from.  A batch that fails is read again one row
+at a time up to the next event, so a run ends at the row where a
+row-by-row run ends.  The integrator's own states and stages stay tuples
+of floats, and so does the state its field reads: a step has a handful
+of components, where numpy's per-call cost outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -378,10 +379,11 @@ def run_stage(
     through the event tests with the batch's values, and the batch goes on
     after it unless an event ends the batch.  So a run without events
     tests each sample once, in about one stage call per batch (a stage
-    that tests rows in another chart maps the whole batch there) and one
-    residual and control per row where the policy computes them row by
-    row.  The field's six evaluations per Dormand-Prince step are shared by
-    all samples the step covers.  Event bisection and each event row read
+    that tests rows in another chart maps the whole batch there); the
+    residuals and the recorded controls of a batch are one call each,
+    which the bundled policies compute on columns.  The field's six
+    evaluations per Dormand-Prince step are shared by all samples the
+    step covers, and read one state each.  Event bisection and each event row read
     one-row batches.
 
     One rule keeps the outcome of a row-by-row run: a batch of more than

@@ -9,7 +9,8 @@ probe` runs both and prints the conditions as phi_conditions.
 Fields are plain callables x -> R^n.  Jacobians are central finite
 differences with the step default_step; rank decisions use the SVD
 threshold SVD_TOL relative to the largest singular value, and the
-gradient conditions the tolerance PHI_TOL.
+gradient conditions the tolerances PHI_TOL (= 0) and SVD_TOL (!= 0)
+relative to the sizes of the gradient and the column.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 AD_CAP = 3
-SVD_TOL = 1e-6  # rank threshold, relative to the largest singular value
-PHI_TOL = 1e-5  # orthogonality tolerance of the gradient conditions
+SVD_TOL = 1e-6  # rank threshold, relative to the largest singular value; nonvanish threshold
+PHI_TOL = 1e-5  # orthogonality tolerance of the gradient conditions (relative)
 _EPS_CBRT = float(np.cbrt(np.finfo(float).eps))
 
 
@@ -212,10 +213,13 @@ def verify_phi_conditions(phi_grads: Sequence[Callable], report: ProbeReport) ->
 
     For block i with index n_i:  (phi_i)_x ad_a^k b_j = 0 for all j and
     k <= min(n_i - 2, n_j - 1), and (phi_i)_x ad_a^(n_i - 1) b_i != 0, at
-    every sample.  Every column these read is one that select_columns kept,
-    so report.columns holds it; each gradient is evaluated once per sample.
-    Returns {(kind, i, j, k): bool} with kind 'orthogonal' or 'nonvanish'
-    (j, k = 0 for the latter).  Raises ValueError for a block whose field
+    every sample.  Both tests are relative to |(phi_i)_x| |column|: a
+    condition = 0 holds within PHI_TOL of it, and one != 0 above SVD_TOL of
+    it, so no verdict depends on how a gradient is scaled, and a zero
+    gradient fails != 0.  Every column these read is one that
+    select_columns kept, so report.columns holds it; each gradient is
+    evaluated once per sample.  Returns {(kind, i, j, k): bool} with kind
+    'orthogonal' or 'nonvanish' (j, k = 0 for the latter).  Raises ValueError for a block whose field
     kept no column.
     """
     idx = report.indices
@@ -227,13 +231,15 @@ def verify_phi_conditions(phi_grads: Sequence[Callable], report: ProbeReport) ->
             raise ValueError(f"field {i} kept no column, so block {i} has no Phi-gradient conditions")
         grads = [np.asarray(grad_i(x), dtype=float) for x in report.samples]
         norms = [float(np.linalg.norm(g)) for g in grads]
+
+        def cosines(j, k):
+            # |g . col| against |g| |col|: the verdicts do not depend on how
+            # a gradient or a column is scaled
+            return [(abs(float(g @ col)), gn * float(np.linalg.norm(col)))
+                    for g, gn, col in zip(grads, norms, cols[(j, k)])]
+
         for j in range(1, len(idx) + 1):
             for k in range(0, min(n_i - 2, idx[j - 1] - 1) + 1):
-                out[("orthogonal", i, j, k)] = all(
-                    abs(float(g @ col)) <= PHI_TOL * max(1.0, gn * float(np.linalg.norm(col)))
-                    for g, gn, col in zip(grads, norms, cols[(j, k)])
-                )
-        out[("nonvanish", i, 0, 0)] = all(
-            abs(float(g @ col)) > SVD_TOL for g, col in zip(grads, cols[(i, n_i - 1)])
-        )
+                out[("orthogonal", i, j, k)] = all(dot <= PHI_TOL * size for dot, size in cosines(j, k))
+        out[("nonvanish", i, 0, 0)] = all(dot > SVD_TOL * size for dot, size in cosines(i, n_i - 1))
     return out

@@ -17,9 +17,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cubic import extreme_root
-from .scenarios import ProbeFields, Scenario
-from .stepwise import BlockPartition, CurveSwitch, arrival_curve
+from .cubic import extreme_root, libm_map
+from .scenarios import ProbeFields, Scenario, _each
+from .stepwise import BlockPartition, CurveSwitch, arrival_curve, parabola
+
+# one float, or each float of a column, through math: numpy's sin and cos
+# are not promised to match libm's to the last bit
+_sin, _cos = _each(math.sin), _each(math.cos)
 
 
 class NoRealRoot(RuntimeError):
@@ -68,17 +72,21 @@ def _beta(p: PendulumParams, x, u: float) -> tuple:
 
 
 def _drifts(p: PendulumParams, z) -> tuple:
-    """Control-free parts (G1, G2): H1 = G1 + alpha u^3 - u, H2 = G2 + u."""
+    """Control-free parts (G1, G2): H1 = G1 + alpha u^3 - u, H2 = G2 + u.
+
+    z is one state, or the columns of a batch: then G1 and G2 are columns."""
     z1, z2, z3, z4 = z
-    s = math.sin(z1)
-    c = math.cos(z1)
+    sin, cos = (_sin, _cos) if isinstance(z1, np.ndarray) else (math.sin, math.cos)
+    s = sin(z1)
+    c = cos(z1)
     den = p.m1 + p.m2 * s * s
     vsq = (z2 + z4) * (z2 + z4)
-    g2n = s * (p.l2 * p.m2 * z4 * z4 * c + (p.m1 + p.m2) * (p.g * math.cos(z1 + z3) + p.l1 * vsq))
+    z13 = z1 + z3
+    g2n = s * (p.l2 * p.m2 * z4 * z4 * c + (p.m1 + p.m2) * (p.g * cos(z13) + p.l1 * vsq))
     g1 = (
         -(
-            p.l2 * p.m1 * p.g * math.sin(z1 + z3)
-            + p.l2 * p.m2 * s * (p.g * math.cos(z3) + p.l2 * z4 * z4 + p.l1 * vsq * c)
+            p.l2 * p.m1 * p.g * sin(z13)
+            + p.l2 * p.m2 * s * (p.g * cos(z3) + p.l2 * z4 * z4 + p.l1 * vsq * c)
             + p.l1 * g2n
         )
         / (p.l1 * p.l2 * den)
@@ -95,13 +103,26 @@ def pendulum_H(p: PendulumParams, z, u: float) -> tuple:
 _ROOT_TOL = 1e-10
 
 
-def _branch_root(p: PendulumParams, c: float, sign: int) -> float:
+def _branch_root(p: PendulumParams, c, sign: int):
     """Extreme root of alpha u^3 - u + c = 0 on the branch's side of zero.
 
     extreme_root has already polished it; NoRealRoot if it has the wrong
     sign or misses the 1e-10 residual gate (relative to the forcing size).
+    c may be a column of forcings: then the roots are a column, and the
+    first element that fails raises as it does alone.
     """
     u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
+    if isinstance(c, np.ndarray):
+        # the checks below on columns, u ** 3 by libm per element (numpy's
+        # power may differ from it); an element that fails them, or whose
+        # cube may overflow, or that is NaN, is solved alone: the first
+        # that fails raises
+        odd = ~(np.abs(u) <= 1e100)
+        r = p.alpha * libm_map(math.pow, np.where(odd, 0.0, u), 3.0) - u + c
+        miss = odd | (u <= 0.0 if sign > 0 else u >= 0.0) | (np.abs(r) > _ROOT_TOL * np.fmax(np.abs(c), 1.0))
+        for i in np.flatnonzero(miss).tolist():
+            u[i] = _branch_root(p, float(c[i]), sign)
+        return u
     if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
         raise NoRealRoot(f"extreme root {u:.6g} for forcing {c:.6g} has the wrong sign")
     r = p.alpha * u ** 3 - u + c
@@ -115,27 +136,28 @@ def pendulum_u1pm(p: PendulumParams, z, sign: int) -> float:
 
     Picks the real root of largest magnitude on the branch's side of zero,
     which is the extreme root on that side; the defining equation holds to
-    1e-10 (relative to the forcing size).
+    1e-10 (relative to the forcing size).  z is one state, or the columns
+    of a batch: then the controls are a column.
     """
     g1, _ = _drifts(p, z)
     c = g1 - p.eps1p if sign > 0 else g1 + p.eps1m
     return _branch_root(p, c, sign)
 
 
-def pendulum_w1(p: PendulumParams, z1: float) -> float:
-    """Step-1 switching curve through the origin of the (z1, z2) plane."""
-    if z1 >= 0.0:
-        return -math.sqrt(2.0 * p.eps1p * z1)
-    return math.sqrt(-2.0 * p.eps1m * z1)
+def pendulum_w1(p: PendulumParams, z1):
+    """Step-1 switching curve through the origin of the (z1, z2) plane, at
+    a float z1 or a column of them."""
+    return parabola(z1, p.eps1p, p.eps1m)
 
 
-def pendulum_u2pm(p: PendulumParams, z3: float, sign: int) -> float:
+def pendulum_u2pm(p: PendulumParams, z3, sign: int):
     """Extreme real root of alpha u^3 - u - (g/l1) sin z3 = 0.
 
     The admissible alpha range guarantees a positive maximal root and a
-    negative minimal root for every z3.
+    negative minimal root for every z3.  z3 is a float, or a column of
+    them: then the roots are a column.
     """
-    c = -(p.g / p.l1) * math.sin(z3)
+    c = -(p.g / p.l1) * _sin(z3)
     return _branch_root(p, c, sign)
 
 

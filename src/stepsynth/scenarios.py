@@ -23,7 +23,7 @@ from .chain_gramian import gram_n1
 from .ctrl_fn import LinearSynth
 from .cubic import RootBracketFailure, real_roots
 from .cubic import bracket_root as _bracket_root  # module global: tests and the tracer patch it
-from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch, arrival_curve
+from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, ThetaSwitch, arrival_curve, parabola
 
 
 @dataclass(frozen=True)
@@ -340,9 +340,11 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
 
     # with the default f1, h1 = u^3 - u does not depend on z: every channel
     # root below is solved once here instead of on each control call
+    # a policy callback takes one state or the columns of a batch; the
+    # roots of a custom channel are solved one state at a time (_each)
     def step1_control(target, lo, hi):
         if custom_f1:
-            return lambda z: _bracket_root(lambda u: h1(z, u) - target, lo, hi)
+            return _each(lambda z: _bracket_root(lambda u: h1(z, u) - target, lo, hi))
         roots = [r for r in real_roots(1.0, 0.0, -1.0, -target) if lo <= r <= hi]
         if not roots:
             raise RootBracketFailure(f"no cubic root in [{lo}, {hi}] for level {target}")
@@ -379,11 +381,10 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
 
     if not custom_f1 and not custom_f2:
         # H2 = u with u = ±1 on the curve: classic parabolic switch locus
-        def w2(z2):
-            if z2 >= 0.0:
-                return -math.sqrt(2.0 * z2)
-            return math.sqrt(-2.0 * z2)
+        w2 = lambda z2: parabola(z2, 1.0, 1.0)
     else:
+        u2_plus, u2_minus = _each(u2_plus), _each(u2_minus)
+
         def beyond(z2):
             raise RootBracketFailure(f"switch table does not cover z2 = {z2}")
 
@@ -424,11 +425,13 @@ _FD_H = float(np.cbrt(np.finfo(float).eps))
 
 
 def _each(fn: Callable) -> Callable:
-    """fn on one float, or on each float of a column of them."""
+    """fn on one value, or on each of a batch: each float of a column, or
+    each row, as a tuple, of the columns of a batch of states."""
 
     def each(v):
         if isinstance(v, np.ndarray):
-            return np.array([fn(e) for e in v.tolist()], dtype=float)
+            items = v.tolist() if v.ndim == 1 else map(tuple, v.T.tolist())
+            return np.fromiter(map(fn, items), float, v.shape[-1])
         return fn(v)
 
     return each

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .ctrl_fn import THETA_MIN, LinearSynth, theta_of
+from .ctrl_fn import THETA_MIN, LinearSynth, sigmas, theta_of
 
 
 class StepTimeout(RuntimeError):
@@ -71,15 +71,30 @@ class StepPolicy:
     its block.  Each one gives control(branch, z), the control value on a
     branch, and residual(z, span), the switching function whose sign picks
     the branch; the defaults below cover the rest.  residuals and controls
-    read a batch of sample rows as a (k, n) array Z; by default they call
-    the scalar residual and control on each row as a tuple of floats.
+    read a batch of sample rows, a (k, n) array Z, and give k floats: one
+    call of residual and control on the columns Z.T, which they read as
+    they read one state (ThetaSwitch reads its sigma column through
+    ctrl_fn.sigmas).
+
+    The callbacks a policy holds (w, u_plus, u_minus, u_zero) follow the
+    contract of Scenario.to_z: they take one state, a tuple of floats (w
+    one float), or the columns of a batch, z[i] the column of coordinate i
+    (w one column), and give the same floats either way.  A callback that
+    returns one constant is broadcast to the batch.  One state keeps the
+    Python float path, which the integrator's field evaluations take; a
+    batch takes numpy's columns, with each transcendental function
+    applied by math one element at a time.
     """
 
+    # on columns, overflow and invalid operations give inf and nan silently,
+    # as Python's float arithmetic does
     def residuals(self, Z: np.ndarray, span: tuple) -> list:
-        return [_switch_residual(self, z, span) for z in map(tuple, Z.tolist())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _floats(self.residual(Z.T, span), len(Z))
 
     def controls(self, branch: int, Z: np.ndarray) -> list:
-        return [_control_of(self, branch, z) for z in map(tuple, Z.tolist())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _floats(self.control(branch, Z.T), len(Z))
 
     def branch(self, z: tuple, span: tuple) -> int:
         """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
@@ -105,6 +120,11 @@ class StepPolicy:
         return None
 
 
+def _floats(v, k: int) -> list:
+    """A value on k rows as a list of k floats: a column, or a constant."""
+    return v.tolist() if getattr(v, "ndim", 0) else [float(v)] * k
+
+
 SURFACE_TOL = 1e-9  # ThetaSwitch's zero band on sigma, relative to max |w|
 
 
@@ -118,9 +138,9 @@ class ThetaSwitch(StepPolicy):
     """
 
     synth: LinearSynth
-    u_plus: Callable[[tuple], float]
-    u_minus: Callable[[tuple], float]
-    u_zero: Callable[[tuple], float]
+    u_plus: Callable
+    u_minus: Callable
+    u_zero: Callable
 
     def branch(self, z: tuple, span: tuple) -> int:
         ev = theta_of(self.synth, z[span[0] : span[1]])
@@ -141,6 +161,9 @@ class ThetaSwitch(StepPolicy):
     def residual(self, z: tuple, span: tuple) -> float:
         return theta_of(self.synth, z[span[0] : span[1]]).sigma
 
+    def residuals(self, Z: np.ndarray, span: tuple) -> list:
+        return sigmas(self.synth, Z[:, span[0] : span[1]])
+
     def theta_bound(self, z: tuple, span: tuple) -> float:
         s, e = span
         if self.synth.gram.k != e - s:
@@ -159,9 +182,9 @@ class CurveSwitch(StepPolicy):
     branch of the position's sign.
     """
 
-    w: Callable[[float], float]
-    u_plus: Callable[[tuple], float]
-    u_minus: Callable[[tuple], float]
+    w: Callable
+    u_plus: Callable
+    u_minus: Callable
 
     def control(self, branch: int, z: tuple) -> float:
         return self.u_plus(z) if branch > 0 else self.u_minus(z)
@@ -176,7 +199,21 @@ class CurveSwitch(StepPolicy):
         return span[0] + 1
 
 
-def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]) -> Callable[[float], float]:
+def parabola(pos, up: float, down: float):
+    """Switching curve of a block braked at the constant rates up (for
+    pos >= 0) and down: -sqrt(2 up pos), or sqrt(-2 down pos) below zero.
+
+    pos is a float, or a column of them.
+    """
+    if isinstance(pos, np.ndarray):
+        with np.errstate(invalid="ignore"):  # each side's root is dropped on the other side
+            return np.where(pos >= 0.0, -np.sqrt(2.0 * up * pos), np.sqrt(-2.0 * down * pos))
+    if pos >= 0.0:
+        return -math.sqrt(2.0 * up * pos)
+    return math.sqrt(-2.0 * down * pos)
+
+
+def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]) -> Callable:
     """Switching curve velocity = w(position) of a CurveSwitch block.
 
     accel(pos, vel, side) is the block's velocity channel on the branch
@@ -190,6 +227,8 @@ def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]
     are read at E = h k1 / 2 and h (3 k2 - k1) / 2: the error of that k3,
     carried as the next k1, cancels the error of k2 over the two Simpson
     sums.  w reads the table on |pos| <= span and calls beyond(pos) past it.
+    w takes a float, or a column of them, which it reads against the
+    tables as arrays, the same floats as one position at a time.
     """
     h = 7.0 / 1024.0  # knot spacing; the interval count follows from the span
     intervals = math.ceil(span / h)
@@ -219,9 +258,12 @@ def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]
 
     table_p = table(+1)
     table_m = table(-1)
+    tables = np.array(table_p + table_m)  # w_column's: the + side's rows, then the - side's
     last = intervals - 1
 
-    def w(pos: float) -> float:
+    def w(pos):
+        if isinstance(pos, np.ndarray):
+            return w_column(pos)
         if pos == 0.0:
             return 0.0
         s = abs(pos)
@@ -233,6 +275,25 @@ def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]
         e = ((e3 * t + e2) * t + e1) * t + e0
         root = math.sqrt(max(2.0 * e, 0.0))
         return -root if pos > 0.0 else root
+
+    def w_column(pos):
+        # w's arithmetic on columns; a position past the span, or not
+        # finite, goes alone
+        s = np.abs(pos)
+        outside = np.flatnonzero(~(s <= span)).tolist()
+        if outside:
+            s = np.where(s <= span, s, 0.0)
+        idx = np.minimum((s / h).astype(np.int64), last)
+        right = pos > 0.0
+        e0, e1, e2, e3 = tables[idx + intervals * ~right].T
+        t = s - idx * h
+        # max(2 e, 0.0) as np.maximum: the sum is never -0.0, since e0 >= +0.0
+        root = np.sqrt(np.maximum(2.0 * (((e3 * t + e2) * t + e1) * t + e0), 0.0))
+        out = np.where(right, -root, root)
+        out[pos == 0.0] = 0.0
+        for i in outside:
+            out[i] = w(float(pos[i]))
+        return out
 
     return w
 
@@ -253,12 +314,6 @@ class ConstSign(StepPolicy):
 
     def residual(self, z: tuple, span: tuple) -> float:
         return z[span[0]]
-
-    def residuals(self, Z: np.ndarray, span: tuple) -> list:
-        return Z[:, span[0]].tolist()
-
-    def controls(self, branch: int, Z: np.ndarray) -> list:
-        return [self.control(branch, ())] * len(Z)
 
 
 @dataclass(frozen=True)
@@ -304,6 +359,11 @@ def step_done(z: Sequence[float] | np.ndarray, blocks: BlockPartition, i: int, d
     return np.abs(np.asarray(z, dtype=float)[..., s:e]).max(axis=-1) <= delta
 
 
+# The routes by which perfbench/layertrace.py counts control and residual
+# evaluations, patched by name: the field's controls, one state each, go
+# through _control_of; a batch's residuals and recorded controls are read
+# on columns (StepPolicy.residuals, controls), so no call takes
+# _switch_residual, which stays for the tracer to find.
 def _control_of(policy: StepPolicy, branch: int, z: tuple) -> float:
     return policy.control(branch, z)
 

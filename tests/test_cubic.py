@@ -120,6 +120,25 @@ def test_extreme_root_is_the_extreme_of_real_roots():
         assert extreme_root(*cs, -1) == roots[0], cs
 
 
+def test_extreme_root_on_a_column_of_constant_terms():
+    # a column c0 gives the floats of one call per element: on the
+    # pendulum's channel cubic across both double roots (trigonometric and
+    # Cardano roots), on seeded cubics with a shift (c2 != 0), and on a
+    # quadratic (c3 = 0)
+    rng = np.random.default_rng(20261019)
+    alpha = 1.0 / 9.0
+    near = np.arange(-500, 501) * 1e-12
+    groups = [((alpha, 0.0, -1.0), np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                                                   2.0 / math.sqrt(3.0) + near, -2.0 / math.sqrt(3.0) + near]))]
+    groups += [(tuple(rng.uniform(-50.0, 50.0, size=3)), rng.uniform(-50.0, 50.0, size=100)) for _ in range(200)]
+    groups += [((0.0, 1.0, -3.0), np.linspace(-5.0, 2.25, 50))]
+    for (c3, c2, c1), c0 in groups:
+        for sign in (+1, -1):
+            by_column = extreme_root(c3, c2, c1, c0, sign)
+            by_element = [extreme_root(c3, c2, c1, v, sign) for v in c0.tolist()]
+            assert [float(v).hex() for v in by_column] == [v.hex() for v in by_element], (c3, c2, c1)
+
+
 @given(c3=coeff, c2=coeff, c1=coeff, c0=coeff)
 @settings(max_examples=400, deadline=None)
 # c3 tiny against c2: the depressed form loses the two small roots

@@ -259,6 +259,22 @@ def test_phi_conditions_zero_gradient_fails_nonvanish():
     assert res[("nonvanish", 2, 0, 0)] is True
 
 
+@pytest.mark.parametrize("name", ["pendulum", "example51", "polyodd:3", "intro2d"])
+def test_phi_conditions_do_not_depend_on_the_gradient_scale(name):
+    # both tests are relative to |gradient| |column|: scaled gradients give
+    # the unscaled verdicts, and a zero gradient fails every nonvanish test
+    scn = get_scenario(name)
+    report = select_columns(scn.probe.a, scn.probe.bs, halton_samples(scn.probe.box, 16))
+    want = verify_phi_conditions(scn.probe.phi_grads, report)
+    assert want and all(want.values())
+    for scale in (1e-7, 1e7):
+        scaled = [lambda x, g=g: scale * g(x) for g in scn.probe.phi_grads]
+        assert verify_phi_conditions(scaled, report) == want
+    zero = [lambda x: np.zeros(scn.n)] * len(scn.probe.phi_grads)
+    res = verify_phi_conditions(zero, report)
+    assert [ok for (kind, *_), ok in res.items() if kind == "nonvanish"] == [False] * len(zero)
+
+
 def test_phi_conditions_field_without_column():
     # the third field lies in the span of the first two and keeps no column
     bs = [const([1.0, 0.0]), const([0.0, 1.0]), const([1.0, 1.0])]

@@ -261,6 +261,85 @@ def test_chart_maps_on_columns_equal_the_per_row_maps(make):
         assert bits(by_columns.tolist()) == bits(by_rows)
 
 
+def _policy_rows(n: int, seed: int) -> np.ndarray:
+    """Seeded block-chart states over several magnitudes, with zero and
+    -0.0 positions, a tiny and a huge head, and positions at the edges of
+    the pendulum's w2 table (|z3| <= 7) and of example51's custom table
+    (|z2| <= 32).  Rows 220-279 put the pendulum's step-1 drift G1 around
+    eps1p = 20 and -eps1m = -10, where the channel cubic of each branch
+    turns from three real roots to one; rows 280-284 overflow the
+    pendulum's drifts."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, size=(2000, n)) * [np.pi, 6.0, 8.0, 6.0][:n]
+    rows[:100] *= 10.0 ** rng.integers(-8, 1, size=(100, 1))
+    rows[100:160, 0] = rng.choice([0.0, -0.0, 1e-170, -1e-170, 1e200], size=60)
+    edge = [7.0, np.nextafter(7.0, 0.0), np.nextafter(7.0, 8.0), 32.0, np.nextafter(32.0, 33.0), 32.5]
+    rows[160:200, 2 if n == 4 else 1] = rng.choice(edge, size=40) * rng.choice([1.0, -1.0], size=40)
+    rows[200:220, 2 if n == 4 else 1] = rng.choice([0.0, -0.0], size=20)
+    rows[220:280, 0] = np.repeat([-0.5, 0.5], [40, 20])
+    rows[220:280, 1] = np.concatenate([rng.uniform(3.6, 4.6, size=40), rng.uniform(2.4, 3.2, size=20)])
+    rows[220:280, 2:] = 0.0
+    rows[280:285, 1] = 1e155
+    return np.vstack([rows, np.zeros(n), -np.zeros(n)])
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except Exception as exc:  # the failure a row gives is compared too
+        return exc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: get_scenario("pendulum"),
+        example51,
+        lambda: example51(f1=lambda x1, x2, x3, u: 0.4 * x1 + 0.1 * x3),
+        lambda: example51(f2=lambda v: v + 0.2 * math.sin(v)),
+    ],
+    ids=["pendulum", "example51", "example51-f1", "example51-f2"],
+)
+def test_policy_columns_equal_the_per_row_values(make):
+    # the engine reads the switching residuals and recorded controls of a
+    # batch of rows in one call on its columns: every bundled CurveSwitch
+    # and ThetaSwitch gives the floats of one call per row, bit for bit,
+    # and a batch with a failing row raises what that row raises alone
+    scn = make()
+    rows = _policy_rows(scn.n, 23)
+    bits = lambda values: [float(v).hex() for v in values]
+    for i, policy in enumerate(scn.policies, start=1):
+        span = scn.blocks.bounds(i)
+        pairs = [(lambda Z: policy.residuals(Z, span), lambda z: policy.residual(z, span))]
+        for b in (+1, -1, 0) if isinstance(policy, ThetaSwitch) else (+1, -1):
+            pairs.append((lambda Z, b=b: policy.controls(b, Z), lambda z, b=b: policy.control(b, z)))
+        for by_columns, by_row in pairs:
+            per_row = [_outcome(by_row, tuple(r)) for r in rows.tolist()]
+            failed = [isinstance(v, Exception) for v in per_row]
+            good = rows[~np.array(failed)]
+            assert len(good) >= 1500
+            assert bits(by_columns(good)) == bits(v for v, bad in zip(per_row, failed) if not bad)
+            for j in np.flatnonzero(failed)[:5].tolist():
+                batch = np.vstack([good[:5], rows[j], good[5:10]])
+                with pytest.raises(type(per_row[j])) as err:
+                    by_columns(batch)
+                assert str(err.value) == str(per_row[j])
+
+
+def test_policy_rows_cover_both_pendulum_root_regimes():
+    # the sweep above reaches step 1's channel forcings c = G1 - eps1p and
+    # G1 + eps1m on both sides of the cubic's three-root boundary, where the
+    # root is trigonometric, and beyond it, where it is Cardano's
+    from stepsynth.pendulum import PendulumParams, _drifts
+
+    p = PendulumParams()
+    with np.errstate(over="ignore", invalid="ignore"):  # the rows that overflow
+        g1 = _drifts(p, _policy_rows(4, 23).T)[0]
+    three_roots = lambda c: -4.0 * (-1.0 / p.alpha) ** 3 - 27.0 * (c / p.alpha) ** 2 >= 0.0
+    for c in (g1 - p.eps1p, g1 + p.eps1m):
+        assert 10 <= np.count_nonzero(three_roots(c)) <= len(c) - 10
+
+
 def test_polyodd_custom_lambdas():
     scn = polyodd(3, lambdas=(0.25, 0.5), alpha=0.75)
     assert [p.level for p in scn.policies] == pytest.approx([0.75, 0.5, 0.25])

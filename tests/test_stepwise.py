@@ -22,11 +22,13 @@ from stepsynth import (
     LinearSynth,
     NonFinite,
     Recorder,
+    RootBracketFailure,
     StepTimeout,
     ThetaSwitch,
     Timeout,
     arrival_curve,
     audit_theta_switch,
+    example51,
     gram_n1,
     orchestrate,
     rk4_step,
@@ -37,6 +39,7 @@ from stepsynth import (
 from stepsynth import stepwise
 from stepsynth.ctrl_fn import THETA_MIN
 from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS, Rows
+from stepsynth.pendulum import NoRealRoot, PendulumParams, _branch_root
 from stepsynth.stepwise import StepPolicy
 
 from paper_oracles import DomainError, eval_control
@@ -117,7 +120,7 @@ def test_theta_switch_dimension_mismatch():
 
 def test_curve_switch_branches():
     b = BlockPartition(sizes=(2,))
-    w = lambda p: -math.copysign(math.sqrt(2.0 * abs(p)), p)
+    w = lambda p: -np.copysign(np.sqrt(2.0 * np.abs(p)), p)
     pol = CurveSwitch(w=w, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     # below the curve -> u_plus, above -> u_minus
     assert eval_control(pol, (1.0, w(1.0) - 0.1), b, 1) == 1.0
@@ -363,7 +366,7 @@ def test_curve_switch_rides_to_origin():
     # along the braking parabola through the origin for 1 more: T = 2
     blocks = BlockPartition(sizes=(2,))
     system = BlockSystem(blocks=blocks, H=lambda z, u: (u,))
-    w = lambda p: -math.copysign(math.sqrt(2.0 * abs(p)), p)
+    w = lambda p: -np.copysign(np.sqrt(2.0 * np.abs(p)), p)
     pol = CurveSwitch(w=w, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     cfg = IntegratorConfig(dt=1e-4, t_max=20.0)
     run, rec = orchestrate(system, (1.0, 0.0), policies=[pol], cfg=cfg)
@@ -471,13 +474,14 @@ def test_orchestrate_work_per_step(monkeypatch):
 
 
 def test_orchestrate_work_per_step_curve_switch(monkeypatch):
-    # a curve-switch policy computes its residual once per row; its field
-    # solves the control at each integrator stage, shared by every sample
-    # the step covers; the double integrator accelerates below the curve w = 10
+    # a curve-switch policy reads its residual as a column, one call per
+    # batch and none per row; its field solves the control at each
+    # integrator stage, shared by every sample the step covers; the double
+    # integrator accelerates below the curve w = 10
     pol = CurveSwitch(w=lambda p: 10.0, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     calls, steps = _orchestrate_work(monkeypatch, (2,), (1.0, 0.0), pol)
     assert steps == 50
-    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": DONE_TESTS}
+    assert {k: calls[k] for k in ("residual", "done")} == {"residual": 0, "done": DONE_TESTS}
     assert calls["control"] < 2 * steps
 
 
@@ -686,40 +690,81 @@ def test_run_stage_nonfinite_row():
 
 
 class _Drain(StepPolicy):
-    """Control -1 on the block z2; its residual z2 raises below fail_below."""
+    """Drains the block z2 at unit rate: its field reads the control -1.
+    It records the control u(z) and switches on the residual g(z), each
+    read on one state or on the columns of a batch."""
 
-    def __init__(self, fail_below: float):
-        self.fail_below = fail_below
+    def __init__(self, g, u=lambda z: -1.0):
+        self.g, self.u = g, u
 
-    def control(self, branch: int, z: tuple) -> float:
-        return -1.0
+    def field(self, branch: int, rhs, control):
+        return lambda s: rhs(s, -1.0)
 
-    def residual(self, z: tuple, span: tuple) -> float:
-        if z[1] < self.fail_below:
-            raise ValueError(f"no residual at {z[1]}")
+    def control(self, branch: int, z) -> float:
+        return self.u(z)
+
+    def residual(self, z, span: tuple) -> float:
+        return self.g(z)
+
+
+def _fails_below(level: float):
+    """The residual z2, which raises at the first row below level."""
+
+    def g(z):
+        for v in np.atleast_1d(z[1]).tolist():
+            if v < level:
+                raise ValueError(f"no residual at {v}")
         return z[1]
+
+    return g
+
+
+def _channel_root(z):
+    # the pendulum's branch root of alpha u^3 - u + c (alpha = 1/9) at the
+    # forcing c = 25 (1 - z2): it has no positive root once c > 2/sqrt(3)
+    return _branch_root(PendulumParams(), 25.0 * (1.0 - z[1]), +1)
 
 
 @pytest.mark.parametrize(
-    "fail_below, error, msg, rows",
+    "drain, error, msg, rows",
     [
         # the hold breaks at t = 0.05, five rows before the residual raises
-        (0.945, HoldViolation, "block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05", 49),
+        pytest.param(_Drain(_fails_below(0.945)), HoldViolation,
+                     "block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05", 49,
+                     id="0.945-HoldViolation-block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05-49"),
         # the residual raises at t = 0.046, before the hold breaks
-        (0.955, ValueError, "no residual at 0.954", 45),
+        pytest.param(_Drain(_fails_below(0.955)), ValueError, "no residual at 0.954", 45,
+                     id="0.955-ValueError-no residual at 0.954-45"),
+        # the recorded control's cubic has no root on its branch at t = 0.047
+        pytest.param(_Drain(lambda z: z[1], _channel_root), NoRealRoot,
+                     "extreme root -3.47085 for forcing 1.175 has the wrong sign", 46,
+                     id="channel-root-NoRealRoot-46"),
     ],
 )
-def test_first_failing_row_wins(fail_below, error, msg, rows):
+def test_first_failing_row_wins(drain, error, msg, rows):
     # block 1 starts done; step 2 leaks 2e-6 u into it, so it leaves the
     # 10 delta band at t = 0.05, in the batch that also holds the row where
-    # the residual raises
+    # the residual or the recorded control raises
     system = BlockSystem(blocks=BlockPartition(sizes=(1, 1)), H=lambda z, u: (2e-6 * u, u))
     rec = Recorder()
     with pytest.raises(error) as err:
-        orchestrate(system, (0.0, 1.0), [ConstSign(level=1.0), _Drain(fail_below)],
+        orchestrate(system, (0.0, 1.0), [ConstSign(level=1.0), drain],
                     IntegratorConfig(dt=1e-3, t_max=10.0), recorder=rec)
     assert str(err.value) == msg
     assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
+
+
+def test_a_row_past_the_curve_table_ends_the_run_at_that_row():
+    # example51 with a custom f2 tabulates its step-2 curve on |z2| <= 32:
+    # from z2 = 31.9 the block runs past the table inside a batch of rows,
+    # and the run ends at that row as one row at a time
+    scn = example51(f2=lambda v: v + 0.2 * math.sin(v))
+    rec = Recorder()
+    with pytest.raises(RootBracketFailure) as err:
+        orchestrate(scn.system, (0.0, 31.9, 1.0), scn.policies, IntegratorConfig(dt=1e-3, t_max=5.0),
+                    recorder=rec)
+    assert str(err.value) == "switch table does not cover z2 = 32.00048975685785"
+    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 106)
 
 
 def _mapped_line(z_of, rec: Recorder, dt: float = 1e-3):
