@@ -28,7 +28,7 @@ K_CAP = 16
 
 
 class GramianConditionError(RuntimeError):
-    """Inversion residual beyond the acceptance gate: N(1) numerically unusable."""
+    """Inversion residual above the acceptance gate: N(1) numerically unusable."""
 
 
 def _check_k(k: int) -> None:

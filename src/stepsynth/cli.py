@@ -204,7 +204,7 @@ def _cmd_probe(args) -> int:
     box = _parse_box(args.box, scn.n) if args.box is not None else scn.probe.box
     samples = mappability.halton_samples(box, **_given(args, count="samples"))
     report = mappability.select_columns(scn.probe.a, scn.probe.bs, samples)
-    conditions = mappability.verify_phi_conditions(scn.probe.phi_grads, report)
+    conditions = mappability.verify_phi_conditions(scn.to_z, report)
     print(
         json.dumps(
             {

@@ -4,7 +4,8 @@ Builds the bracket columns q_{k m + j} = ad_a^k b_j at sampled states,
 selects the columns that raise numeric rank at every sample (left to
 right, with deletion of (j, k) propagating to (j, k+s)), and checks the
 Phi-gradient conditions that the block transform must satisfy on the
-columns the selection kept, so every bracket is built once.  `stepsynth
+columns the selection kept, so every bracket is built once; the gradients
+are rows of the Jacobian of the scenario's chart map x -> z.  `stepsynth
 probe` runs both and prints the conditions as phi_conditions.
 Fields are plain callables x -> R^n.  Jacobians are central finite
 differences with the step default_step; rank decisions use the SVD
@@ -208,28 +209,31 @@ def select_columns(
     )
 
 
-def verify_phi_conditions(phi_grads: Sequence[Callable], report: ProbeReport) -> dict:
+def verify_phi_conditions(chart: Callable, report: ProbeReport) -> dict:
     """Check the transform-gradient conditions on the probe's kept columns.
 
-    For block i with index n_i:  (phi_i)_x ad_a^k b_j = 0 for all j and
-    k <= min(n_i - 2, n_j - 1), and (phi_i)_x ad_a^(n_i - 1) b_i != 0, at
-    every sample.  Both tests are relative to |(phi_i)_x| |column|: a
-    condition = 0 holds within PHI_TOL of it, and one != 0 above SVD_TOL of
-    it, so no verdict depends on how a gradient is scaled, and a zero
-    gradient fails != 0.  Every column these read is one that
-    select_columns kept, so report.columns holds it; each gradient is
-    evaluated once per sample.  Returns {(kind, i, j, k): bool} with kind
-    'orthogonal' or 'nonvanish' (j, k = 0 for the latter).  Raises ValueError for a block whose field
-    kept no column.
+    chart maps a state x to z, the block chart: the gradient (phi_i)_x of
+    block i's head is row n_1 + ... + n_(i-1) of chart's central-difference
+    Jacobian, taken once per sample.  For block i with index n_i:
+    (phi_i)_x ad_a^k b_j = 0 for all j and k <= min(n_i - 2, n_j - 1), and
+    (phi_i)_x ad_a^(n_i - 1) b_i != 0, at every sample.  Both tests are
+    relative to |(phi_i)_x| |column|: a condition = 0 holds within PHI_TOL
+    of it, and one != 0 above SVD_TOL of it, so no verdict depends on how
+    the chart is scaled, and a head that does not vary fails != 0.  Every
+    column these read is one that select_columns kept, so report.columns
+    holds it.  Returns {(kind, i, j, k): bool} with kind 'orthogonal' or
+    'nonvanish' (j, k = 0 for the latter).  Raises ValueError for a block
+    whose field kept no column.
     """
     idx = report.indices
     cols = report.columns
+    jacobians = [_jacobian(chart, x, default_step(x)) for x in report.samples]
     out: dict = {}
-    for i, grad_i in enumerate(phi_grads, start=1):
-        n_i = idx[i - 1]
+    for i, n_i in enumerate(idx, start=1):
         if n_i < 1:
             raise ValueError(f"field {i} kept no column, so block {i} has no Phi-gradient conditions")
-        grads = [np.asarray(grad_i(x), dtype=float) for x in report.samples]
+        head = sum(idx[: i - 1])
+        grads = [jac[head] for jac in jacobians]
         norms = [float(np.linalg.norm(g)) for g in grads]
 
         def cosines(j, k):

@@ -7,7 +7,9 @@ into two 2-chains: block 1 (relative angle) obeys dz2 = H1(z, u), block 2
 to zero along a parabolic curve with margins eps1p/eps1m; step 2 keeps the
 motion inside the plane z1 = z2 = 0 (the links swing as one) and steers the
 remaining double integrator along the curve built from the constant-channel
-controls.
+controls.  That curve is a Hermite table (_w2_table) that grows out to the
+largest |z3| a run reads; pendulum_w2, its quadrature, is only a reference
+and no run calls it.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def pendulum_w2(p: PendulumParams, z3: float) -> float:
 
     Uses adaptive quadrature (abs tol 1e-10, rel tol 1e-12).  It is the
     reference for the scipy-free Hermite table of _w2_table that pendulum()
-    steers with; the table calls it only past its span, |z3| > 7.
+    steers with; no run calls it.
     """
     from scipy.integrate import quad
 
@@ -206,14 +208,14 @@ def pendulum_T1_analytic(p: PendulumParams, z0) -> tuple:
 
 
 def _w2_table(p: PendulumParams):
-    """Fast w2: stepwise.arrival_curve's table of the step-2 block on |z3| <= 7.
+    """Fast w2: stepwise.arrival_curve's table of the step-2 block.
 
     On the plane z1 = z2 = 0 the block (z3, z4) arrives with dz4 =
-    pendulum_u2pm(z3); the table matches pendulum_w2 to a few 1e-12 and
-    defers to it past the span.  Both are read through the module globals
-    at call time.
+    pendulum_u2pm(z3), read through the module global when a row is built.
+    The table grows out to the largest |z3| a run reads, up to
+    stepwise.CURVE_ROWS intervals, and matches pendulum_w2 to a few 1e-12.
     """
-    return arrival_curve(lambda z3, z4, side: pendulum_u2pm(p, z3, side), 7.0, lambda z3: pendulum_w2(p, z3))
+    return arrival_curve(lambda z3, z4, side: pendulum_u2pm(p, z3, side))
 
 
 def pendulum(params: PendulumParams | None = None) -> Scenario:
@@ -257,10 +259,6 @@ def pendulum(params: PendulumParams | None = None) -> Scenario:
         bs=(
             lambda x: np.array([0.0, 1.0, 0.0, 0.0]),
             lambda x: np.array([0.0, 0.0, 0.0, 1.0]),
-        ),
-        phi_grads=(
-            lambda x: np.array([1.0, 0.0, -1.0, 0.0]),
-            lambda x: np.array([0.0, 0.0, 1.0, 0.0]),
         ),
         box=((-1.0, 1.0),) * 4,
     )

@@ -28,11 +28,10 @@ from .stepwise import BlockPartition, BlockSystem, ConstSign, CurveSwitch, Theta
 
 @dataclass(frozen=True)
 class ProbeFields:
-    """Drift, control fields and transform gradients for the reducibility probe."""
+    """Drift, control fields and sample box of the reducibility probe."""
 
     a: Callable
     bs: tuple
-    phi_grads: tuple
     box: tuple
 
 
@@ -94,10 +93,6 @@ def intro2d() -> Scenario:
     probe = ProbeFields(
         a=lambda x: np.zeros(2),
         bs=(
-            lambda x: np.array([1.0, 0.0]),
-            lambda x: np.array([0.0, 1.0]),
-        ),
-        phi_grads=(
             lambda x: np.array([1.0, 0.0]),
             lambda x: np.array([0.0, 1.0]),
         ),
@@ -244,18 +239,10 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
         e[j] = 1.0
         return lambda x: e.copy()
 
-    def grad_row(i):
-        g = np.zeros(n)
-        for k, cf in enumerate(coeff_float[i - 1]):
-            g[k] = cf
-        g[n - i] = 1.0
-        return lambda x: g.copy()
-
     probe = ProbeFields(
         a=lambda x: np.zeros(n),
         # block i is driven by u^(2(n-i)+1), so its field is e_(n-i+1)
         bs=tuple(unit(n - 1 - j) for j in range(n)),
-        phi_grads=tuple(grad_row(i) for i in range(1, n + 1)),
         box=tuple(((-1.0, 1.0),) * n),
     )
     return Scenario(
@@ -283,10 +270,11 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
     Defaults: f1 = 0, f2 = identity.  f2 must be a strictly increasing
     bijection of the line; a custom f2 gets a numerically inverted chart.
     A custom f1 or f2 gets the arrival_curve table of the second block's
-    switch curve on |z2| <= 32.  z = (x1 - x2, x3, f2(x2)); step 1 holds
-    the first block with a unit-bound cubic controller (d = 0.2), step 2
-    steers the double integrator (z2, z3) along the curve of the
-    constant-channel extremal controls.
+    switch curve, built out to the largest |z2| a run reads.
+    z = (x1 - x2, x3, f2(x2)); step 1 holds the first block with a
+    unit-bound cubic controller (d = 0.2), step 2 steers the double
+    integrator (z2, z3) along the curve of the constant-channel extremal
+    controls.
     """
     custom_f1 = f1 is not None
     custom_f2 = f2 is not None
@@ -384,11 +372,7 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
         w2 = lambda z2: parabola(z2, 1.0, 1.0)
     else:
         u2_plus, u2_minus = _each(u2_plus), _each(u2_minus)
-
-        def beyond(z2):
-            raise RootBracketFailure(f"switch table does not cover z2 = {z2}")
-
-        w2 = arrival_curve(lambda z2, z3, side: f2_slope(z3) * u2_root(z2, z3, side > 0), 32.0, beyond)
+        w2 = arrival_curve(lambda z2, z3, side: f2_slope(z3) * u2_root(z2, z3, side > 0))
 
     step2 = CurveSwitch(w=w2, u_plus=u2_plus, u_minus=u2_minus)
 
@@ -400,10 +384,6 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
         bs=(
             lambda x: np.array([1.0, 0.0, 0.0]),
             lambda x: np.array([0.0, 1.0, 0.0]),
-        ),
-        phi_grads=(
-            lambda x: np.array([1.0, -1.0, 0.0]),
-            lambda x: np.array([0.0, 0.0, 1.0]),
         ),
         box=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
     )

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import engine
 from .ctrl_fn import THETA_MIN, LinearSynth, sigmas, theta_of
+from .cubic import RootBracketFailure
 
 
 class StepTimeout(RuntimeError):
@@ -28,7 +29,7 @@ class StepTimeout(RuntimeError):
 
 
 class HoldViolation(RuntimeError):
-    """A pinned block drifted beyond 10x the done tolerance."""
+    """A pinned block drifted past 10x the done tolerance."""
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,6 @@ class BlockPartition:
         if not 1 <= i <= self.m:
             raise ValueError(f"block index {i} out of range 1..{self.m}")
         return self.spans[i - 1]
-
-    def extract(self, z: Sequence[float], i: int) -> np.ndarray:
-        s, e = self.bounds(i)
-        return np.asarray(z[s:e], dtype=float)
 
 
 class StepPolicy:
@@ -213,7 +210,10 @@ def parabola(pos, up: float, down: float):
     return math.sqrt(-2.0 * down * pos)
 
 
-def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]) -> Callable:
+CURVE_ROWS = 2 ** 16  # intervals a side an arrival_curve table may grow to: |pos| < 448
+
+
+def arrival_curve(accel: Callable) -> Callable:
     """Switching curve velocity = w(position) of a CurveSwitch block.
 
     accel(pos, vel, side) is the block's velocity channel on the branch
@@ -226,76 +226,82 @@ def arrival_curve(accel: Callable, span: float, beyond: Callable[[float], float]
     extrapolated from the last three slopes.  On the first interval they
     are read at E = h k1 / 2 and h (3 k2 - k1) / 2: the error of that k3,
     carried as the next k1, cancels the error of k2 over the two Simpson
-    sums.  w reads the table on |pos| <= span and calls beyond(pos) past it.
-    w takes a float, or a column of them, which it reads against the
-    tables as arrays, the same floats as one position at a time.
+    sums.
+
+    Building the curve reads no accel: each side's rows are built when a
+    position first needs them, out to the largest |position| read, and a
+    row does not depend on how far its table has grown.  A branch that
+    does not slow the block raises ValueError when a position reaches it.
+    A position with |pos| >= CURVE_ROWS h, or not finite, raises
+    RootBracketFailure before any row is built.  w takes a column of
+    positions, which it reads against the tables as arrays, or one float,
+    which it reads as a column of one.
     """
-    h = 7.0 / 1024.0  # knot spacing; the interval count follows from the span
-    intervals = math.ceil(span / h)
+    return _ArrivalCurve(accel)
 
-    def table(side):
-        def slope(s, e):
-            k = side * accel(side * s, -side * math.sqrt(2.0 * e), side)
-            if not k > 0.0:
-                raise ValueError(f"arriving branch does not slow the block at position {side * s}")
-            return k
 
-        rows = []  # (E_i, k1, c2, c3): E = E_i + k1 t + c2 t^2 + c3 t^3, t = s - s_i
-        acc = 0.0
-        k1 = slope(0.0, 0.0)
-        for i in range(intervals):
+class _ArrivalCurve:
+    """arrival_curve's w: one array holds the + side's rows from row 0 and
+    the - side's from row cap; its room doubles as the rows grow."""
+
+    h = 7.0 / 1024.0  # knot spacing
+
+    def __init__(self, accel: Callable):
+        self.accel = accel
+        self.built = {+1: 0, -1: 0}  # rows of each side
+        self.ends = {}  # each side's E and slopes ka, kb, k1 where its last row ends
+        self.cap = 1
+        self.table = np.zeros((2, 4))  # rows (E_i, k1, c2, c3): E = E_i + k1 t + c2 t^2 + c3 t^3, t = s - s_i
+
+    def slope(self, side: int, s: float, e: float) -> float:
+        k = side * self.accel(side * s, -side * math.sqrt(2.0 * e), side)
+        if not k > 0.0:
+            raise ValueError(f"arriving branch does not slow the block at position {side * s}")
+        return k
+
+    def grow(self, side: int, n: int) -> None:
+        """Build the side's rows out to n, each from where the last one ends."""
+        if n > self.cap:
+            cap = min(max(n, 2 * self.cap), CURVE_ROWS)
+            table = np.zeros((2 * cap, 4))
+            table[: self.built[+1]] = self.table[: self.built[+1]]
+            table[cap : cap + self.built[-1]] = self.table[self.cap : self.cap + self.built[-1]]
+            self.cap, self.table = cap, table
+        start = 0 if side > 0 else self.cap
+        h, slope = self.h, self.slope
+        for i in range(self.built[side], n):
             if i == 0:
-                k2 = slope(0.5 * h, 0.5 * h * k1)
-                k3 = slope(h, h * (1.5 * k2 - 0.5 * k1))
+                acc, k1 = 0.0, slope(side, 0.0, 0.0)
+                k2 = slope(side, 0.5 * h, 0.5 * h * k1)
+                k3 = slope(side, h, h * (1.5 * k2 - 0.5 * k1))
             else:  # ka, kb: the previous interval's start and midpoint slopes
-                k2 = slope((i + 0.5) * h, acc + h * (5.0 * ka - 16.0 * kb + 23.0 * k1) / 24.0)
-                k3 = slope((i + 1) * h, acc + h * (kb - 2.0 * k1 + 7.0 * k2) / 6.0)
+                acc, ka, kb, k1 = self.ends[side]
+                k2 = slope(side, (i + 0.5) * h, acc + h * (5.0 * ka - 16.0 * kb + 23.0 * k1) / 24.0)
+                k3 = slope(side, (i + 1) * h, acc + h * (kb - 2.0 * k1 + 7.0 * k2) / 6.0)
             mean = (k1 + 4.0 * k2 + k3) / 6.0  # Simpson: increment / h
-            rows.append((acc, k1, (3.0 * mean - 2.0 * k1 - k3) / h, (k1 + k3 - 2.0 * mean) / (h * h)))
-            acc += mean * h
-            ka, kb, k1 = k1, k2, k3
-        return rows
+            self.table[start + i] = (acc, k1, (3.0 * mean - 2.0 * k1 - k3) / h, (k1 + k3 - 2.0 * mean) / (h * h))
+            self.ends[side] = (acc + mean * h, k1, k2, k3)
+            self.built[side] = i + 1
 
-    table_p = table(+1)
-    table_m = table(-1)
-    tables = np.array(table_p + table_m)  # w_column's: the + side's rows, then the - side's
-    last = intervals - 1
-
-    def w(pos):
-        if isinstance(pos, np.ndarray):
-            return w_column(pos)
-        if pos == 0.0:
-            return 0.0
-        s = abs(pos)
-        if s > span:
-            return beyond(pos)
-        idx = min(int(s / h), last)
-        e0, e1, e2, e3 = (table_p if pos > 0.0 else table_m)[idx]
-        t = s - idx * h
-        e = ((e3 * t + e2) * t + e1) * t + e0
-        root = math.sqrt(max(2.0 * e, 0.0))
-        return -root if pos > 0.0 else root
-
-    def w_column(pos):
-        # w's arithmetic on columns; a position past the span, or not
-        # finite, goes alone
+    def __call__(self, pos):
+        if not isinstance(pos, np.ndarray):  # one float, as a column of one
+            return float(self(np.array([pos], dtype=float))[0])
         s = np.abs(pos)
-        outside = np.flatnonzero(~(s <= span)).tolist()
-        if outside:
-            s = np.where(s <= span, s, 0.0)
-        idx = np.minimum((s / h).astype(np.int64), last)
+        far = np.flatnonzero(~(s < CURVE_ROWS * self.h)).tolist()
+        if far:
+            raise RootBracketFailure(f"switch curve table does not reach position {float(pos[far[0]])}")
+        idx = (s / self.h).astype(np.int64)
         right = pos > 0.0
-        e0, e1, e2, e3 = tables[idx + intervals * ~right].T
-        t = s - idx * h
-        # max(2 e, 0.0) as np.maximum: the sum is never -0.0, since e0 >= +0.0
+        for side, on in ((+1, right), (-1, pos < 0.0)):
+            n = int(idx.max(initial=-1, where=on)) + 1
+            if n > self.built[side]:
+                self.grow(side, n)
+        e0, e1, e2, e3 = self.table[idx + self.cap * ~right].T
+        t = s - idx * self.h
         root = np.sqrt(np.maximum(2.0 * (((e3 * t + e2) * t + e1) * t + e0), 0.0))
         out = np.where(right, -root, root)
         out[pos == 0.0] = 0.0
-        for i in outside:
-            out[i] = w(float(pos[i]))
         return out
-
-    return w
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 
 from stepsynth import chain_gramian, scenarios
@@ -399,13 +398,13 @@ def test_probe_phi_conditions_hold(capsys, name):
 
 
 def test_probe_failing_phi_condition_exits_2(capsys, monkeypatch):
-    # a zero gradient for block 1 cannot satisfy its nonvanish condition
+    # a chart whose block-1 head is constant has a zero gradient there,
+    # which cannot satisfy block 1's nonvanish condition
     get_scenario = scenarios.get_scenario
 
     def broken(name, **params):
         scn = get_scenario(name, **params)
-        grads = (lambda x: np.zeros(scn.n),) + scn.probe.phi_grads[1:]
-        return dataclasses.replace(scn, probe=dataclasses.replace(scn.probe, phi_grads=grads))
+        return dataclasses.replace(scn, to_z=lambda x: (0.0,) + tuple(scn.to_z(x))[1:])
 
     monkeypatch.setattr(scenarios, "get_scenario", broken)
     code, out, err = run_cli(capsys, "probe", "--scenario", "pendulum")

@@ -235,7 +235,7 @@ def test_phi_conditions_pendulum():
     scn = pendulum()
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
-    res = verify_phi_conditions(scn.probe.phi_grads, report)
+    res = verify_phi_conditions(scn.to_z, report)
     assert res and all(res.values())
     assert ("nonvanish", 1, 0, 0) in res
     assert ("nonvanish", 2, 0, 0) in res
@@ -245,34 +245,32 @@ def test_phi_conditions_example51():
     scn = example51()
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
-    res = verify_phi_conditions(scn.probe.phi_grads, report)
+    res = verify_phi_conditions(scn.to_z, report)
     assert res and all(res.values())
 
 
 def test_phi_conditions_zero_gradient_fails_nonvanish():
+    # a chart whose block-1 head is constant has a zero gradient there
     scn = pendulum()
     samples = halton_samples(scn.probe.box, 8)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
-    zero = lambda x: np.zeros(4)
-    res = verify_phi_conditions((zero, scn.probe.phi_grads[1]), report)
+    res = verify_phi_conditions(lambda x: (0.0,) + tuple(scn.to_z(x))[1:], report)
     assert res[("nonvanish", 1, 0, 0)] is False
     assert res[("nonvanish", 2, 0, 0)] is True
 
 
 @pytest.mark.parametrize("name", ["pendulum", "example51", "polyodd:3", "intro2d"])
 def test_phi_conditions_do_not_depend_on_the_gradient_scale(name):
-    # both tests are relative to |gradient| |column|: scaled gradients give
-    # the unscaled verdicts, and a zero gradient fails every nonvanish test
+    # both tests are relative to |gradient| |column|: a scaled chart gives
+    # the unscaled verdicts, and a constant chart fails every nonvanish test
     scn = get_scenario(name)
     report = select_columns(scn.probe.a, scn.probe.bs, halton_samples(scn.probe.box, 16))
-    want = verify_phi_conditions(scn.probe.phi_grads, report)
+    want = verify_phi_conditions(scn.to_z, report)
     assert want and all(want.values())
     for scale in (1e-7, 1e7):
-        scaled = [lambda x, g=g: scale * g(x) for g in scn.probe.phi_grads]
-        assert verify_phi_conditions(scaled, report) == want
-    zero = [lambda x: np.zeros(scn.n)] * len(scn.probe.phi_grads)
-    res = verify_phi_conditions(zero, report)
-    assert [ok for (kind, *_), ok in res.items() if kind == "nonvanish"] == [False] * len(zero)
+        assert verify_phi_conditions(lambda x: scale * np.asarray(scn.to_z(x)), report) == want
+    res = verify_phi_conditions(lambda x: np.zeros(scn.n), report)
+    assert [ok for (kind, *_), ok in res.items() if kind == "nonvanish"] == [False] * scn.blocks.m
 
 
 def test_phi_conditions_field_without_column():
@@ -281,7 +279,7 @@ def test_phi_conditions_field_without_column():
     report = select_columns(const([0.0, 0.0]), bs, [[0.1, 0.2]])
     assert report.indices == (1, 1, 0)
     with pytest.raises(ValueError, match="field 3"):
-        verify_phi_conditions([const([1.0, 0.0]), const([0.0, 1.0]), const([1.0, 1.0])], report)
+        verify_phi_conditions(lambda x: x, report)
 
 
 def test_polyodd_probe_matches_blocks():
@@ -289,5 +287,5 @@ def test_polyodd_probe_matches_blocks():
     samples = halton_samples(scn.probe.box, 16)
     report = select_columns(scn.probe.a, scn.probe.bs, samples)
     assert report.indices == scn.blocks.sizes
-    res = verify_phi_conditions(scn.probe.phi_grads, report)
+    res = verify_phi_conditions(scn.to_z, report)
     assert all(res.values())

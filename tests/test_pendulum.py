@@ -21,6 +21,8 @@ from stepsynth import (
     pendulum_w2,
     orchestrate,
     rk4_step,
+    simulate,
+    stepwise,
 )
 
 from paper_oracles import pendulum_energy
@@ -191,9 +193,11 @@ def test_w2_table_matches_quadrature():
     assert w_fast(0.0) == 0.0
     for z3 in np.linspace(-6.5, 6.5, 27):
         assert abs(w_fast(float(z3)) - pendulum_w2(P, float(z3))) <= 1e-8
-    # beyond the table span the closure defers to quadrature
-    assert w_fast(7.5) == pytest.approx(pendulum_w2(P, 7.5), rel=1e-12)
-    assert w_fast(-7.5) == pytest.approx(pendulum_w2(P, -7.5), rel=1e-12)
+    # the table grows past |z3| = 7 as far as a read asks, with no
+    # quadrature: it still matches the reference there
+    for s in np.linspace(7.0, 60.0, 54):
+        for z3 in (float(s), -float(s)):
+            assert w_fast(z3) == pytest.approx(pendulum_w2(P, z3), rel=1e-10)
 
 
 def test_w2_hermite_table_dense_grid(monkeypatch):
@@ -208,13 +212,36 @@ def test_w2_hermite_table_dense_grid(monkeypatch):
 
     monkeypatch.setattr(mod, "pendulum_u2pm", counted)
     w_fast = mod._w2_table(P)
+    assert calls[0] == 0  # building reads no channel root
+    w_fast(6.99)
+    w_fast(-6.99)
+    # rows 0..1022 of each side: the start slope, then two slopes per row
+    assert calls[0] == 2 * (1 + 2 * 1023)
     monkeypatch.undo()
-    assert calls[0] < 5000
     for s in np.linspace(0.005, 6.99, 700):
         s = float(s)
         for z3 in (s, -s):
             assert abs(w_fast(z3) - pendulum_w2(P, z3)) <= 1e-10
         assert abs(w_fast(-s) + w_fast(s)) <= 1e-14  # odd forcing, odd table
+
+
+def test_released_far_out_the_pendulum_runs_without_quadrature(monkeypatch):
+    # from rest at phi = psi = 8, unwrapped: step 2 reads w2 out to |z3| = 8,
+    # past where a table fixed at |z3| <= 7 called pendulum_w2 on each read
+    mod = importlib.import_module("stepsynth.pendulum")
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pendulum_w2(*args)
+
+    monkeypatch.setattr(mod, "pendulum_w2", counted)
+    scn = pendulum()
+    _, summary = simulate(scn, (8.0, 0.0, 8.0, 0.0), IntegratorConfig())
+    assert calls[0] == 0
+    assert summary.step_times == pytest.approx([0.0, 3.3990531819371053], abs=1e-9)
+    # the table holds the rows out to the start's z3 = 8, and no further
+    assert scn.policies[1].w.built[+1] == int(8.0 / stepwise._ArrivalCurve.h) + 1
 
 
 # --- analytic step-1 times ---
@@ -318,8 +345,6 @@ def test_first_branch_segment_matches_dop853(monkeypatch):
     # whole run makes fewer field evaluations than it records samples (a
     # fixed-step RK4 at dt makes four per sample)
     from scipy.integrate import solve_ivp
-
-    from stepsynth import stepwise
 
     scn = pendulum()
     z0 = scn.to_z((-2.0, 1.0, -1.0, 0.5))

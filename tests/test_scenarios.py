@@ -263,9 +263,9 @@ def test_chart_maps_on_columns_equal_the_per_row_maps(make):
 
 def _policy_rows(n: int, seed: int) -> np.ndarray:
     """Seeded block-chart states over several magnitudes, with zero and
-    -0.0 positions, a tiny and a huge head, and positions at the edges of
-    the pendulum's w2 table (|z3| <= 7) and of example51's custom table
-    (|z2| <= 32).  Rows 220-279 put the pendulum's step-1 drift G1 around
+    -0.0 positions, a tiny and a huge head, and curve positions at 7, 32,
+    32.5 and 60, where the pendulum's w2 table and example51's custom
+    table once stopped and past them, so the tables grow.  Rows 220-279 put the pendulum's step-1 drift G1 around
     eps1p = 20 and -eps1m = -10, where the channel cubic of each branch
     turns from three real roots to one; rows 280-284 overflow the
     pendulum's drifts."""
@@ -273,7 +273,7 @@ def _policy_rows(n: int, seed: int) -> np.ndarray:
     rows = rng.uniform(-1.0, 1.0, size=(2000, n)) * [np.pi, 6.0, 8.0, 6.0][:n]
     rows[:100] *= 10.0 ** rng.integers(-8, 1, size=(100, 1))
     rows[100:160, 0] = rng.choice([0.0, -0.0, 1e-170, -1e-170, 1e200], size=60)
-    edge = [7.0, np.nextafter(7.0, 0.0), np.nextafter(7.0, 8.0), 32.0, np.nextafter(32.0, 33.0), 32.5]
+    edge = [7.0, np.nextafter(7.0, 0.0), np.nextafter(7.0, 8.0), 32.0, np.nextafter(32.0, 33.0), 32.5, 60.0]
     rows[160:200, 2 if n == 4 else 1] = rng.choice(edge, size=40) * rng.choice([1.0, -1.0], size=40)
     rows[200:220, 2 if n == 4 else 1] = rng.choice([0.0, -0.0], size=20)
     rows[220:280, 0] = np.repeat([-0.5, 0.5], [40, 20])
@@ -476,12 +476,13 @@ def test_example51_custom_f2():
     assert abs(w(0.0)) <= 1e-9
     assert w(0.4) < 0.0 < w(-0.4)
     assert w(-0.4) == pytest.approx(-w(0.4), abs=1e-6)
-    # the table spans |z2| <= 32
+    # the table grows to the positions read, up to |z2| < 448
     assert w(-31.9) > 0.0
+    assert w(32.5) < 0.0 < w(-32.5)
     with pytest.raises(RootBracketFailure):
-        w(32.5)
+        w(448.0)
     with pytest.raises(RootBracketFailure):
-        w(-32.5)
+        w(-math.inf)
 
 
 def test_example51_custom_f2_inverts_once_per_state(monkeypatch):
@@ -499,18 +500,21 @@ def test_example51_custom_f2_inverts_once_per_state(monkeypatch):
 
         return counted
 
-    def counted_curve(accel, span, beyond):
+    def counted_curve(accel):
         def counted(*args):
             calls["slope_reads"] += 1
             return accel(*args)
 
-        return curve(counted, span, beyond)
+        return curve(counted)
 
     monkeypatch.setattr(scenarios, "_monotone_inverse", counted_inverse)
     monkeypatch.setattr(scenarios, "arrival_curve", counted_curve)
     scn = example51(f2=lambda v: v + 0.2 * math.sin(v))
-    # building: one per slope read of the curve table, plus the step-2 roots
-    assert calls["slope_reads"] > 9000
+    # building reads no slope of the curve table; a read at z2 = 2 builds
+    # its rows 0..292, one inversion per slope read, plus the step-2 roots
+    assert calls["slope_reads"] == 0
+    scn.policies[1].w(2.0)
+    assert calls["slope_reads"] == 1 + 2 * 293
     assert calls["inverse"] <= calls["slope_reads"] + 2
     calls["inverse"] = 0
     rng = np.random.default_rng(12)

@@ -68,7 +68,6 @@ def test_partition_accessors():
     assert b.bounds(1) == (0, 2)
     assert b.bounds(2) == (2, 5)
     assert b.bounds(3) == (5, 6)
-    assert np.array_equal(b.extract((1, 2, 3, 4, 5, 6), 2), [3, 4, 5])
 
 
 def test_partition_validation():
@@ -155,25 +154,31 @@ def test_eval_control_wraps_callback_errors():
 # --- arrival_curve ---
 
 
-def _no_table(pos):
-    raise LookupError(pos)
+def _counted(accel):
+    """accel, and the list of the arguments it was read at."""
+    reads = []
+
+    def counted(*args):
+        reads.append(args)
+        return accel(*args)
+
+    return counted, reads
 
 
 def test_arrival_curve_constant_rate():
     # unit deceleration: E = |pos|, so w = -+sqrt(2 |pos|)
-    w = arrival_curve(lambda pos, vel, side: float(side), 10.0, _no_table)
+    w = arrival_curve(lambda pos, vel, side: float(side))
     assert w(0.0) == 0.0
     for s in np.linspace(1e-3, 10.0, 1001):
         s = float(s)
         assert abs(w(s) + math.sqrt(2.0 * s)) <= 1e-12
         assert w(-s) == -w(s)
-    with pytest.raises(LookupError):
-        w(10.5)
+    assert abs(w(300.5) + math.sqrt(601.0)) <= 1e-12
 
 
 def test_arrival_curve_velocity_dependent_rate():
     # |dv/dt| = 1 + 0.1 v^2 gives dE/ds = 1 + 0.2 E: E = 5 (exp(0.2 s) - 1)
-    w = arrival_curve(lambda pos, vel, side: side * (1.0 + 0.1 * vel * vel), 25.0, _no_table)
+    w = arrival_curve(lambda pos, vel, side: side * (1.0 + 0.1 * vel * vel))
     for s in np.linspace(1e-3, 25.0, 2001):
         s = float(s)
         assert abs(0.5 * w(s) ** 2 - 5.0 * math.expm1(0.2 * s)) <= 1e-7
@@ -181,8 +186,47 @@ def test_arrival_curve_velocity_dependent_rate():
 
 
 def test_arrival_curve_rejects_a_branch_that_does_not_slow_the_block():
-    with pytest.raises(ValueError):
-        arrival_curve(lambda pos, vel, side: side * (1.0 - abs(pos)), 2.0, _no_table)
+    # the rate 1 - |pos| stops slowing the block at |pos| = 1: the curve
+    # builds, reads short of that position, and raises once a read reaches it
+    w = arrival_curve(lambda pos, vel, side: side * (1.0 - abs(pos)))
+    assert w(0.5) < 0.0 < w(-0.5)
+    with pytest.raises(ValueError, match="does not slow the block"):
+        w(1.5)
+    with pytest.raises(ValueError, match="does not slow the block"):
+        w(np.array([-0.5, -1.5]))
+
+
+def test_arrival_curve_builds_the_rows_a_read_needs():
+    h = stepwise._ArrivalCurve.h
+    accel, reads = _counted(lambda pos, vel, side: side * (1.0 + 0.1 * vel * vel))
+    w = arrival_curve(accel)
+    assert reads == []
+    # a read at s builds its side's rows 0..int(s / h): the start slope,
+    # then a midpoint and an end slope per row
+    slopes = lambda s: 1 + 2 * (int(s / h) + 1)
+    w(10.0)
+    assert len(reads) == slopes(10.0)
+    assert {side for *_, side in reads} == {+1}
+    w(np.array([3.0, -1.0, 0.0, 9.0]))
+    assert len(reads) == slopes(10.0) + slopes(1.0)
+    # a row does not depend on how far its table has grown
+    fresh = arrival_curve(lambda pos, vel, side: side * (1.0 + 0.1 * vel * vel))
+    grid = np.linspace(-10.0, 10.0, 4001)
+    assert w(grid).tolist() == fresh(grid).tolist() == [fresh(float(s)) for s in grid]
+
+
+@pytest.mark.parametrize("pos", [1e9, -1e9, math.inf, -math.inf, math.nan, stepwise.CURVE_ROWS * 7.0 / 1024.0])
+def test_arrival_curve_refuses_a_position_past_its_rows(pos):
+    # the table stops at CURVE_ROWS intervals a side (|pos| < 448); a
+    # position past that, or not finite, raises before any row is built,
+    # and a column names its first such position
+    accel, reads = _counted(lambda pos, vel, side: float(side))
+    w = arrival_curve(accel)
+    with pytest.raises(RootBracketFailure, match=f"position {pos}$"):
+        w(pos)
+    with pytest.raises(RootBracketFailure, match=f"position {pos}$"):
+        w(np.array([1.0, pos, -1e300, -2.0]))
+    assert reads == []
 
 
 # --- BlockSystem.rhs chaining ---
@@ -754,17 +798,19 @@ def test_first_failing_row_wins(drain, error, msg, rows):
     assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
 
 
-def test_a_row_past_the_curve_table_ends_the_run_at_that_row():
-    # example51 with a custom f2 tabulates its step-2 curve on |z2| <= 32:
-    # from z2 = 31.9 the block runs past the table inside a batch of rows,
-    # and the run ends at that row as one row at a time
+def test_a_run_past_z2_32_grows_the_curve_table():
+    # example51 with a custom f2 from z2 = 31.9: the block coasts out to
+    # z2 = 32.33 before it turns, and its curve table grows with it, one
+    # row per interval the run reaches (a table fixed at |z2| <= 32 ended
+    # this run at z2 = 32)
     scn = example51(f2=lambda v: v + 0.2 * math.sin(v))
     rec = Recorder()
-    with pytest.raises(RootBracketFailure) as err:
-        orchestrate(scn.system, (0.0, 31.9, 1.0), scn.policies, IntegratorConfig(dt=1e-3, t_max=5.0),
-                    recorder=rec)
-    assert str(err.value) == "switch table does not cover z2 = 32.00048975685785"
-    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 106)
+    run, _ = orchestrate(scn.system, (0.0, 31.9, 1.0), scn.policies, IntegratorConfig(dt=1e-3, t_max=50.0),
+                         recorder=rec)
+    assert run.step_times == pytest.approx([0.0, 12.209062412797078], abs=1e-9)
+    reach = float(np.max(rec.states[:, 1]))
+    assert 32.3 < reach < 32.4
+    assert scn.policies[1].w.built[+1] == int(reach / stepwise._ArrivalCurve.h) + 1
 
 
 def _mapped_line(z_of, rec: Recorder, dt: float = 1e-3):
