@@ -10,8 +10,8 @@ The recorded states stay (k, n) float arrays from the engine's Recorder
 to the files.  The run records only the chart it integrates; the record
 goes to the other chart in one call of the scenario's from_z or to_z on
 its columns (the transpose), which gives the same floats as one call per
-row.  The emitters convert a chunk of rows to Python floats only as they
-write it.
+row.  emit_csv assembles the bytes of a chunk of rows with numpy, and
+emit_svg converts only the rows it draws to Python floats.
 """
 
 from __future__ import annotations
@@ -142,13 +142,90 @@ def _as_rows(states) -> np.ndarray:
     return rows.reshape(len(rows), rows.shape[1] if len(rows) else 0)
 
 
-_CSV_CHUNK = 4096  # rows converted to Python floats at a time
+_CSV_CHUNK = 1024  # rows assembled as bytes at a time
+
+# A cell's "%.12e" bytes and its comma sit in a slot of 21 bytes,
+# [-]d.dddddddddddde±dd[d], with a 0 byte where there is no '-' or no third
+# exponent digit; the 0 bytes are dropped when a chunk is written.  The 12
+# decimals are three groups of four digits, each written as one uint32 of
+# their bytes, and so is the exponent's sign and digits.
+_CELL = np.dtype(
+    {
+        "names": ["sign", "lead", "dot", "g1", "g2", "g3", "e", "exp", "comma"],
+        "formats": ["u1", "u1", "u1", "<u4", "<u4", "<u4", "u1", "<u4", "u1"],
+        "offsets": [0, 1, 2, 3, 7, 11, 15, 16, 20],
+        "itemsize": 21,
+    }
+)
+_GROUPS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+_GROUPS = (_GROUPS + ord("0")).astype(np.uint8).view("<u4").ravel()
+_EXPONENTS = np.frombuffer(b"".join((b"%+03d" % k).ljust(4, b"\0") for k in range(-300, 301)), "<u4")
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])  # correctly rounded
+# s = |v|·10^(12-e) carries two roundings (the power of ten and the
+# product), an error below 1e13·2^-52 < 0.0023: a mantissa n = rint(s) with
+# |s - n| under this margin is the correctly rounded one
+_MARGIN = 0.5 - 1 / 64
+
+
+def _cells(v: np.ndarray) -> np.ndarray:
+    """The float vector v as _CELL slots, each one cell's "%.12e" and a comma.
+
+    The 13 digits come from numpy arithmetic where they are provably those
+    of Python's correctly rounded "%.12e"; the other cells (0, nan, ±inf,
+    |v| outside (1e-280, 1e280), s within 1/64 of a rounding tie or
+    outside [1e12, 1e13 - 1/2)) are formatted by Python, in one % call.
+    """
+    a = np.abs(v)
+    # inside the cuts 10^(12-e) is a normal float of _POW10
+    exact = (a > 1e-280) & (a < 1e280)
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = a * _POW10[312 - e]
+    n = np.rint(s)
+    # n is the mantissa at exponent e only for s in [1e12, 1e13 - 1/2): a
+    # mantissa rounding to 1e13 belongs to e + 1, and where log10 misses
+    # the decade s falls outside too
+    exact &= (s >= 1e12) & (s < 1e13 - 0.5) & (np.abs(s - n) < _MARGIN)
+
+    # n = lead·10^12 + g1·10^8 + g2·10^4 + g3, from its two halves of 7
+    # and 6 digits, which fit int32
+    hi, lo = np.divmod(n.astype(np.int64), 10**6)
+    lead, hi = np.divmod(hi.astype(np.int32), 10**6)
+    lo = lo.astype(np.int32)
+    cells = np.empty(len(v), _CELL)
+    cells["sign"] = np.where(v < 0, ord("-"), 0)
+    cells["lead"] = lead + ord("0")
+    cells["dot"] = ord(".")
+    cells["g1"] = _GROUPS[hi // 100]
+    cells["g2"] = _GROUPS[hi % 100 * 100 + lo // 10**4]
+    cells["g3"] = _GROUPS[lo % 10**4]
+    cells["e"] = ord("e")
+    cells["exp"] = _EXPONENTS[e + 300]
+    cells["comma"] = ord(",")
+
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        # "% -20.12e" puts a space where there is no '-' and pads to 20
+        # bytes on the right: each space becomes a 0 byte
+        text = ("% -20.12e" * len(rest)) % tuple(v[rest].tolist())
+        raw = np.frombuffer(text.replace(" ", "\0").encode("ascii"), np.uint8)
+        cells.view(np.uint8).reshape(-1, _CELL.itemsize)[rest, :20] = raw.reshape(-1, 20)
+    return cells
 
 
 def emit_csv(traj: Trajectory, path) -> None:
-    """t, x1..xn, z1..zn, u, event columns; %.12e; header row."""
+    """t, x1..xn, z1..zn, u, event columns; %.12e; header row.
+
+    The cells are byte for byte Python's "%.12e" and the event column is
+    the flag's one digit; a flag outside 0..9 raises ValueError before the
+    file is opened.
+    """
     xs, zs = _as_rows(traj.states_x), _as_rows(traj.states_z)
     n = xs.shape[1]
+    flags = np.asarray(traj.flags)
+    bad = flags[~np.isin(flags, np.arange(10))]
+    if len(bad):
+        raise ValueError(f"event flag {bad[0].item()!r} is not one digit 0..9")
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
@@ -156,26 +233,28 @@ def emit_csv(traj: Trajectory, path) -> None:
         + ["u", "event"]
     )
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fmt = ",".join(["%.12e"] * (2 * n + 2)) + ",%d\n"
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("ascii"))
             for lo in range(0, len(xs), _CSV_CHUNK):
                 hi = lo + _CSV_CHUNK
-                # one row of floats per sample, formatted with one % per
-                # chunk; '%d' writes the flag 2.0 as 2
-                chunk = np.column_stack(
-                    (traj.times[lo:hi], xs[lo:hi], zs[lo:hi], traj.controls[lo:hi], traj.flags[lo:hi])
-                )
-                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+                cells = np.column_stack((traj.times[lo:hi], xs[lo:hi], zs[lo:hi], traj.controls[lo:hi]))
+                k = len(cells)
+                rows = np.empty((k, cells.shape[1] * _CELL.itemsize + 2), np.uint8)
+                rows[:, :-2] = _cells(cells.ravel()).view(np.uint8).reshape(k, -1)
+                rows[:, -2] = flags[lo:hi] + ord("0")
+                rows[:, -1] = ord("\n")
+                fh.write(rows.tobytes().replace(b"\0", b""))
     except OSError as exc:
         raise OSError(f"could not write CSV to {path}: {exc}") from exc
 
 
 def emit_json(summary: RunSummary, path) -> None:
+    """The summary as strict JSON: a non-finite field raises ValueError
+    before the file is opened."""
+    text = json.dumps(summary.to_json_dict(), indent=2, allow_nan=False) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"could not write JSON to {path}: {exc}") from exc
 

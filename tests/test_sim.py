@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepsynth import (
     IntegratorConfig,
@@ -362,6 +365,68 @@ def test_csv_determinism(tmp_path):
     assert b.read_bytes() == _csv_by_fields(traj3)
 
 
+def _adversarial_cells() -> np.ndarray:
+    """Floats on which a digit computation other than Python's correctly
+    rounded %.12e is most likely to slip."""
+    rng = np.random.default_rng(19)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    mantissas = rng.integers(10**12, 10**13, 4000).tolist()
+    exponents = rng.integers(-320, 296, 4000).tolist()
+    # d.dddddddddddd5·10^e: exactly halfway between two 13-digit mantissas
+    # in decimal, never exactly in binary
+    ties = np.array([float(f"{m}5e{e - 13}") for m, e in zip(mantissas, exponents)])
+    # 9.9999999999995·10^e rounds up into the next exponent, or not
+    carries = np.array([float(f"9.9999999999995e{k}") for k in range(-320, 308)])
+    cuts = np.array([1e-280, 1e280])
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    near = [np.nextafter(c, side) for c in (powers, ties, carries, cuts) for side in (-math.inf, math.inf)]
+    bit_patterns = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([bit_patterns, special, powers, ties, carries, cuts, *near])
+    return np.concatenate([cells, -cells])
+
+
+def _trajectory_of_cells(cells, n=3) -> Trajectory:
+    # the cells fill t, x1..xn, z1..zn, u of as many rows as they need
+    width = 2 * n + 2
+    rows = np.resize(cells, (-(-len(cells) // width), width))
+    flags = [i % 4 for i in range(len(rows))]
+    xs, zs = rows[:, 1 : n + 1], rows[:, n + 1 : 2 * n + 1]
+    return Trajectory(rows[:, 0].tolist(), xs, zs, rows[:, -1].tolist(), flags, [])
+
+
+def test_emit_csv_cells_are_percent_e_bytes(tmp_path):
+    # the numpy digits agree with Python's %.12e on every cell, from the
+    # rounding ties and exponent carries to nan, signed zeros, subnormals
+    # and the cells either side of the 1e-280 and 1e280 cuts
+    cells = _adversarial_cells()
+    subnormal = (0 < np.abs(cells)) & (np.abs(cells) < 2.2250738585072014e-308)
+    assert np.isnan(cells).any() and np.isinf(cells).any() and subnormal.sum() > 100
+    traj = _trajectory_of_cells(cells)
+    path = tmp_path / "cells.csv"
+    emit_csv(traj, path)
+    assert path.read_bytes() == _csv_by_fields(traj)
+    assert re.search(rb",[-]?\d\.\d{12}e[+-]\d{3},", path.read_bytes())
+
+
+@given(v=st.floats(width=64))
+@settings(max_examples=300, deadline=None)
+def test_emit_csv_single_cell_matches_percent_e(v, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "one-cell.csv"
+    emit_csv(Trajectory([v], [(v,)], [(v,)], [v], [2], []), path)
+    cell = "%.12e" % v
+    assert path.read_text() == f"t,x1,z1,u,event\n{cell},{cell},{cell},{cell},2\n"
+
+
+@pytest.mark.parametrize("flag", [-1, 10, 12, 2.5, math.nan])
+def test_emit_csv_refuses_a_flag_that_is_not_one_digit(tmp_path, flag):
+    traj, _ = run_intro(dt=1e-3)
+    traj.flags[3] = flag
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(flag))):
+        emit_csv(traj, path)
+    assert not path.exists()
+
+
 def test_emit_csv_bad_path():
     traj, _ = run_intro(dt=1e-3)
     with pytest.raises(OSError):
@@ -378,6 +443,17 @@ def test_emit_json_file(tmp_path):
     d = json.loads(path.read_text())
     assert d["T_total"] == summary.T_total
     assert d["schema_version"] == 1
+
+
+@pytest.mark.parametrize("field, value", [("T_total", math.inf), ("hold_residuals", [0.0, math.nan])])
+def test_emit_json_refuses_a_non_finite_field(tmp_path, field, value):
+    # strict JSON, as theta, gramian and probe print it: no NaN or Infinity
+    # token, and no partial file
+    _, summary = run_intro(dt=1e-3)
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError):
+        emit_json(dataclasses.replace(summary, **{field: value}), path)
+    assert not path.exists()
 
 
 # --- SVG ---
