@@ -143,8 +143,9 @@ def _theta1(s: LinearSynth, x):
     return th, n * x / th
 
 
-def sigmas(s: LinearSynth, X: np.ndarray) -> list:
-    """theta_of(s, x).sigma for each row x of the (rows, k) array X, as a list.
+def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
+    """theta_of(s, x).sigma for each row x of the (rows, k) array X, as a
+    float array.
 
     For k = 1 by theta_of's closed form (_theta1) on the column itself,
     the same floats.  For k >= 2, and for a batch with a row that theta_of
@@ -159,8 +160,8 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> list:
             residual = np.abs(lhs - sigma * x)
             ok = origin | (np.isfinite(x) & ~(residual > ROOT_TOL * np.fmax(lhs, 1.0)))
         if ok.all():
-            return np.where(origin, 0.0, sigma).tolist()
-    return [theta_of(s, x).sigma for x in X.tolist()]
+            return np.where(origin, 0.0, sigma)
+    return np.array([theta_of(s, x).sigma for x in X.tolist()], dtype=float)
 
 
 def _theta_root(s: LinearSynth, c: list) -> float:

@@ -22,8 +22,9 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
-and the stage tests them as columns: the switching residuals and the
-recorded controls too, each in one call per batch.  The rows stay arrays
+at times that one numpy accumulate gives, the floats of adding dt one row
+at a time.  The stage tests them as columns: the switching residuals and
+the recorded controls too, each in one call per batch.  The rows stay arrays
 from there to the Recorder, which joins them into one (k, n) array.  A
 tuple is built only for one state: the start and each event row, which
 the integrator restarts from.  A batch that fails is read again one row
@@ -35,7 +36,6 @@ of components, where numpy's per-call cost outweighs its arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,6 +73,8 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.dt > EVENT_TOL:
             raise ValueError(f"dt must exceed the event width {EVENT_TOL}, got {self.dt}")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
 
@@ -217,16 +219,16 @@ class _Flow:
                 # the smaller step rounds to the same end: it would be retried forever
                 raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
 
-    def rows(self, times: list) -> np.ndarray:
-        """The states at ascending times inside the covered steps, as a
-        (len(times), n) array.  A time at the end of a step reads that step."""
-        ts = np.array(times)
+    def rows(self, times: np.ndarray) -> np.ndarray:
+        """The states at ascending times, a float array, inside the covered
+        steps, as a (len(times), n) array.  A time at the end of a step
+        reads that step."""
         parts = []
         lo, k, last = 0, len(times), len(self.pieces) - 1
         for j, (ta, tb, (a, b, c, d, e)) in enumerate(self.pieces):
-            hi = k if j == last else bisect.bisect_right(times, tb, lo)
+            hi = k if j == last else int(np.searchsorted(times, tb, side="right"))
             if hi > lo:
-                s = ((ts[lo:hi] - ta) / (tb - ta))[:, None]
+                s = ((times[lo:hi] - ta) / (tb - ta))[:, None]
                 s1 = 1.0 - s
                 parts.append(a + s * (b + s1 * (c + s * (d + s1 * e))))
                 lo = hi
@@ -253,18 +255,18 @@ def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
 
 
 class Rows:
-    """A batch of sample rows: times t, a list, and states y, a (k, n)
-    float array with one row per time.
+    """A batch of sample rows: times t, a float array, and states y, a
+    (k, n) float array with one row per time.
 
     The stage's rows(t, y) returns a Rows that also gives, per row:
       done                 the completion test, a bool array;
       arrive               the arrival coordinate, a float array;
-      residuals(lo, hi)    the switching function on rows lo..hi-1, a list;
+      residuals(lo, hi)    the switching function on rows lo..hi-1, a float array;
       controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list.
     Each covers exactly the rows it is asked for, or raises.
     """
 
-    def __init__(self, t: list, y: np.ndarray):
+    def __init__(self, t: np.ndarray, y: np.ndarray):
         self.t, self.y = t, y
 
     def state(self, i: int) -> State:
@@ -324,7 +326,7 @@ class Recorder:
     def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
         """Record rows lo..hi-1 of a batch, later than the last recorded
         row, with their controls and a flag each."""
-        self.times.extend(rows.t[lo:hi])
+        self.times.extend(rows.t[lo:hi].tolist())
         self._states.append(rows.y[lo:hi])
         self.controls.extend(controls)
         self.flags.extend([flag] * (hi - lo))
@@ -361,8 +363,11 @@ def run_stage(
 
     The branch field is integrated by Dormand-Prince steps of their own
     size (_Flow).  Samples are taken every cfg.dt from the last event
-    time, read from the dense output; events are tested between
-    consecutive samples, and a sign change of the residual or of arrive,
+    time, read from the dense output.  A batch's sample times are one
+    left-to-right accumulate of [t, dt, dt, ...]: each is the float that
+    adding dt to the time before gives, as in a row-by-row run, and only
+    the row at t_max takes the shorter step t_max - tk.  Events are tested
+    between consecutive samples, and a sign change of the residual or of arrive,
     or an entry into done, is bisected on the dense output.  The done ball
     is narrower than one sample spacing near an arrival, so endpoint tests
     alone fly over it; crossings of arrive are bisected and done is tested
@@ -398,7 +403,8 @@ def run_stage(
 
     def read(tm: float) -> Rows:
         """The one-row batch at time tm of the current flow."""
-        return read_rows([tm], flow.rows([tm]))
+        ts = np.array([tm])
+        return read_rows(ts, flow.rows(ts))
 
     branch = stage.branch(z)
     last_switch_t: float | None = None
@@ -406,7 +412,7 @@ def run_stage(
     slide_release = 0.0
 
     # at is the one-row batch of the start or of the last event: nothing is known there yet
-    at = read_rows([t], np.array([z], dtype=float))
+    at = read_rows(np.array([t]), np.array([z], dtype=float))
     if not recorder.times:
         recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
@@ -426,25 +432,32 @@ def run_stage(
             raise stage.deadline_error(t)
         if fresh:
             # g0 and a0: the residual and arrive of the last row tested for events
-            g0 = at.residuals(0, 1)[0]
+            g0 = float(at.residuals(0, 1)[0])
             a0 = float(at.arrive[0])
             fresh = False
 
-        # the batch: sample times by the same repeated addition as one row
-        # at a time, through the first row past t_max or the deadline
+        # the batch: sample times by one np.add.accumulate of [t, dt, dt,
+        # ...].  ufunc.accumulate adds left to right, so each time is the
+        # float that adding dt to the time before gives, as one row at a
+        # time does.  The times run through the first row at t_max or past
+        # the deadline; only that row can take the step t_max - tk, shorter
+        # than dt, and the scalar rule recomputes it.  n reaches two rows
+        # past the covered steps; where rounding leaves it short, the batch
+        # ends early and the next one goes on with the same times
         flow.cover(t, t + min(cfg.dt, cfg.t_max - t))
-        times = []
-        tk = t
-        while len(times) < size:
-            tk = tk + min(cfg.dt, cfg.t_max - tk)
-            if tk > flow.t:
-                break
-            times.append(tk)
-            if tk >= cfg.t_max or tk > deadline:
-                break
-        k = len(times)
+        n = int(min(size, (flow.t - t) / cfg.dt + 2.0))
+        steps = np.full(n + 1, cfg.dt)
+        steps[0] = t
+        times = np.add.accumulate(steps)[1:]
+        stop = first((times >= cfg.t_max) | (times > deadline))
+        if stop < n:
+            tk = float(times[stop - 1]) if stop else t
+            times[stop] = tk + min(cfg.dt, cfg.t_max - tk)
+            n = stop + 1
+        k = first(times[:n] > flow.t)
+        times = times[:k]
         rows = None
-        gs: list = []  # residuals of rows 0..len(gs)-1
+        gs = np.empty(k)  # residuals of the rows tested so far
         i = start = 0  # the first row not yet recorded, and not yet tested for events
         while True:
             try:
@@ -456,8 +469,8 @@ def run_stage(
                     rows = read_rows(times, y)
                 # c: the first row from start that may hold an event
                 c = start + min(first(rows.done[start:]), _sign_change(a0, rows.arrive[start:]))
-                gs += rows.residuals(start, min(c + 1, k))
-                g = np.array(gs[start:])
+                g = gs[start : min(c + 1, k)]
+                g[:] = rows.residuals(start, min(c + 1, k))
                 if sliding:
                     c = min(c, start + first(np.abs(g) > slide_release))
                 else:
@@ -474,13 +487,13 @@ def run_stage(
                 break
 
             if c:
-                t, g0, a0 = times[c - 1], gs[c - 1], float(rows.arrive[c - 1])
+                t, g0, a0 = float(times[c - 1]), float(gs[c - 1]), float(rows.arrive[c - 1])
             if c == k:
                 break
 
             # row c: its values against those of the row before it
             h = min(cfg.dt, cfg.t_max - t)
-            g1, a1 = gs[c], float(rows.arrive[c])
+            g1, a1 = float(gs[c]), float(rows.arrive[c])
 
             # candidate event times within (0, h]
             tau_done = None
@@ -502,14 +515,15 @@ def run_stage(
 
             if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
                 end = read(t + tau_done)
-                recorder.events.append(Event(end.t[0], "step-complete", step_index))
+                t = float(end.t[0])
+                recorder.events.append(Event(t, "step-complete", step_index))
                 recorder.extend(end, 0, 1, end.controls(branch, 0, 1), FLAG_COMPLETE)
                 stage.hold(end, 0, 1)
-                return StageResult(t_end=end.t[0], z_end=end.state(0))
+                return StageResult(t_end=t, z_end=end.state(0))
 
             if tau_switch is not None:
                 at = read(t + tau_switch)
-                t, z = at.t[0], at.state(0)
+                t, z = float(at.t[0]), at.state(0)
                 fresh = True
                 size = ROWS
                 stage.hold(at, 0, 1)

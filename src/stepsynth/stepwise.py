@@ -68,10 +68,10 @@ class StepPolicy:
     its block.  Each one gives control(branch, z), the control value on a
     branch, and residual(z, span), the switching function whose sign picks
     the branch; the defaults below cover the rest.  residuals and controls
-    read a batch of sample rows, a (k, n) array Z, and give k floats: one
-    call of residual and control on the columns Z.T, which they read as
-    they read one state (ThetaSwitch reads its sigma column through
-    ctrl_fn.sigmas).
+    read a batch of sample rows, a (k, n) array Z, and give k floats (a
+    float array of residuals, a list of controls): one call of residual
+    and control on the columns Z.T, which they read as they read one state
+    (ThetaSwitch reads its sigma column through ctrl_fn.sigmas).
 
     The callbacks a policy holds (w, u_plus, u_minus, u_zero) follow the
     contract of Scenario.to_z: they take one state, a tuple of floats (w
@@ -85,9 +85,9 @@ class StepPolicy:
 
     # on columns, overflow and invalid operations give inf and nan silently,
     # as Python's float arithmetic does
-    def residuals(self, Z: np.ndarray, span: tuple) -> list:
+    def residuals(self, Z: np.ndarray, span: tuple) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _floats(self.residual(Z.T, span), len(Z))
+            return _column(self.residual(Z.T, span), len(Z))
 
     def controls(self, branch: int, Z: np.ndarray) -> list:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -117,8 +117,14 @@ class StepPolicy:
         return None
 
 
+def _column(v, k: int) -> np.ndarray:
+    """A value on k rows as a float array of k: a column, or a constant."""
+    return np.asarray(v, dtype=float) if getattr(v, "ndim", 0) else np.full(k, float(v))
+
+
 def _floats(v, k: int) -> list:
-    """A value on k rows as a list of k floats: a column, or a constant."""
+    """A value on k rows as a list of k floats: a column, or a constant,
+    one float object repeated, which keeps a long record small."""
     return v.tolist() if getattr(v, "ndim", 0) else [float(v)] * k
 
 
@@ -158,7 +164,7 @@ class ThetaSwitch(StepPolicy):
     def residual(self, z: tuple, span: tuple) -> float:
         return theta_of(self.synth, z[span[0] : span[1]]).sigma
 
-    def residuals(self, Z: np.ndarray, span: tuple) -> list:
+    def residuals(self, Z: np.ndarray, span: tuple) -> np.ndarray:
         return sigmas(self.synth, Z[:, span[0] : span[1]])
 
     def theta_bound(self, z: tuple, span: tuple) -> float:
@@ -421,7 +427,7 @@ class _Stage:
     def slide_branch(self, s: tuple) -> int:
         return self.policy.slide_branch(self.z(s), self.span)
 
-    def rows(self, t: list, y: np.ndarray) -> "_Rows":
+    def rows(self, t: np.ndarray, y: np.ndarray) -> "_Rows":
         return _Rows(self, t, y)
 
     def hold(self, rows: "_Rows", lo: int, hi: int) -> None:
@@ -444,14 +450,14 @@ class _Rows(engine.Rows):
     the (k, n) array Z: y itself, or y mapped to z by one call of z_of on
     its n columns.  The done band and arrive coordinate are columns of Z."""
 
-    def __init__(self, stage: _Stage, t: list, y: np.ndarray):
+    def __init__(self, stage: _Stage, t: np.ndarray, y: np.ndarray):
         super().__init__(t, y)
         self.policy, self.span = stage.policy, stage.span
         self.Z = y if stage.z_of is None else np.column_stack(stage.z_of(y.T))
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 
-    def residuals(self, lo: int, hi: int) -> list:
+    def residuals(self, lo: int, hi: int) -> np.ndarray:
         return self.policy.residuals(self.Z[lo:hi], self.span)
 
     def controls(self, branch: int, lo: int, hi: int) -> list:
@@ -489,6 +495,8 @@ def orchestrate(
         raise ValueError(f"start must have length {blocks.n}, got {len(start)}")
     if not done_tol > 0:
         raise ValueError("done_tol must be positive")
+    if not math.isfinite(done_tol):
+        raise ValueError(f"done_tol must be finite, got {done_tol}")
 
     recorder = recorder if recorder is not None else engine.Recorder()
     rhs, z_of = chart if chart is not None else (system.rhs, None)

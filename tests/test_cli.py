@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, outputs, config files."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -151,6 +152,10 @@ def test_simulate_writes_outputs(capsys, tmp_path):
     assert (tmp_path / "traj_x1x2.svg").exists()
     line = next(ln for ln in out.splitlines() if ln.startswith("T_total"))
     assert float(line.split("=")[1]) == pytest.approx(1.8183098861837907, abs=1e-5)
+    # step_times are Python floats: numpy 2 would print np.float64(...)
+    assert "np.float64" not in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("step_times"))
+    assert [type(t) for t in ast.literal_eval(line.split("=")[1].strip())] == [float, float]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["scenario"] == "intro2d"
     assert summary["T_total"] == pytest.approx(1.8183098861837907, abs=1e-5)
@@ -315,6 +320,10 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         (("gramian", "--k", "2", "--theta", "inf"), "theta"),
         (("theta", "--k", "1", "--a0", "1", "--d", "inf", "--x", "1"), "--d"),
         (("probe", "--scenario", "intro2d", "--box", "0,inf"), "box"),
+        # an infinite spacing or done band would run and write traj.csv,
+        # then fail on summary.json
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--dt", "inf"), "dt"),
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--delta", "inf"), "done_tol"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):

@@ -301,6 +301,23 @@ def test_nan_settings_are_rejected(call):
 # --- summary serialization ---
 
 
+@pytest.mark.parametrize(
+    "name, x0, x0_chart",
+    [("pendulum", (-2.0, 1.0, -1.0, 0.5), "x"), ("example51", (0.5, 0.1, -0.3), "x"),
+     ("polyodd:3", (1.0, 1.0, 1.0), "z")],
+    ids=["pendulum", "example51", "polyodd:3"],
+)
+def test_trajectory_and_summary_hold_python_scalars(name, x0, x0_chart):
+    # the engine computes times and residuals as numpy arrays; what leaves
+    # it is Python floats (and int flags), whose repr is a plain number
+    traj, summary = simulate(get_scenario(name), x0, CFG, x0_chart=x0_chart)
+    assert {type(v) for v in traj.times} == {float}
+    assert {type(v) for v in traj.controls} == {float}
+    assert {type(v) for v in traj.flags} == {int}
+    assert {type(v) for v in summary.step_times} == {float}
+    assert traj.events and {type(t) for t, _, _ in traj.events} == {float}
+
+
 def test_summary_json_shape():
     _, summary = run_intro(dt=1e-3)
     d = json.loads(json.dumps(summary.to_json_dict()))

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepsynth import (
     BlockPartition,
@@ -620,6 +622,37 @@ def _run_line(stage, dt: float = 1e-3, t_max: float = 1.0, error=Timeout):
     return rec, str(err.value)
 
 
+# t_max is m + frac sample spacings past t0, so the last step is short.
+# The integrator's steps grow tenfold from dt, so the batches hold 1, 10,
+# 100 and 1000 rows, each ending at the end of the covered steps, then
+# ROWS rows: the short step falls inside the first batches (m small),
+# inside the batch of ROWS rows, or past it.
+@given(
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    dt=st.one_of(st.sampled_from([1e-3, 0.1, 1.0 / 3.0]), st.floats(1e-4, 1.0)),
+    m=st.one_of(st.integers(0, 60), st.integers(ROWS - 20, ROWS + 1300)),
+    frac=st.floats(0.01, 0.99),
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_stage_sample_times_are_the_repeated_addition(t0, dt, m, frac, cut):
+    # each recorded time is the float that adding dt one row at a time
+    # gives, through the short step at t_max or the first row past a
+    # deadline cut somewhere in the run
+    t_max = t0 + (m + frac) * dt
+    stage = _line(deadline_error=lambda t: StepTimeout(f"late at t={t!r}"))
+    want = _sample_times(t0, dt, t_max)
+    if cut is not None:
+        stage.deadline = t0 + cut * (t_max - t0)
+        late = [i for i, tk in enumerate(want) if tk > stage.deadline]
+        want = want[: late[0] + 1] if late else want
+    rec = Recorder()
+    with pytest.raises((Timeout, StepTimeout)):
+        run_stage(step_index=2, t0=t0, z0=(0.0,), stage=stage,
+                  cfg=IntegratorConfig(dt=dt, t_max=t_max), recorder=rec)
+    assert rec.times == want
+
+
 # Rows are read and tested in batches, so events are placed between every
 # pair of the first 150 samples: those include the first and the last row
 # of a batch and rows of later integrator steps, whatever the batch layout.
@@ -718,7 +751,9 @@ def test_run_stage_step_size_underflow():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"dt": 0.0}, {"dt": -1e-3}, {"dt": EVENT_TOL}, {"dt": 0.5 * EVENT_TOL}, {"t_max": 0.0}, {"t_max": -1.0}]
+    "kwargs",
+    [{"dt": 0.0}, {"dt": -1e-3}, {"dt": EVENT_TOL}, {"dt": 0.5 * EVENT_TOL}, {"t_max": 0.0}, {"t_max": -1.0},
+     {"dt": math.inf}],
 )
 def test_integrator_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -939,7 +974,7 @@ def test_flow_rows_match_the_scalar_interpolant():
         return tuple(a + s * (b + s1 * (c + s * (d + s1 * e))) for a, b, c, d, e in coef.T.tolist())
 
     assert len(flow.pieces) > 3
-    assert flow.rows(times).tolist() == [list(scalar(t)) for t in times]
+    assert flow.rows(np.array(times)).tolist() == [list(scalar(t)) for t in times]
 
 
 def _chatter_stage(slide_rate: float, t_max: float):
