@@ -144,6 +144,8 @@ def _cmd_theta(args) -> int:
     x = _parse_floats(args.x, "--x")
     if len(x) != args.k:
         raise ValueError(f"--x must have {args.k} entries, got {len(x)}")
+    if not (args.a0 > 0 and math.isfinite(args.a0)):
+        raise ValueError(f"--a0 must be positive and finite, got {args.a0}")
     q = gram.n1_inv[args.k - 1][args.k - 1]
     d = args.d if args.d is not None else math.sqrt(args.a0 * q / 2.0)
     if not math.isfinite(d):
@@ -185,16 +187,13 @@ def _cmd_gramian(args) -> int:
 
 def _parse_box(text: str, n: int) -> tuple:
     parts = [p for p in text.split(";") if p.strip()]
-    if len(parts) == 1:
-        lo, hi = _parse_floats(parts[0], "--box")
-        return tuple((lo, hi) for _ in range(n))
-    if len(parts) != n:
+    if len(parts) not in (1, n):
         raise ValueError(f"--box needs 1 or {n} lo,hi pairs, got {len(parts)}")
-    box = []
-    for part in parts:
-        lo, hi = _parse_floats(part, "--box")
-        box.append((lo, hi))
-    return tuple(box)
+    box = tuple(_parse_floats(part, "--box") for part in parts)
+    for part, pair in zip(parts, box):
+        if len(pair) != 2:
+            raise ValueError(f"--box needs lo,hi pairs of two numbers, got {part!r}")
+    return box * n if len(box) == 1 else box
 
 
 def _cmd_probe(args) -> int:

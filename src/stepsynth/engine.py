@@ -24,8 +24,8 @@ the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
 at times that one numpy accumulate gives, the floats of adding dt one row
 at a time.  The stage tests them as columns: the switching residuals and
-the recorded controls too, each in one call per batch.  The rows stay arrays
-from there to the Recorder, which joins them into one (k, n) array.  A
+the recorded controls too, each in one call per batch.  The record stays
+arrays: the Recorder joins each column's batch slices on its first read.  A
 tuple is built only for one state: the start and each event row, which
 the integrator restarts from.  A batch that fails is read again one row
 at a time up to the next event, so a run ends at the row where a
@@ -262,7 +262,7 @@ class Rows:
       done                 the completion test, a bool array;
       arrive               the arrival coordinate, a float array;
       residuals(lo, hi)    the switching function on rows lo..hi-1, a float array;
-      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a list.
+      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a float array.
     Each covers exactly the rows it is asked for, or raises.
     """
 
@@ -301,35 +301,40 @@ FLAG_COMPLETE = 2
 FLAG_SLIDE = 3
 
 
+def _joined(parts: list, empty: np.ndarray) -> np.ndarray:
+    """The array that parts join to, which then replaces them."""
+    if len(parts) != 1:
+        parts[:] = [np.concatenate(parts) if parts else empty]
+    return parts[0]
+
+
 class Recorder:
     """Columnar trajectory accumulator (times, states, controls, event flags).
 
-    times, controls and flags are lists.  states is a (k, n) float array:
-    the batches' row slices are kept as they are recorded and joined on
-    the first read.
+    times and controls are float arrays, states is a (k, n) float array and
+    flags an integer array.  Each column keeps the batches' row slices as
+    they are recorded and joins them on its first read.
     """
 
     def __init__(self):
-        self.times: list[float] = []
-        self.controls: list[float] = []
-        self.flags: list[int] = []
         self.events: list[Event] = []
-        self._states: list = []
+        self._times, self._states, self._controls, self._flags = [], [], [], []
 
-    @property
-    def states(self) -> np.ndarray:
-        parts = self._states
-        if len(parts) != 1:
-            parts[:] = [np.concatenate(parts) if parts else np.empty((0, 0))]
-        return parts[0]
+    times = property(lambda self: _joined(self._times, np.empty(0)))
+    states = property(lambda self: _joined(self._states, np.empty((0, 0))))
+    controls = property(lambda self: _joined(self._controls, np.empty(0)))
+    flags = property(lambda self: _joined(self._flags, np.empty(0, dtype=int)))
 
-    def extend(self, rows: Rows, lo: int, hi: int, controls: list, flag: int = FLAG_NONE) -> None:
+    def __len__(self) -> int:
+        return sum(map(len, self._times))
+
+    def extend(self, rows: Rows, lo: int, hi: int, controls: np.ndarray, flag: int = FLAG_NONE) -> None:
         """Record rows lo..hi-1 of a batch, later than the last recorded
         row, with their controls and a flag each."""
-        self.times.extend(rows.t[lo:hi].tolist())
+        self._times.append(rows.t[lo:hi])
         self._states.append(rows.y[lo:hi])
-        self.controls.extend(controls)
-        self.flags.extend([flag] * (hi - lo))
+        self._controls.append(controls)
+        self._flags.append(np.full(hi - lo, flag))
 
 
 def run_stage(
@@ -413,7 +418,7 @@ def run_stage(
 
     # at is the one-row batch of the start or of the last event: nothing is known there yet
     at = read_rows(np.array([t]), np.array([z], dtype=float))
-    if not recorder.times:
+    if not len(recorder):
         recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
     fresh = True
@@ -422,8 +427,7 @@ def run_stage(
     while True:
         if fresh and at.done[0]:
             recorder.events.append(Event(t, "step-complete", step_index))
-            if recorder.flags:
-                recorder.flags[-1] = FLAG_COMPLETE
+            recorder.flags[-1] = FLAG_COMPLETE
             stage.hold(at, 0, 1)
             return StageResult(t_end=t, z_end=z)
         if t >= cfg.t_max:

@@ -6,7 +6,7 @@ By default the block-form dynamics are integrated (the chart where the
 switching functions live); chart="x" integrates the original right side
 instead, as a transform cross-check.
 
-The recorded states stay (k, n) float arrays from the engine's Recorder
+The record's four columns stay numpy arrays from the engine's Recorder
 to the files.  The run records only the chart it integrates; the record
 goes to the other chart in one call of the scenario's from_z or to_z on
 its columns (the transpose), which gives the same floats as one call per
@@ -30,16 +30,16 @@ from .scenarios import Scenario
 class Trajectory:
     """Sampled closed-loop run: both charts, controls, and typed events.
 
-    states_x and states_z are (k, n) float arrays, one row per sample;
-    times, controls and flags are lists.  The emitters also take
-    trajectories built by hand with lists of state tuples.
+    times and controls are float arrays, flags an integer array, and
+    states_x and states_z are (k, n) float arrays, one row per sample.
+    The emitters also take trajectories built by hand with lists.
     """
 
-    times: list
+    times: np.ndarray
     states_x: np.ndarray
     states_z: np.ndarray
-    controls: list
-    flags: list
+    controls: np.ndarray
+    flags: np.ndarray
     events: list  # (time, kind, detail) tuples, time-sorted
 
     def __len__(self) -> int:

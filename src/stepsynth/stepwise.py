@@ -68,10 +68,10 @@ class StepPolicy:
     its block.  Each one gives control(branch, z), the control value on a
     branch, and residual(z, span), the switching function whose sign picks
     the branch; the defaults below cover the rest.  residuals and controls
-    read a batch of sample rows, a (k, n) array Z, and give k floats (a
-    float array of residuals, a list of controls): one call of residual
-    and control on the columns Z.T, which they read as they read one state
-    (ThetaSwitch reads its sigma column through ctrl_fn.sigmas).
+    read a batch of sample rows, a (k, n) array Z, and give a float array
+    of k: one call of residual and control on the columns Z.T, which they
+    read as they read one state (ThetaSwitch reads its sigma column
+    through ctrl_fn.sigmas).
 
     The callbacks a policy holds (w, u_plus, u_minus, u_zero) follow the
     contract of Scenario.to_z: they take one state, a tuple of floats (w
@@ -89,9 +89,9 @@ class StepPolicy:
         with np.errstate(over="ignore", invalid="ignore"):
             return _column(self.residual(Z.T, span), len(Z))
 
-    def controls(self, branch: int, Z: np.ndarray) -> list:
+    def controls(self, branch: int, Z: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _floats(self.control(branch, Z.T), len(Z))
+            return _column(self.control(branch, Z.T), len(Z))
 
     def branch(self, z: tuple, span: tuple) -> int:
         """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
@@ -120,12 +120,6 @@ class StepPolicy:
 def _column(v, k: int) -> np.ndarray:
     """A value on k rows as a float array of k: a column, or a constant."""
     return np.asarray(v, dtype=float) if getattr(v, "ndim", 0) else np.full(k, float(v))
-
-
-def _floats(v, k: int) -> list:
-    """A value on k rows as a list of k floats: a column, or a constant,
-    one float object repeated, which keeps a long record small."""
-    return v.tolist() if getattr(v, "ndim", 0) else [float(v)] * k
 
 
 SURFACE_TOL = 1e-9  # ThetaSwitch's zero band on sigma, relative to max |w|
@@ -460,7 +454,7 @@ class _Rows(engine.Rows):
     def residuals(self, lo: int, hi: int) -> np.ndarray:
         return self.policy.residuals(self.Z[lo:hi], self.span)
 
-    def controls(self, branch: int, lo: int, hi: int) -> list:
+    def controls(self, branch: int, lo: int, hi: int) -> np.ndarray:
         return self.policy.controls(branch, self.Z[lo:hi])
 
 

@@ -324,6 +324,15 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         # then fail on summary.json
         (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--dt", "inf"), "dt"),
         (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--delta", "inf"), "done_tol"),
+        # a box pair that is not two numbers, and an a0 that is not positive
+        # and finite, from which the control bound would be derived
+        (("probe", "--scenario", "intro2d", "--box", "1"), "--box needs lo,hi"),
+        (("probe", "--scenario", "intro2d", "--box", "1,2,3"), "--box needs lo,hi"),
+        (("probe", "--scenario", "intro2d", "--box", "0,1;1"), "--box needs lo,hi"),
+        (("theta", "--k", "2", "--a0", "-1", "--x", "1,0"), "--a0"),
+        (("theta", "--k", "2", "--a0", "0", "--x", "1,0"), "--a0"),
+        (("theta", "--k", "2", "--a0", "nan", "--x", "1,0"), "--a0"),
+        (("theta", "--k", "2", "--a0", "inf", "--x", "1,0"), "--a0"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):

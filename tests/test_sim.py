@@ -69,6 +69,8 @@ def test_zero_start_is_trivial():
     assert summary.T_total == 0.0
     assert summary.step_times == [0.0, 0.0]
     assert len(traj) == 1
+    # both steps complete on the start row, which takes the flag in place
+    assert traj.flags.tolist() == [2]
     assert summary.final_state_norm == 0.0
 
 
@@ -308,14 +310,19 @@ def test_nan_settings_are_rejected(call):
     ids=["pendulum", "example51", "polyodd:3"],
 )
 def test_trajectory_and_summary_hold_python_scalars(name, x0, x0_chart):
-    # the engine computes times and residuals as numpy arrays; what leaves
-    # it is Python floats (and int flags), whose repr is a plain number
+    # the record's columns stay numpy arrays from the engine to the files;
+    # every other number that leaves the run is a Python float, whose repr
+    # is a plain number
     traj, summary = simulate(get_scenario(name), x0, CFG, x0_chart=x0_chart)
-    assert {type(v) for v in traj.times} == {float}
-    assert {type(v) for v in traj.controls} == {float}
-    assert {type(v) for v in traj.flags} == {int}
-    assert {type(v) for v in summary.step_times} == {float}
+    assert (traj.times.dtype, traj.controls.dtype) == (np.float64, np.float64)
+    assert np.issubdtype(traj.flags.dtype, np.integer)
+    assert traj.times.shape == traj.controls.shape == traj.flags.shape == (len(traj.states_x),)
     assert traj.events and {type(t) for t, _, _ in traj.events} == {float}
+    assert {type(v) for v in summary.step_times} == {float}
+    assert {type(v) for v in summary.hold_residuals} == {float}
+    assert {type(v) for v in summary.theta_bounds} <= {float, type(None)}
+    scalars = (summary.T_total, summary.final_state_norm, summary.dt, summary.delta, *summary.x0)
+    assert {type(v) for v in scalars} == {float}
 
 
 def test_summary_json_shape():
@@ -436,7 +443,10 @@ def test_emit_csv_single_cell_matches_percent_e(v, tmp_path_factory):
 
 @pytest.mark.parametrize("flag", [-1, 10, 12, 2.5, math.nan])
 def test_emit_csv_refuses_a_flag_that_is_not_one_digit(tmp_path, flag):
+    # an integer flags array cannot hold 2.5 or nan: the flags are a list
+    # built by hand, as a caller's may be
     traj, _ = run_intro(dt=1e-3)
+    traj.flags = traj.flags.tolist()
     traj.flags[3] = flag
     path = tmp_path / "traj.csv"
     with pytest.raises(ValueError, match=re.escape(repr(flag))):

@@ -390,9 +390,10 @@ def test_orchestrate_deterministic():
     assert r1.T_total == r2.T_total
     assert r1.step_times == r2.step_times
     assert r1.hold_residuals == r2.hold_residuals
-    assert rec1.times == rec2.times
+    assert rec1.times.tolist() == rec2.times.tolist()
     assert rec1.states.tolist() == rec2.states.tolist()
-    assert rec1.controls == rec2.controls
+    assert rec1.controls.tolist() == rec2.controls.tolist()
+    assert rec1.flags.tolist() == rec2.flags.tolist()
 
 
 def test_audit_theta_switch():
@@ -442,11 +443,11 @@ class _StateRows(Rows):
         self.done = np.array([stage.done(x) for x in s], dtype=bool)
         self.arrive = np.array([stage.arrive(x) for x in s], dtype=float)
 
-    def residuals(self, lo: int, hi: int) -> list:
-        return [self.stage.residual(x) for x in self.s[lo:hi]]
+    def residuals(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([self.stage.residual(x) for x in self.s[lo:hi]], dtype=float)
 
-    def controls(self, branch: int, lo: int, hi: int) -> list:
-        return [self.stage.control(branch, x) for x in self.s[lo:hi]]
+    def controls(self, branch: int, lo: int, hi: int) -> np.ndarray:
+        return np.array([self.stage.control(branch, x) for x in self.s[lo:hi]], dtype=float)
 
 
 def _stage(**methods):
@@ -650,7 +651,7 @@ def test_run_stage_sample_times_are_the_repeated_addition(t0, dt, m, frac, cut):
     with pytest.raises((Timeout, StepTimeout)):
         run_stage(step_index=2, t0=t0, z0=(0.0,), stage=stage,
                   cfg=IntegratorConfig(dt=dt, t_max=t_max), recorder=rec)
-    assert rec.times == want
+    assert rec.times.tolist() == want
 
 
 # Rows are read and tested in batches, so events are placed between every
@@ -675,10 +676,10 @@ def test_run_stage_switch_at_each_row():
         assert [e.kind for e in rec.events] == ["branch-switch"]
         te = rec.events[0].t
         assert abs(te - c) <= 1e-9
-        assert rec.times[:r] == _sample_times(0.0, dt, 1.0, r - 1)
-        assert rec.times[r:] == _sample_times(te, dt, (r + 80) * dt)
-        assert rec.flags == [0] * r + [FLAG_SWITCH] + [0] * (len(rec.flags) - r - 1)
-        assert rec.controls == [1.0] * r + [-1.0] * (len(rec.times) - r)
+        assert rec.times[:r].tolist() == _sample_times(0.0, dt, 1.0, r - 1)
+        assert rec.times[r:].tolist() == _sample_times(te, dt, (r + 80) * dt)
+        assert rec.flags.tolist() == [0] * r + [FLAG_SWITCH] + [0] * (len(rec.flags) - r - 1)
+        assert rec.controls.tolist() == [1.0] * r + [-1.0] * (len(rec.times) - r)
         assert all(abs(z[0] - t) <= 1e-12 for t, z in zip(rec.times[:r], rec.states))
         assert all(abs(z[0] - (2.0 * t - te)) <= 1e-9 for t, z in zip(rec.times[r:], rec.states[r:]))
 
@@ -697,8 +698,8 @@ def test_run_stage_completes_at_each_row():
         )
         assert [e.kind for e in rec.events] == ["step-complete"]
         assert abs(result.t_end - c) <= 1e-9
-        assert rec.times == _sample_times(0.0, dt, 1.0, r - 1) + [result.t_end]
-        assert rec.flags == [0] * r + [FLAG_COMPLETE]
+        assert rec.times.tolist() == _sample_times(0.0, dt, 1.0, r - 1) + [result.t_end]
+        assert rec.flags.tolist() == [0] * r + [FLAG_COMPLETE]
 
 
 def test_run_stage_arrive_crossing_outside_done_is_a_plain_row():
@@ -713,7 +714,7 @@ def test_run_stage_arrive_crossing_outside_done_is_a_plain_row():
             done=lambda s: probes.append(s[0]) and False,
         ), dt, t_max=0.2)
         assert not rec.events and set(rec.flags) == {0}
-        assert rec.times == _sample_times(0.0, dt, 0.2)
+        assert rec.times.tolist() == _sample_times(0.0, dt, 0.2)
         assert any(abs(p - c) <= 1e-9 for p in probes)
 
 
@@ -724,7 +725,7 @@ def test_run_stage_arrive_crossing_outside_done_is_a_plain_row():
 def test_run_stage_timeout_row():
     rec, msg = _run_line(_line(), t_max=0.1234)
     assert msg == "t_max=0.1234 reached in step 2"
-    assert rec.times == _sample_times(0.0, 1e-3, 0.1234) and len(rec.times) == 125
+    assert rec.times.tolist() == _sample_times(0.0, 1e-3, 0.1234) and len(rec.times) == 125
 
 
 def test_run_stage_deadline_row():
@@ -733,7 +734,7 @@ def test_run_stage_deadline_row():
     stage.deadline = 0.0505
     rec, msg = _run_line(stage, error=StepTimeout)
     assert msg == "late at t=0.05100000000000004"
-    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 51)
+    assert rec.times.tolist() == _sample_times(0.0, 1e-3, 1.0, 51)
 
 
 def test_run_stage_step_size_underflow():
@@ -747,7 +748,21 @@ def test_run_stage_step_size_underflow():
                   cfg=IntegratorConfig(dt=0.1, t_max=5.0), recorder=rec)
     assert time.perf_counter() - start < 1.0
     assert str(err.value).startswith("step size underflow at t=1 in step 2")
-    assert rec.times == _sample_times(0.0, 0.1, 1.0, 9)
+    assert rec.times.tolist() == _sample_times(0.0, 0.1, 1.0, 9)
+
+
+def test_run_stage_that_starts_done_flags_the_last_row_in_place():
+    # a stage that starts inside its done band records no row of its own:
+    # the last recorded row, the one it starts on, takes the completion flag
+    rec, _ = _run_line(_line(), t_max=0.01)
+    times, states = rec.times.tolist(), rec.states.tolist()
+    result = run_stage(step_index=3, t0=times[-1], z0=tuple(states[-1]), stage=_line(done=lambda s: True),
+                       cfg=IntegratorConfig(dt=1e-3, t_max=1.0), recorder=rec)
+    assert result.t_end == times[-1]
+    assert [e.kind for e in rec.events] == ["step-complete"]
+    assert (rec.times.tolist(), rec.states.tolist()) == (times, states)
+    assert rec.flags.tolist() == [0] * (len(times) - 1) + [FLAG_COMPLETE]
+    assert len(rec) == len(rec.controls) == len(times)
 
 
 @pytest.mark.parametrize(
@@ -765,7 +780,7 @@ def test_run_stage_nonfinite_row():
     # integrated, and no step reaches the row at 0.051
     rec, msg = _run_line(_line(field=lambda b: lambda s: (1.0 if s[0] < 0.0505 else math.inf,)), error=NonFinite)
     assert msg == "non-finite state at t=0.051 in step 2"
-    assert rec.times == _sample_times(0.0, 1e-3, 1.0, 50)
+    assert rec.times.tolist() == _sample_times(0.0, 1e-3, 1.0, 50)
 
 
 class _Drain(StepPolicy):
@@ -830,7 +845,11 @@ def test_first_failing_row_wins(drain, error, msg, rows):
         orchestrate(system, (0.0, 1.0), [ConstSign(level=1.0), drain],
                     IntegratorConfig(dt=1e-3, t_max=10.0), recorder=rec)
     assert str(err.value) == msg
-    assert rec.times == _sample_times(0.0, 1e-3, 1.0, rows)
+    assert rec.times.tolist() == _sample_times(0.0, 1e-3, 1.0, rows)
+    # step 1 completes on the start row without adding one: that row takes
+    # the completion flag in place
+    assert (rec.events[0].kind, rec.events[0].t) == ("step-complete", 0.0)
+    assert rec.flags.tolist() == [FLAG_COMPLETE] + [0] * rows
 
 
 def test_a_run_past_z2_32_grows_the_curve_table():
@@ -892,7 +911,7 @@ def test_chart_map_failure_ends_the_run_at_its_row(row):
     with pytest.raises(ValueError) as err:
         _mapped_line(z_of, rec)
     assert str(err.value) == f"no chart past {edge}"
-    assert rec.times == _sample_times(0.0, 1e-3, 2.0, row - 1)
+    assert rec.times.tolist() == _sample_times(0.0, 1e-3, 2.0, row - 1)
 
 
 def test_chart_map_failure_past_the_completion_row():
@@ -912,7 +931,9 @@ def test_chart_map_failure_past_the_completion_row():
     clean_run = _mapped_line(lambda x: x, clean)
     assert raised
     assert run.step_times == clean_run.step_times
-    assert (rec.times, rec.states.tolist(), rec.flags) == (clean.times, clean.states.tolist(), clean.flags)
+    assert rec.times.tolist() == clean.times.tolist()
+    assert rec.states.tolist() == clean.states.tolist()
+    assert rec.flags.tolist() == clean.flags.tolist()
 
 
 def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
@@ -952,7 +973,9 @@ def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
     rec, after = run(done)
     clean, clean_after = run(lambda s: False)
     assert raised and [e.kind for e in rec.events] == ["branch-switch"]
-    assert (rec.times, rec.states.tolist(), rec.controls) == (clean.times, clean.states.tolist(), clean.controls)
+    assert rec.times.tolist() == clean.times.tolist()
+    assert rec.states.tolist() == clean.states.tolist()
+    assert rec.controls.tolist() == clean.controls.tolist()
     assert after == clean_after and max(after) > 1
 
 
