@@ -20,7 +20,6 @@ from .engine import (
     IntegratorConfig,
     NonFinite,
     Recorder,
-    StageResult,
     Timeout,
     rk4_step,
     run_stage,

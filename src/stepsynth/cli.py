@@ -146,10 +146,11 @@ def _cmd_theta(args) -> int:
         raise ValueError(f"--x must have {args.k} entries, got {len(x)}")
     if not (args.a0 > 0 and math.isfinite(args.a0)):
         raise ValueError(f"--a0 must be positive and finite, got {args.a0}")
-    q = gram.n1_inv[args.k - 1][args.k - 1]
+    q = float(gram.n1_inv[args.k - 1][args.k - 1])
     d = args.d if args.d is not None else math.sqrt(args.a0 * q / 2.0)
     if not math.isfinite(d):
-        raise ValueError(f"--d, the control bound, must be finite, got {d}")
+        what = "--d, the control bound," if args.d is not None else f"the control bound derived from --a0 {args.a0}"
+        raise ValueError(f"{what} must be finite, got {d}")
     synth = ctrl_fn.LinearSynth(gram=gram, a0=args.a0, d=d)
     ev = ctrl_fn.theta_of(synth, x)
     print(

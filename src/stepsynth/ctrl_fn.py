@@ -25,7 +25,7 @@ import numpy as np
 from .chain_gramian import GramSet
 from .cubic import bracket_root
 
-_MAX_ITER = 200
+_MAX_ITER = 2200  # factor-2 steps of the Theta walk: more than the float exponent range spans
 THETA_MIN = 1e-9  # hold band: v = 0 and the block is done below it
 ROOT_TOL = 1e-12  # relative residual tolerance of the Theta root
 
@@ -87,6 +87,17 @@ def _as_floats(x, k: int) -> list:
     return xs
 
 
+def _form(ninv: tuple, xs: list) -> list:
+    """c[p] = sum over i+j=p of N(1)^{-1}[i][j] x_i x_j, the Theta^p
+    coefficient of the quadratic form (N(Theta)^{-1} x, x) Theta^(2k-1)."""
+    c = [0.0] * (2 * len(xs) - 1)
+    for i, xi in enumerate(xs):
+        row = ninv[i]
+        for j, xj in enumerate(xs):
+            c[i + j] += row[j] * (xi * xj)
+    return c
+
+
 def _horner(coeffs: list, th: float) -> float:
     # the same operation order as np.polyval on descending coefficients
     y = 0.0
@@ -100,22 +111,24 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
 
     For k = 1 the root has the closed form Theta = |x| sqrt(N(1)^{-1}/(2 a0)).
     For k >= 2 the scalar equation is multiplied by Theta^(2k-1) to give a
-    polynomial, bracketed within a factor of 2 by doubling/halving from
-    Theta=1, then solved by brentq (cubic.bracket_root) to 1e-14 of the
-    bracket's upper end.  w = N(Theta)^{-1} x comes from the dilation form
-    D(Theta) N(1)^{-1} D(Theta) x.  x = 0 returns theta = 0 exactly.  All
-    arithmetic is on Python floats.
+    polynomial in Theta.  It is solved at x dilated by a power of two so
+    that its largest entry is near 1, since Theta(lam^k x_1, ..., lam x_k)
+    = lam Theta(x) and a power of two dilates x and Theta exactly.  The
+    dilated root is bracketed within a factor of 2 by doubling/halving from
+    Theta=1, over the whole float exponent range, then solved by brentq
+    (cubic.bracket_root) to 1e-14 of the bracket's upper end.  So every
+    finite x and every a0 > 0 have a root, from subnormal a0 to x whose
+    quadratic form overflows; a Theta past the float range raises
+    OverflowError.  w = N(Theta)^{-1} x comes from the dilation form
+    D(Theta) N(1)^{-1} D(Theta) x, which raises OverflowError where
+    Theta^-(k - 1/2) overflows.  x = 0, or an x whose quadratic form
+    underflows to zero, returns theta = 0 exactly.  All arithmetic is on
+    Python floats.
     """
     k = s.gram.k
     xs = _as_floats(x, k)
     ninv = s._n1_inv
-    # c[p] = sum over i+j=p of N(1)^{-1}[i][j] x_i x_j, the Theta^p coefficient
-    c = [0.0] * (2 * k - 1)
-    for i, xi in enumerate(xs):
-        row = ninv[i]
-        for j, xj in enumerate(xs):
-            c[i + j] += row[j] * (xi * xj)
-    if not any(c):
+    if not any(_form(ninv, xs)):
         # x is zero, or its quadratic form underflowed to zero: treat as origin
         return ThetaEval(theta=0.0, w=np.zeros(k), v=0.0, sigma=0.0)
 
@@ -123,7 +136,7 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         th, sigma = _theta1(s, xs[0])
         w = [sigma]
     else:
-        th = _theta_root(s, c)
+        th = _theta_root(s, xs)
         dil = [th ** -e for e in s._dil]
         y = [dj * xj for dj, xj in zip(dil, xs)]
         w = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, ninv)]
@@ -164,7 +177,14 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
     return np.array([theta_of(s, x).sigma for x in X.tolist()], dtype=float)
 
 
-def _theta_root(s: LinearSynth, c: list) -> float:
+def _theta_root(s: LinearSynth, xs: list) -> float:
+    # solve at x dilated by lam = 2^-m, lam^(k-i) x_i for i = 0..k-1: m =
+    # max over x_i != 0 of floor(e_i / (k-i)), e_i the binary exponent of
+    # x_i, puts the largest dilated entry near 1; Theta is 2^m times the
+    # dilated root
+    k = len(xs)
+    m = max(math.frexp(v)[1] // (k - i) for i, v in enumerate(xs) if v)
+    c = _form(s._n1_inv, [math.ldexp(v, -m * (k - i)) for i, v in enumerate(xs)])
     # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order:
     # negative below the positive root, positive above it
     coeffs = [2.0 * s.a0, 0.0] + [-cp for cp in reversed(c)]
@@ -176,5 +196,9 @@ def _theta_root(s: LinearSynth, c: list) -> float:
         th = th * 2.0 if up else th * 0.5
         if (F(th) > 0.0) == up:
             lo, hi = (0.5 * th, th) if up else (th, 2.0 * th)
-            return bracket_root(F, lo, hi, xtol=1e-14 * hi)
+            root = bracket_root(F, lo, hi, xtol=1e-14 * hi)
+            try:
+                return math.ldexp(root, m)
+            except OverflowError:
+                raise OverflowError(f"theta = {root!r} * 2**{m} is past the float range") from None
     raise NonConvergence("bracket for theta did not close")

@@ -1,10 +1,13 @@
 """Dormand-Prince 5(4) integration of closed loops with switching controls.
 
-The engine advances one stepwise stage at a time (run_stage).  A stage
-object gives the branch fields of its step, a deadline (math.inf when the
-step has none), a hold check on the finished blocks, and reads batches of
-sample rows (Rows); run_stage reads every sample through such a batch.
-Each branch field is integrated by an embedded 5(4) pair (Dormand &
+The engine advances one stepwise stage at a time (run_stage), which
+returns the end time and state (t_end, z_end).  A stage object gives the
+branch fields of its step, a deadline (math.inf when the step has none), a
+hold check on the finished blocks, and reads batches of sample rows;
+run_stage reads every sample through such a batch.  A batch is columns:
+it gives its times t, its states y, and per row the completion test done,
+the arrival coordinate arrive, residuals() and controls(branch), each a
+whole-batch array.  Each branch field is integrated by an embedded 5(4) pair (Dormand &
 Prince 1980) with adaptive steps, rtol = atol = TOL in the RMS error norm,
 and Hairer's fourth-order dense output.  cfg.dt is only the sample
 spacing: samples are read from the dense output every dt after the last
@@ -23,15 +26,15 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
 at times that one numpy accumulate gives, the floats of adding dt one row
-at a time.  The stage tests them as columns: the switching residuals and
-the recorded controls too, each in one call per batch.  The record stays
-arrays: the Recorder joins each column's batch slices on its first read.  A
-tuple is built only for one state: the start and each event row, which
-the integrator restarts from.  A batch that fails is read again one row
-at a time up to the next event, so a run ends at the row where a
-row-by-row run ends.  The integrator's own states and stages stay tuples
-of floats, and so does the state its field reads: a step has a handful
-of components, where numpy's per-call cost outweighs its arithmetic.
+at a time.  The stage tests them as columns, and run_stage reads each
+column once per batch.  The record stays arrays: the Recorder joins each
+column's batch slices on its first read.  A tuple is built only for one
+state: the start and each event row, which the integrator restarts from.
+A batch that fails is read again one row at a time up to the next event,
+so a run ends at the row where a row-by-row run ends.  The integrator's
+own states and stages stay tuples of floats, and so does the state its
+field reads: a step has a handful of components, where numpy's per-call
+cost outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -254,26 +257,6 @@ def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
     return hi
 
 
-class Rows:
-    """A batch of sample rows: times t, a float array, and states y, a
-    (k, n) float array with one row per time.
-
-    The stage's rows(t, y) returns a Rows that also gives, per row:
-      done                 the completion test, a bool array;
-      arrive               the arrival coordinate, a float array;
-      residuals(lo, hi)    the switching function on rows lo..hi-1, a float array;
-      controls(b, lo, hi)  the control on branch b on rows lo..hi-1, a float array.
-    Each covers exactly the rows it is asked for, or raises.
-    """
-
-    def __init__(self, t: np.ndarray, y: np.ndarray):
-        self.t, self.y = t, y
-
-    def state(self, i: int) -> State:
-        """Row i as a tuple of floats, for the integrator to start from."""
-        return tuple(self.y[i].tolist())
-
-
 def first(hits: np.ndarray) -> int:
     """Index of the first True in hits, or len(hits)."""
     idx = np.flatnonzero(hits)
@@ -286,13 +269,6 @@ def _sign_change(prev: float, values) -> int:
     v = np.concatenate(([prev], values))
     pos, nz = v > 0.0, v != 0.0
     return first(nz[:-1] & nz[1:] & (pos[:-1] != pos[1:]))
-
-
-@dataclass
-class StageResult:
-    t_end: float
-    z_end: State
-    # samples and events are appended directly into the recorder passed by the caller
 
 
 FLAG_NONE = 0
@@ -328,12 +304,12 @@ class Recorder:
     def __len__(self) -> int:
         return sum(map(len, self._times))
 
-    def extend(self, rows: Rows, lo: int, hi: int, controls: np.ndarray, flag: int = FLAG_NONE) -> None:
+    def extend(self, rows, lo: int, hi: int, controls: np.ndarray, flag: int = FLAG_NONE) -> None:
         """Record rows lo..hi-1 of a batch, later than the last recorded
-        row, with their controls and a flag each."""
+        row, with their controls (the batch's column) and a flag each."""
         self._times.append(rows.t[lo:hi])
         self._states.append(rows.y[lo:hi])
-        self._controls.append(controls)
+        self._controls.append(controls[lo:hi])
         self._flags.append(np.full(hi - lo, flag))
 
 
@@ -345,8 +321,9 @@ def run_stage(
     stage,
     cfg: IntegratorConfig,
     recorder: Recorder,
-) -> StageResult:
-    """Integrate one stepwise stage until its completion test holds.
+) -> tuple[float, State]:
+    """Integrate one stepwise stage until its completion test holds, and
+    return its end time and state (t_end, z_end).
 
     The stage object gives, for a state z:
       branch(z)        the branch in {-1, 0, +1} (u-minus, slide/zero, u-plus);
@@ -355,13 +332,17 @@ def run_stage(
       deadline         a time past which the stage fails with
                        deadline_error(t); math.inf when there is none;
     and, for a batch of at most ROWS sample rows at times t with states
-    y, a (k, n) array, rows(t, y): a Rows that gives each row's
-      residuals        the switching function: a sign change is a branch switch;
-      arrive           a coordinate that crosses zero transversally at the
-                       instant the stage should complete (the block velocity
-                       for curve-following policies);
-      done             the completion test;
-      controls         the control value on a branch, for the record.
+    y, a (k, n) array, rows(t, y): the batch, with t and y, and with one
+    value per row in each of its columns
+      done              the completion test, a bool array;
+      arrive            a coordinate that crosses zero transversally at the
+                        instant the stage should complete (the block
+                        velocity for curve-following policies), a float array;
+      residuals()       the switching function: a sign change is a branch
+                        switch, a float array;
+      controls(branch)  the control value on a branch, for the record, a
+                        float array.
+    Each column covers every row of the batch, or raises.
     hold(rows, lo, hi) checks that rows lo..hi-1 of a batch keep the
     finished blocks pinned, and raises if one of them does not: the plain
     rows before they are recorded, and each event row and the end row.
@@ -382,31 +363,33 @@ def run_stage(
     on the row its predecessor ended on.
 
     Evaluations per sample: the samples that the accepted steps cover, up
-    to ROWS of them, are read as one batch.  Its done and arrive columns
-    are tested over the whole batch, and residuals up to the first row
-    that may hold an event; the rows before that row are plain and are
-    held, given their controls and recorded together.  The row itself goes
-    through the event tests with the batch's values, and the batch goes on
-    after it unless an event ends the batch.  So a run without events
-    tests each sample once, in about one stage call per batch (a stage
-    that tests rows in another chart maps the whole batch there); the
-    residuals and the recorded controls of a batch are one call each,
-    which the bundled policies compute on columns.  The field's six
-    evaluations per Dormand-Prince step are shared by all samples the
-    step covers, and read one state each.  Event bisection and each event row read
-    one-row batches.
+    to ROWS of them, are read as one batch, and its residuals and its
+    controls on the current branch are read right after it, once each,
+    over every row.  The rows before the first row that may hold an event
+    are plain: they are held and recorded together with their slice of
+    the controls.  That row goes through the event tests with the batch's
+    values, and the batch goes on after it unless an event ends the batch.
+    So a run without events tests each sample once, in about one stage
+    call per batch (a stage that tests rows in another chart maps the
+    whole batch there), and a batch that ends at an event has read the
+    rows past it too.  The field's six evaluations per Dormand-Prince step
+    are shared by all samples the step covers, and read one state each.
+    Event bisection and each event row read one-row batches.
 
-    One rule keeps the outcome of a row-by-row run: a batch of more than
-    one row fails when reading it or testing its plain rows raises, or when
-    it holds a non-finite state, and is then read again from its first
-    unrecorded row in batches of one row until the next event.  In a
-    one-row batch every error is that row's and propagates, so the first
-    row that fails, and any event before it, end the stage.
+    One rule keeps the outcome of a row-by-row run, in which reading a row
+    reads each of its columns: a batch of more than one row fails when
+    reading it or its columns or testing its plain rows raises, or when it
+    holds a non-finite state, and is then read again from its first
+    unrecorded row in batches of one row until the next event.  So an
+    error on a row past an event only makes the run read up to that event
+    row by row.  In a one-row batch every error is that row's and
+    propagates, so the first row that fails, and any event before it, end
+    the stage.
     """
     deadline, read_rows = stage.deadline, stage.rows
     t, z = t0, z0
 
-    def read(tm: float) -> Rows:
+    def read(tm: float):
         """The one-row batch at time tm of the current flow."""
         ts = np.array([tm])
         return read_rows(ts, flow.rows(ts))
@@ -419,7 +402,7 @@ def run_stage(
     # at is the one-row batch of the start or of the last event: nothing is known there yet
     at = read_rows(np.array([t]), np.array([z], dtype=float))
     if not len(recorder):
-        recorder.extend(at, 0, 1, at.controls(branch, 0, 1))
+        recorder.extend(at, 0, 1, at.controls(branch))
     flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
     fresh = True
     size = ROWS  # rows per batch: one from a batch that fails up to the next event
@@ -429,14 +412,14 @@ def run_stage(
             recorder.events.append(Event(t, "step-complete", step_index))
             recorder.flags[-1] = FLAG_COMPLETE
             stage.hold(at, 0, 1)
-            return StageResult(t_end=t, z_end=z)
+            return t, z
         if t >= cfg.t_max:
             raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
         if t > deadline:
             raise stage.deadline_error(t)
         if fresh:
             # g0 and a0: the residual and arrive of the last row tested for events
-            g0 = float(at.residuals(0, 1)[0])
+            g0 = float(at.residuals()[0])
             a0 = float(at.arrive[0])
             fresh = False
 
@@ -461,7 +444,6 @@ def run_stage(
         k = first(times[:n] > flow.t)
         times = times[:k]
         rows = None
-        gs = np.empty(k)  # residuals of the rows tested so far
         i = start = 0  # the first row not yet recorded, and not yet tested for events
         while True:
             try:
@@ -471,17 +453,17 @@ def run_stage(
                     if bad < k:
                         raise NonFinite(f"non-finite state at t={times[bad]:.6g} in step {step_index}")
                     rows = read_rows(times, y)
+                    gs, us = rows.residuals(), rows.controls(branch)
                 # c: the first row from start that may hold an event
                 c = start + min(first(rows.done[start:]), _sign_change(a0, rows.arrive[start:]))
-                g = gs[start : min(c + 1, k)]
-                g[:] = rows.residuals(start, min(c + 1, k))
+                g = gs[start : c + 1]
                 if sliding:
                     c = min(c, start + first(np.abs(g) > slide_release))
                 else:
                     c = min(c, start + _sign_change(g0, g))
                 if i < c:
                     stage.hold(rows, i, c)
-                    recorder.extend(rows, i, c, rows.controls(branch, i, c))
+                    recorder.extend(rows, i, c, us)
                     i = c
             except Exception:
                 if k == 1:
@@ -515,19 +497,19 @@ def run_stage(
                     tau_switch = h
             elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
                 pos0 = g0 > 0.0
-                tau_switch = _bisect(t, h, lambda tm: (read(tm).residuals(0, 1)[0] > 0.0) != pos0)
+                tau_switch = _bisect(t, h, lambda tm: (read(tm).residuals()[0] > 0.0) != pos0)
 
             if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
                 end = read(t + tau_done)
                 t = float(end.t[0])
                 recorder.events.append(Event(t, "step-complete", step_index))
-                recorder.extend(end, 0, 1, end.controls(branch, 0, 1), FLAG_COMPLETE)
+                recorder.extend(end, 0, 1, end.controls(branch), FLAG_COMPLETE)
                 stage.hold(end, 0, 1)
-                return StageResult(t_end=t, z_end=end.state(0))
+                return t, tuple(end.y[0].tolist())
 
             if tau_switch is not None:
                 at = read(t + tau_switch)
-                t, z = float(at.t[0]), at.state(0)
+                t, z = float(at.t[0]), tuple(at.y[0].tolist())
                 fresh = True
                 size = ROWS
                 stage.hold(at, 0, 1)
@@ -550,7 +532,7 @@ def run_stage(
                     branch = stage.branch(z)
                     event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
                 recorder.events.append(event)
-                recorder.extend(at, 0, 1, at.controls(branch, 0, 1), flag)
+                recorder.extend(at, 0, 1, at.controls(branch), flag)
                 flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
                 break
 

@@ -161,10 +161,13 @@ def polyodd(n: int, lambdas: Optional[Sequence] = None, alpha: Optional[float] =
     Block i of the transformed chart obeys dz_i = P_i(u) where P_i has roots
     0, ±lam_1, ..., ±lam_{n-i}.  Step i >= 2 drives u = ±lam_{n+1-i}, a root
     of every earlier P_j, so finished blocks stay pinned exactly.  Step 1
-    uses ±alpha (default 1) which must exceed every lam.
+    uses ±alpha (default 1) which must exceed every lam.  One number for
+    lambdas is a list of one value, as `--param lambdas=0.5` gives it.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if lambdas is not None and np.ndim(lambdas) == 0:
+        lambdas = (lambdas,)
     if lambdas is None:
         lams = [Fraction(k, n) for k in range(1, n)]
     else:

@@ -439,23 +439,25 @@ class _Stage:
             self.hold_residuals[j] = max(self.hold_residuals[j], r)
 
 
-class _Rows(engine.Rows):
-    """A batch of sample rows as step i reads them, in the block chart as
-    the (k, n) array Z: y itself, or y mapped to z by one call of z_of on
-    its n columns.  The done band and arrive coordinate are columns of Z."""
+class _Rows:
+    """A batch of sample rows as step i reads them (the batch of
+    engine.run_stage), in the block chart as the (k, n) array Z: y itself,
+    or y mapped to z by one call of z_of on its n columns.  The done band
+    and arrive coordinate are columns of Z, and so are the residuals and
+    the controls on a branch, on the policy's column path."""
 
     def __init__(self, stage: _Stage, t: np.ndarray, y: np.ndarray):
-        super().__init__(t, y)
+        self.t, self.y = t, y
         self.policy, self.span = stage.policy, stage.span
         self.Z = y if stage.z_of is None else np.column_stack(stage.z_of(y.T))
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 
-    def residuals(self, lo: int, hi: int) -> np.ndarray:
-        return self.policy.residuals(self.Z[lo:hi], self.span)
+    def residuals(self) -> np.ndarray:
+        return self.policy.residuals(self.Z, self.span)
 
-    def controls(self, branch: int, lo: int, hi: int) -> np.ndarray:
-        return self.policy.controls(branch, self.Z[lo:hi])
+    def controls(self, branch: int) -> np.ndarray:
+        return self.policy.controls(branch, self.Z)
 
 
 def orchestrate(
@@ -503,10 +505,9 @@ def orchestrate(
 
     for i in range(1, blocks.m + 1):
         stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol, hold_residuals)
-        result = engine.run_stage(step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder)
-        step_times.append(result.t_end)
+        t, state = engine.run_stage(step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder)
+        step_times.append(t)
         theta_bounds.append(stage.theta_bound)
-        t, state = result.t_end, result.z_end
         a, b = stage.span
         hold_residuals[i - 1] = max(abs(v) for v in stage.z(state)[a:b])
 

@@ -291,6 +291,18 @@ def test_simulate_config_value_errors(capsys, tmp_path, line, what):
     assert out == "" and not (tmp_path / "traj.csv").exists()
 
 
+def test_simulate_param_list_of_one_value(capsys, tmp_path):
+    # one number is a list of one value: polyodd:2 has one lambda
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "polyodd:2", "--x0", "1,1", "--param", "lambdas=0.5",
+                           "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert json.loads((tmp_path / "summary.json").read_text())["params"]["lambdas"] == [0.5]
+    # polyodd:3 needs two
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "polyodd:3", "--x0", "1,1,1", "--param", "lambdas=0.5",
+                           "--out-dir", str(tmp_path / "three"))
+    assert code == 1 and "need 2 lambda values, got 1" in err
+
+
 def test_simulate_config_param_and_flag(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"scenario = polyodd:3\nx0 = 0.5,0,0\nparam = alpha=0.9\nout-dir = {tmp_path}\n")
@@ -333,6 +345,9 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         (("theta", "--k", "2", "--a0", "0", "--x", "1,0"), "--a0"),
         (("theta", "--k", "2", "--a0", "nan", "--x", "1,0"), "--a0"),
         (("theta", "--k", "2", "--a0", "inf", "--x", "1,0"), "--a0"),
+        # a finite a0 whose derived control bound overflows: the error names
+        # --a0, not the --d that was not given
+        (("theta", "--k", "2", "--a0", "1e308", "--x", "1,0"), "--a0"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):
@@ -355,6 +370,21 @@ def test_theta_json(capsys):
     assert d["v"] == pytest.approx(-1.4142135623730951, rel=1e-12)
     assert d["d"] == pytest.approx(math.sqrt(3.0), rel=1e-12)  # tight bound for a0=1
     assert abs(d["v"]) <= d["d"] + 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, theta",
+    [
+        (("--a0", "1e-320", "--x", "1,0", "--d", "1"), 2.0597729e80),
+        (("--a0", "1", "--x", "1e200,0"), 2.0597671439071177e100),
+    ],
+)
+def test_theta_at_extreme_scales(capsys, argv, theta):
+    # a subnormal a0, and a state whose quadratic form overflows: Theta is
+    # a finite float at both
+    code, out, err = run_cli(capsys, "theta", "--k", "2", *argv)
+    assert code == 0, err
+    assert strict_json(out)["theta"] == pytest.approx(theta, rel=1e-7)
 
 
 def test_theta_explicit_bound(capsys):

@@ -236,6 +236,34 @@ def test_theta_robust_over_scales(k):
         assert scaled == pytest.approx(lam * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_theta_dilation_law_over_the_float_range(k):
+    # a power of two lam = 2^j dilates x exactly, and Theta(lam^k x_1, ...,
+    # lam x_k) = lam Theta(x) holds to the bit, for x from about 1e-270 to
+    # 1e270 in each entry
+    s = synth_for(gram_n1(k), d=1.3)
+    rng = np.random.default_rng(500 + k)
+    for _ in range(20):
+        x = rng.uniform(-1, 1, size=k)
+        base = theta_of(s, x).theta
+        for j in range(-900 // k, 900 // k + 1, 30):
+            scaled = theta_of(s, [math.ldexp(v, j * (k - i)) for i, v in enumerate(x.tolist())])
+            assert scaled.theta == math.ldexp(base, j)
+
+
+@pytest.mark.parametrize("a0, x1", [(1e-320, 1.0), (1.0, 1e200)])
+def test_theta_at_extreme_scales(a0, x1):
+    # x on the first axis: 2 a0 Theta^4 = N(1)^{-1}[0][0] x_1^2.  A subnormal
+    # a0 puts Theta at 2.06e80, 267 doublings from Theta = 1; at x_1 = 1e200
+    # the quadratic form overflows, and by the dilation law with lam = 1e100
+    # Theta is 1e100 Theta(1, 0)
+    s = LinearSynth(gram=G2, a0=a0, d=2.0)
+    ev = theta_of(s, [x1, 0.0])
+    assert ev.theta == pytest.approx((G2.n1_inv[0][0] / 2.0) ** 0.25 * math.sqrt(x1) * a0 ** -0.25, rel=1e-12)
+    assert ev.theta == pytest.approx(math.sqrt(x1) * theta_of(s, [1.0, 0.0]).theta, rel=1e-12)
+    assert math.isfinite(ev.sigma)
+
+
 def test_sigma_sign_consistency():
     s = synth_for(G2, d=1.0)
     rng = np.random.default_rng(3)

@@ -40,7 +40,7 @@ from stepsynth import (
 )
 from stepsynth import stepwise
 from stepsynth.ctrl_fn import THETA_MIN
-from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS, Rows
+from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS
 from stepsynth.pendulum import NoRealRoot, PendulumParams, _branch_root
 from stepsynth.stepwise import StepPolicy
 
@@ -432,22 +432,22 @@ def _counter(calls: dict, name: str, fn):
     return wrapper
 
 
-class _StateRows(Rows):
+class _StateRows:
     """Rows of a fake stage, read by its per-state methods done(s),
     arrive(s), residual(s) and control(b, s), each called once per row."""
 
     def __init__(self, stage, t: list, y: np.ndarray):
-        super().__init__(t, y)
+        self.t, self.y = t, y
         self.stage = stage
         self.s = s = [tuple(x) for x in y.tolist()]
         self.done = np.array([stage.done(x) for x in s], dtype=bool)
         self.arrive = np.array([stage.arrive(x) for x in s], dtype=float)
 
-    def residuals(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.stage.residual(x) for x in self.s[lo:hi]], dtype=float)
+    def residuals(self) -> np.ndarray:
+        return np.array([self.stage.residual(x) for x in self.s], dtype=float)
 
-    def controls(self, branch: int, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.stage.control(branch, x) for x in self.s[lo:hi]], dtype=float)
+    def controls(self, branch: int) -> np.ndarray:
+        return np.array([self.stage.control(branch, x) for x in self.s], dtype=float)
 
 
 def _stage(**methods):
@@ -570,7 +570,7 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
         return (1.0,)
 
     rec = Recorder()
-    result = run_stage(
+    t_end, z_end = run_stage(
         step_index=1,
         t0=0.0,
         z0=(-1.0,),
@@ -586,8 +586,8 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
         cfg=IntegratorConfig(dt=1e-2, t_max=5.0),
         recorder=rec,
     )
-    assert result.t_end == pytest.approx(1.0, abs=1e-7)
-    assert abs(result.z_end[0]) <= 1e-8
+    assert t_end == pytest.approx(1.0, abs=1e-7)
+    assert abs(z_end[0]) <= 1e-8
     assert len(rec.times) == 101
 
 
@@ -691,14 +691,14 @@ def test_run_stage_completes_at_each_row():
     for r in EDGE_ROWS:
         c = (r - 0.5) * dt
         rec = Recorder()
-        result = run_stage(
+        t_end, _ = run_stage(
             step_index=1, t0=0.0, z0=(0.0,),
             stage=_line(arrive=lambda s, c=c: s[0] - c, done=lambda s, c=c: abs(s[0] - c) <= 1e-8),
             cfg=IntegratorConfig(dt=dt, t_max=1.0), recorder=rec,
         )
         assert [e.kind for e in rec.events] == ["step-complete"]
-        assert abs(result.t_end - c) <= 1e-9
-        assert rec.times.tolist() == _sample_times(0.0, dt, 1.0, r - 1) + [result.t_end]
+        assert abs(t_end - c) <= 1e-9
+        assert rec.times.tolist() == _sample_times(0.0, dt, 1.0, r - 1) + [t_end]
         assert rec.flags.tolist() == [0] * r + [FLAG_COMPLETE]
 
 
@@ -756,9 +756,9 @@ def test_run_stage_that_starts_done_flags_the_last_row_in_place():
     # the last recorded row, the one it starts on, takes the completion flag
     rec, _ = _run_line(_line(), t_max=0.01)
     times, states = rec.times.tolist(), rec.states.tolist()
-    result = run_stage(step_index=3, t0=times[-1], z0=tuple(states[-1]), stage=_line(done=lambda s: True),
+    t_end, _ = run_stage(step_index=3, t0=times[-1], z0=tuple(states[-1]), stage=_line(done=lambda s: True),
                        cfg=IntegratorConfig(dt=1e-3, t_max=1.0), recorder=rec)
-    assert result.t_end == times[-1]
+    assert t_end == times[-1]
     assert [e.kind for e in rec.events] == ["step-complete"]
     assert (rec.times.tolist(), rec.states.tolist()) == (times, states)
     assert rec.flags.tolist() == [0] * (len(times) - 1) + [FLAG_COMPLETE]
@@ -934,6 +934,64 @@ def test_chart_map_failure_past_the_completion_row():
     assert rec.times.tolist() == clean.times.tolist()
     assert rec.states.tolist() == clean.states.tolist()
     assert rec.flags.tolist() == clean.flags.tolist()
+
+
+# A batch gives its residuals and its recorded controls for every row, so
+# it also reads them on the rows past an event in the same batch.  Where
+# those raise, the batch is read again one row at a time up to the event:
+# the run records what a run whose callback never raises records.  The
+# event sits between rows r - 1 and r; rows 11 to 110 are one batch.
+
+
+def _records(rec: Recorder) -> tuple:
+    return rec.times.tolist(), rec.states.tolist(), rec.controls.tolist(), rec.flags.tolist()
+
+
+def test_residual_failure_past_the_completion_row():
+    dt = 1e-3
+    for r in (2, 11, 12, 50, 109):
+        c = (r - 0.5) * dt
+
+        def run(residual):
+            rec = Recorder()
+            run_stage(step_index=1, t0=0.0, z0=(0.0,),
+                      stage=_line(residual=residual, arrive=lambda s: s[0] - c, done=lambda s: abs(s[0] - c) <= 1e-8),
+                      cfg=IntegratorConfig(dt=dt, t_max=1.0), recorder=rec)
+            return rec
+
+        def residual(s):
+            if s[0] > c + 0.75 * dt:
+                raise ValueError(f"no residual at {s[0]}")
+            return 1.0
+
+        rec, clean = run(residual), run(lambda s: 1.0)
+        assert [e.kind for e in rec.events] == ["step-complete"]
+        assert _records(rec) == _records(clean)
+
+
+def test_control_failure_past_the_switch_row():
+    dt = 1e-3
+    for r in (2, 11, 12, 50, 109):
+        c = (r - 0.5) * dt
+
+        def run(control):
+            rec, _ = _run_line(_line(
+                field=lambda b: (lambda s: (1.0,)) if b > 0 else (lambda s: (2.0,)),
+                branch=lambda s: 1 if s[0] < c else -1,
+                control=control,
+                residual=lambda s: s[0] - c,
+            ), dt, t_max=0.2)
+            return rec
+
+        def control(b, s):
+            # the first branch has no control past the switch row
+            if b > 0 and s[0] > c + 0.75 * dt:
+                raise ValueError(f"no control at {s[0]}")
+            return float(b)
+
+        rec, clean = run(control), run(lambda b, s: float(b))
+        assert [e.kind for e in rec.events] == ["branch-switch"]
+        assert _records(rec) == _records(clean)
 
 
 def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
