@@ -57,12 +57,23 @@ def _parse_param(tok: str):
     key, val = tok.split("=", 1)
     key = key.strip()
     val = val.strip()
-    if ";" in val:
-        return key, [float(v) for v in val.split(";") if v.strip() != ""]
     try:
+        if ";" in val:
+            return key, [float(v) for v in val.split(";") if v.strip() != ""]
         return key, int(val) if val.lstrip("+-").isdigit() else float(val)
     except ValueError:
-        return key, val
+        raise ValueError(f"--param {key} must be a number or ;-separated numbers, got {val!r}") from None
+
+
+def _print_json(out: dict) -> None:
+    """Print out as strict JSON, or refuse it naming a field that holds a
+    value past the float range."""
+    for key, val in out.items():
+        try:
+            json.dumps(val, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"{key} is not finite, and strict JSON has no value for it: {val}") from None
+    print(json.dumps(out, indent=2, allow_nan=False))
 
 
 def _load_config(path: str) -> dict:
@@ -153,20 +164,16 @@ def _cmd_theta(args) -> int:
         raise ValueError(f"{what} must be finite, got {d}")
     synth = ctrl_fn.LinearSynth(gram=gram, a0=args.a0, d=d)
     ev = ctrl_fn.theta_of(synth, x)
-    print(
-        json.dumps(
-            {
-                "k": args.k,
-                "a0": args.a0,
-                "d": d,
-                "theta": float(ev.theta),
-                "w": [float(v) for v in ev.w],
-                "v": float(ev.v),
-                "sigma": float(ev.sigma),
-            },
-            indent=2,
-            allow_nan=False,
-        )
+    _print_json(
+        {
+            "k": args.k,
+            "a0": args.a0,
+            "d": d,
+            "theta": float(ev.theta),
+            "w": [float(v) for v in ev.w],
+            "v": float(ev.v),
+            "sigma": float(ev.sigma),
+        }
     )
     return 0
 
@@ -182,7 +189,7 @@ def _cmd_gramian(args) -> int:
     if args.theta is not None:
         out["theta"] = args.theta
         out["n_theta"] = as_lists(chain_gramian.gram_theta(gram, args.theta))
-    print(json.dumps(out, indent=2, allow_nan=False))
+    _print_json(out)
     return 0
 
 
@@ -205,23 +212,19 @@ def _cmd_probe(args) -> int:
     samples = mappability.halton_samples(box, **_given(args, count="samples"))
     report = mappability.select_columns(scn.probe.a, scn.probe.bs, samples)
     conditions = mappability.verify_phi_conditions(scn.to_z, report)
-    print(
-        json.dumps(
-            {
-                "scenario": scn.name,
-                "kept": [list(pair) for pair in report.kept],
-                "indices": list(report.indices),
-                "rank_history": list(report.rank_history),
-                "samples": int(samples.shape[0]),
-                "svd_tol": mappability.SVD_TOL,
-                "phi_conditions": [
-                    {"kind": kind, "block": i, "field": j, "order": k, "ok": ok}
-                    for (kind, i, j, k), ok in conditions.items()
-                ],
-            },
-            indent=2,
-            allow_nan=False,
-        )
+    _print_json(
+        {
+            "scenario": scn.name,
+            "kept": [list(pair) for pair in report.kept],
+            "indices": list(report.indices),
+            "rank_history": list(report.rank_history),
+            "samples": int(samples.shape[0]),
+            "svd_tol": mappability.SVD_TOL,
+            "phi_conditions": [
+                {"kind": kind, "block": i, "field": j, "order": k, "ok": ok}
+                for (kind, i, j, k), ok in conditions.items()
+            ],
+        }
     )
     failed = [key for key, ok in conditions.items() if not ok]
     if failed:

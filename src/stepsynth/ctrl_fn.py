@@ -109,43 +109,49 @@ def _horner(coeffs: list, th: float) -> float:
 def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
     """Solve 2 a0 Theta = (N(Theta)^{-1} x, x) for the unique positive root.
 
-    For k = 1 the root has the closed form Theta = |x| sqrt(N(1)^{-1}/(2 a0)).
-    For k >= 2 the scalar equation is multiplied by Theta^(2k-1) to give a
-    polynomial in Theta.  It is solved at x dilated by a power of two so
-    that its largest entry is near 1, since Theta(lam^k x_1, ..., lam x_k)
-    = lam Theta(x) and a power of two dilates x and Theta exactly.  The
-    dilated root is bracketed within a factor of 2 by doubling/halving from
-    Theta=1, over the whole float exponent range, then solved by brentq
-    (cubic.bracket_root) to 1e-14 of the bracket's upper end.  So every
-    finite x and every a0 > 0 have a root, from subnormal a0 to x whose
-    quadratic form overflows; a Theta past the float range raises
-    OverflowError.  w = N(Theta)^{-1} x comes from the dilation form
-    D(Theta) N(1)^{-1} D(Theta) x, which raises OverflowError where
-    Theta^-(k - 1/2) overflows.  x = 0, or an x whose quadratic form
-    underflows to zero, returns theta = 0 exactly.  All arithmetic is on
-    Python floats.
+    The whole solve runs in one frame: x dilated by lam = 2^-m so that its
+    largest entry is near 1, x~_i = lam^(k-i+1) x_i for 1-based i.  For
+    k = 1 the dilated root Theta~ has the closed form |x~| sqrt(N(1)^{-1} /
+    (2 a0)).  For k >= 2 the scalar equation times Theta^(2k-1) is a
+    polynomial, whose root is bracketed within a factor of 2 by doubling/
+    halving from Theta = 1 and solved by brentq (cubic.bracket_root) to
+    1e-14 of the bracket's upper end.  w~ = N(Theta~)^{-1} x~ and the
+    residual check are on the same frame, and the results scale back
+    exactly by the dilation law Theta(lam^k x_1, ..., lam x_k) = lam
+    Theta(x): Theta = 2^m Theta~, w_i = 2^(-m(k-i)) w~_i, sigma = w_k = w~_k.
+    So every finite x and every a0 > 0 have a root; a Theta past the float
+    range raises OverflowError, and a w entry past it is +-inf.  Only x = 0
+    is the origin, with theta = 0 exactly.
     """
     k = s.gram.k
     xs = _as_floats(x, k)
-    ninv = s._n1_inv
-    if not any(_form(ninv, xs)):
-        # x is zero, or its quadratic form underflowed to zero: treat as origin
+    if not any(xs):
         return ThetaEval(theta=0.0, w=np.zeros(k), v=0.0, sigma=0.0)
 
+    # m = max over x_i != 0 of floor(e_i / (k-i)), 0-based, e_i the binary
+    # exponent of x_i: every dilated entry is below 2^(k-i) in magnitude
+    m = max(math.frexp(v)[1] // (k - i) for i, v in enumerate(xs) if v)
+    xd = [math.ldexp(v, -m * (k - i)) for i, v in enumerate(xs)]
     if k == 1:
-        th, sigma = _theta1(s, xs[0])
-        w = [sigma]
+        th, sigma = _theta1(s, xd[0])
+        wd = [sigma]
     else:
-        th = _theta_root(s, xs)
+        th = _theta_root(s, xd)
         dil = [th ** -e for e in s._dil]
-        y = [dj * xj for dj, xj in zip(dil, xs)]
-        w = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, ninv)]
+        y = [dj * xj for dj, xj in zip(dil, xd)]
+        wd = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, s._n1_inv)]
 
-    residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, w, xs)))
+    residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, wd, xd)))
     if residual > ROOT_TOL * max(1.0, 2.0 * s.a0 * th):
         raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
-    sigma = w[k - 1]
-    return ThetaEval(theta=th, w=np.array(w), v=-0.5 * sigma, sigma=sigma)
+    try:
+        theta = math.ldexp(th, m)
+    except OverflowError:
+        raise OverflowError(f"theta = {th!r} * 2**{m} is past the float range") from None
+    with np.errstate(over="ignore"):
+        w = np.ldexp(wd, [-m * (k - 1 - i) for i in range(k)])
+    sigma = wd[k - 1]
+    return ThetaEval(theta=theta, w=w, v=-0.5 * sigma, sigma=sigma)
 
 
 def _theta1(s: LinearSynth, x):
@@ -160,31 +166,28 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
     """theta_of(s, x).sigma for each row x of the (rows, k) array X, as a
     float array.
 
-    For k = 1 by theta_of's closed form (_theta1) on the column itself,
-    the same floats.  For k >= 2, and for a batch with a row that theta_of
-    rejects, theta_of one row at a time: the first such row raises.
+    For k = 1 by theta_of's closed form (_theta1) on the column's dilated
+    frame, its frexp mantissas: the same floats, with sigma = 0 only at
+    x = 0.  For k >= 2, and for a batch with a row that theta_of rejects,
+    theta_of one row at a time: the first such row raises.
     """
     if s.gram.k == 1 and X.shape[1] == 1:
         x = X[:, 0]
+        xd = np.frexp(x)[0]
         with np.errstate(all="ignore"):
-            origin = s._n1_inv[0][0] * (x * x) == 0.0  # theta_of's zero quadratic form
-            th, sigma = _theta1(s, x)
+            th, sigma = _theta1(s, xd)
             lhs = 2.0 * s.a0 * th
-            residual = np.abs(lhs - sigma * x)
+            residual = np.abs(lhs - sigma * xd)
+            origin = x == 0.0
             ok = origin | (np.isfinite(x) & ~(residual > ROOT_TOL * np.fmax(lhs, 1.0)))
         if ok.all():
             return np.where(origin, 0.0, sigma)
     return np.array([theta_of(s, x).sigma for x in X.tolist()], dtype=float)
 
 
-def _theta_root(s: LinearSynth, xs: list) -> float:
-    # solve at x dilated by lam = 2^-m, lam^(k-i) x_i for i = 0..k-1: m =
-    # max over x_i != 0 of floor(e_i / (k-i)), e_i the binary exponent of
-    # x_i, puts the largest dilated entry near 1; Theta is 2^m times the
-    # dilated root
-    k = len(xs)
-    m = max(math.frexp(v)[1] // (k - i) for i, v in enumerate(xs) if v)
-    c = _form(s._n1_inv, [math.ldexp(v, -m * (k - i)) for i, v in enumerate(xs)])
+def _theta_root(s: LinearSynth, xd: list) -> float:
+    # the positive root at theta_of's dilated chain xd
+    c = _form(s._n1_inv, xd)
     # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order:
     # negative below the positive root, positive above it
     coeffs = [2.0 * s.a0, 0.0] + [-cp for cp in reversed(c)]
@@ -196,9 +199,5 @@ def _theta_root(s: LinearSynth, xs: list) -> float:
         th = th * 2.0 if up else th * 0.5
         if (F(th) > 0.0) == up:
             lo, hi = (0.5 * th, th) if up else (th, 2.0 * th)
-            root = bracket_root(F, lo, hi, xtol=1e-14 * hi)
-            try:
-                return math.ldexp(root, m)
-            except OverflowError:
-                raise OverflowError(f"theta = {root!r} * 2**{m} is past the float range") from None
+            return bracket_root(F, lo, hi, xtol=1e-14 * hi)
     raise NonConvergence("bracket for theta did not close")

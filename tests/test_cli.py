@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from stepsynth import chain_gramian, scenarios
+from stepsynth import chain_gramian, ctrl_fn, scenarios
 from stepsynth.cli import main
 
 
@@ -303,6 +303,23 @@ def test_simulate_param_list_of_one_value(capsys, tmp_path):
     assert code == 1 and "need 2 lambda values, got 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("--scenario", "pendulum", "--x0", "1,1,1,1", "--param", "m1=abc"), "--param m1"),
+        (("--scenario", "polyodd:2", "--x0", "1,1", "--param", "alpha=abc"), "--param alpha"),
+        (("--scenario", "polyodd:2", "--x0", "1,1", "--param", "lambdas=0.5;abc"), "--param lambdas"),
+    ],
+)
+def test_simulate_param_not_a_number(capsys, tmp_path, argv, what):
+    # no scenario takes a string from the command line: a value that is not
+    # a number is refused by key and value before the scenario is built
+    code, out, err = run_cli(capsys, "simulate", *argv, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert what in err and "abc" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_simulate_config_param_and_flag(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"scenario = polyodd:3\nx0 = 0.5,0,0\nparam = alpha=0.9\nout-dir = {tmp_path}\n")
@@ -385,6 +402,28 @@ def test_theta_at_extreme_scales(capsys, argv, theta):
     code, out, err = run_cli(capsys, "theta", "--k", "2", *argv)
     assert code == 0, err
     assert strict_json(out)["theta"] == pytest.approx(theta, rel=1e-7)
+
+
+def test_theta_underflowing_quadratic_form(capsys):
+    # (N(1)^{-1} x, x) underflows at x = (1e-200, 0), yet x is not the
+    # origin: Theta is 1e-100 Theta(1, 0) by the dilation law, and sigma is
+    # sigma(1, 0)
+    code, out, err = run_cli(capsys, "theta", "--k", "2", "--a0", "1", "--x", "1e-200,0")
+    assert code == 0, err
+    d = strict_json(out)
+    assert d["theta"] == pytest.approx(2.0597671439071182e-100, rel=1e-14)
+    assert d["sigma"] == pytest.approx(2.8284271247461885, rel=1e-14)
+
+
+def test_theta_refuses_w_past_the_float_range(capsys):
+    # at a tiny Theta the first entries of w = N(Theta)^{-1} x overflow
+    # although Theta and sigma are finite: strict JSON has no value for
+    # them, so the command exits 1 naming w, with nothing on stdout
+    a0 = float(ctrl_fn.a0_max(chain_gramian.gram_n1(5), 1.3))
+    code, out, err = run_cli(capsys, "theta", "--k", "5", "--a0", repr(a0), "--d", "1.3", "--x", "0,0,0,0,1e-150")
+    assert code == 1
+    assert err.startswith("error: w is not finite")
+    assert out == ""
 
 
 def test_theta_explicit_bound(capsys):

@@ -21,7 +21,7 @@ from stepsynth import (
     gram_theta_inv,
     theta_of,
 )
-from stepsynth.ctrl_fn import ROOT_TOL, THETA_MIN
+from stepsynth.ctrl_fn import ROOT_TOL, THETA_MIN, sigmas
 
 from paper_oracles import closed_loop_rhs, v_of
 
@@ -262,6 +262,69 @@ def test_theta_at_extreme_scales(a0, x1):
     assert ev.theta == pytest.approx((G2.n1_inv[0][0] / 2.0) ** 0.25 * math.sqrt(x1) * a0 ** -0.25, rel=1e-12)
     assert ev.theta == pytest.approx(math.sqrt(x1) * theta_of(s, [1.0, 0.0]).theta, rel=1e-12)
     assert math.isfinite(ev.sigma)
+
+
+def far_states(k: int, rng) -> list:
+    """(u, j): a unit-scale state u on each axis and the powers of two j
+    that dilate it to x_i = 2^(j(k-i)) u_i (0-based i), an entry between
+    about 2^-570 and 2^-994, where its quadratic form underflows to zero.
+    On the last axis Theta is about |x_k| and w_1 about |x_k|^-(k-1), which
+    overflows from k = 3 on, and at k = 2 at the smallest subnormal x_k."""
+    out = []
+    for i in range(k):
+        u = [0.0] * k
+        u[i] = float(rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0]))
+        out += [(u, e // (k - i)) for e in (-570, -700, -990)]
+    if k >= 2:
+        out.append(([0.0] * (k - 1) + [-1.0], -1074))
+    return out
+
+
+def dilate(u: list, j: int) -> list:
+    return [math.ldexp(v, j * (len(u) - i)) for i, v in enumerate(u)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_theta_where_the_form_underflows_or_w_overflows(k):
+    # only x = 0 is the origin: Theta(lam^k x_1, ..., lam x_k) = lam Theta(x)
+    # with lam = 2^j holds to the bit, sigma is unchanged, and each w_i
+    # scales by lam^-(k-i) (1-based), to +-inf past the float range
+    s = synth_for(gram_n1(k), d=1.3)
+    overflowed = 0
+    for u, j in far_states(k, np.random.default_rng(700 + k)):
+        base = theta_of(s, u)
+        ev = theta_of(s, dilate(u, j))
+        assert ev.theta > 0.0 and math.isfinite(ev.sigma)
+        assert ev.theta == math.ldexp(base.theta, j)
+        assert ev.sigma == pytest.approx(base.sigma, rel=1e-12)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(ev.w, np.ldexp(base.w, [-j * (k - 1 - i) for i in range(k)]))
+        overflowed += bool(np.isinf(ev.w).any())
+    assert overflowed > 0 or k == 1
+
+
+def test_theta_w_past_the_float_range():
+    # k = 5 at x = 1e-150 e_5: Theta = 1.15e-149 and sigma = 2.6, while w_1
+    # and w_2 are about 0.33 2^1992 and 1.56 2^1494
+    s = synth_for(gram_n1(5), d=1.3)
+    ev = theta_of(s, [0.0, 0.0, 0.0, 0.0, 1e-150])
+    assert ev.theta == pytest.approx(1.1538461538461537e-149, rel=1e-14)
+    assert ev.sigma == pytest.approx(2.6, rel=1e-14)
+    assert ev.w[:2].tolist() == [math.inf, math.inf]
+    assert ev.w[2] == pytest.approx(2.187235555555556e300, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sigmas_equal_theta_of_across_the_float_range(k):
+    # the k = 1 column path and the per-row path give theta_of's sigma to
+    # the bit, 0 only at x = 0
+    s = synth_for(gram_n1(k), d=1.3)
+    X = [dilate(u, j) for u, j in far_states(k, np.random.default_rng(900 + k))] + [[0.0] * k]
+    if k == 1:
+        X += [[5e-324], [-1e-170], [1e300]]
+    got = sigmas(s, np.array(X))
+    assert got.tolist() == [theta_of(s, x).sigma for x in X]
+    assert np.all((got == 0.0) == ~np.any(X, axis=1))
 
 
 def test_sigma_sign_consistency():
