@@ -142,7 +142,8 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         wd = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, s._n1_inv)]
 
     residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, wd, xd)))
-    if residual > ROOT_TOL * max(1.0, 2.0 * s.a0 * th):
+    # a NaN residual (an infinite w~ entry times a zero x~ entry) fails too
+    if not residual <= ROOT_TOL * max(1.0, 2.0 * s.a0 * th):
         raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
     try:
         theta = math.ldexp(th, m)
@@ -158,7 +159,11 @@ def _theta1(s: LinearSynth, x):
     """Theta and sigma of a 1-chain at x != 0, in closed form: floats, or
     columns of them for a column x."""
     n = s._n1_inv[0][0]
-    th = abs(x) * math.sqrt(n / (2.0 * s.a0))
+    root = math.sqrt(n / (2.0 * s.a0))
+    if root == math.inf:
+        # n / (2 a0) overflows at a0 below about 5.6e-309; the finite path keeps its floats
+        root = math.sqrt(0.5 * n) / math.sqrt(s.a0)
+    th = abs(x) * root
     return th, n * x / th
 
 
@@ -179,7 +184,7 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
             lhs = 2.0 * s.a0 * th
             residual = np.abs(lhs - sigma * xd)
             origin = x == 0.0
-            ok = origin | (np.isfinite(x) & ~(residual > ROOT_TOL * np.fmax(lhs, 1.0)))
+            ok = origin | (np.isfinite(x) & (residual <= ROOT_TOL * np.fmax(lhs, 1.0)))
         if ok.all():
             return np.where(origin, 0.0, sigma)
     return np.array([theta_of(s, x).sigma for x in X.tolist()], dtype=float)

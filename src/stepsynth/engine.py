@@ -27,7 +27,14 @@ the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
 at times that one numpy accumulate gives, the floats of adding dt one row
 at a time.  The stage tests them as columns, and run_stage reads each
-column once per batch.  The record stays arrays: the Recorder joins each
+column once per batch, which costs a fixed part per read besides the part
+per row.  So a flow runs up to AHEAD integrator steps past the next
+sample, and one batch holds the rows of all of them: a pendulum step
+covers about 100 rows at dt = 1e-4.  The steps are the error
+controller's alone, so the record does not depend on how far the flow
+runs ahead; a step past the next sample that fails ends the run-ahead, and
+the rows a batch holds past an event are discarded with its flow.  The
+record stays arrays: the Recorder joins each
 column's batch slices on its first read.  A tuple is built only for one
 state: the start and each event row, which the integrator restarts from.
 A batch that fails is read again one row at a time up to the next event,
@@ -39,7 +46,9 @@ cost outweighs its arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,6 +69,7 @@ class NonFinite(RuntimeError):
 
 EVENT_TOL = 1e-10  # the width to which event times are bisected
 ROWS = 4096  # most sample rows per batch
+AHEAD = 8  # most integrator step attempts a flow makes past the next sample
 HYSTERESIS = 2.0  # slide release band, in units of the overshoot at entry
 
 
@@ -173,13 +183,26 @@ def _dense_rows(z: State, z1: State, stages: tuple, h: float) -> np.ndarray:
     return np.array(rows).T
 
 
+_END = operator.itemgetter(1)  # the end time t_b of a _Flow piece
+
+
 class _Flow:
     """The flow of one branch field from one state, with dense output.
 
     Dormand-Prince steps run ahead of the sample rows, their size set by
-    the error norm; cover(t_lo, t_hi) integrates until the accepted steps
-    reach t_hi, and rows(times) reads the continuous extension of the
-    steps that hold them.  Each flow starts with a step of h0.
+    the error norm alone; cover(t_lo, t_hi, t_far) integrates until the
+    accepted steps reach t_hi, and then makes up to AHEAD more step
+    attempts while they end before t_far.  rows(times) reads the
+    continuous extension of the steps that hold them.  Each flow starts
+    with a step of h0.
+
+    How far a flow runs ahead never changes its steps: each step's size
+    comes from the error of the one before.  An attempt past t_hi that
+    fails (the field raises, or the state or error is not finite, or the
+    step size underflows) ends the run-ahead with h unchanged, so the call
+    whose t_hi lies past the step makes the same attempt under the rules
+    of a step it needs: a failure within the row raises, and one that
+    reaches past the row is retried cut at t_hi.
     """
 
     def __init__(self, f: Rhs, t0: float, z0: State, h0: float, t_max: float, step_index: int):
@@ -188,15 +211,20 @@ class _Flow:
         self.h = h0
         self.pieces: list = []  # (t_a, t_b, coefficients) of the accepted steps, oldest first
 
-    def cover(self, t_lo: float, t_hi: float) -> None:
+    def cover(self, t_lo: float, t_hi: float, t_far: float = -math.inf) -> None:
         pieces = self.pieces
         while len(pieces) > 1 and pieces[0][1] <= t_lo:
             del pieces[0]
         limit = max(self.t_max, t_hi)
-        while self.t < t_hi:
+        spare = AHEAD
+        while self.t < t_hi or (spare and self.t < min(limit, t_far)):
+            optional = self.t >= t_hi
+            spare -= optional
             ta = self.t
             tb = min(ta + self.h, limit)
             if not tb > ta:
+                if optional:
+                    return
                 raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
             ahead = tb > t_hi
             try:
@@ -208,19 +236,24 @@ class _Flow:
                     raise
                 out = None
             if out is None or not math.isfinite(out[2]):
+                if optional:
+                    return
                 if not ahead:
                     raise NonFinite(f"non-finite state at t={tb:.6g} in step {self.step_index}")
                 limit = t_hi
                 continue
             z1, stages, err = out
             fac = 0.9 * err ** -0.2 if err > 0.0 else 10.0
-            self.h = (tb - ta) * min(10.0, max(0.2, fac))
+            h = (tb - ta) * min(10.0, max(0.2, fac))
             if err <= 1.0:
                 pieces.append((ta, tb, _dense_rows(self.z, z1, stages, tb - ta)))
                 self.t, self.z, self.k = tb, z1, stages[-1]
-            elif min(ta + self.h, limit) == tb:
+            elif min(ta + h, limit) == tb:
                 # the smaller step rounds to the same end: it would be retried forever
+                if optional:
+                    return
                 raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
+            self.h = h
 
     def rows(self, times: np.ndarray) -> np.ndarray:
         """The states at ascending times, a float array, inside the covered
@@ -228,7 +261,8 @@ class _Flow:
         reads that step."""
         parts = []
         lo, k, last = 0, len(times), len(self.pieces) - 1
-        for j, (ta, tb, (a, b, c, d, e)) in enumerate(self.pieces):
+        for j in range(min(bisect.bisect_left(self.pieces, times[0], key=_END), last), last + 1):
+            ta, tb, (a, b, c, d, e) = self.pieces[j]
             hi = k if j == last else int(np.searchsorted(times, tb, side="right"))
             if hi > lo:
                 s = ((times[lo:hi] - ta) / (tb - ta))[:, None]
@@ -362,19 +396,26 @@ def run_stage(
     The start row is recorded only by the first stage: a later stage starts
     on the row its predecessor ended on.
 
-    Evaluations per sample: the samples that the accepted steps cover, up
-    to ROWS of them, are read as one batch, and its residuals and its
-    controls on the current branch are read right after it, once each,
-    over every row.  The rows before the first row that may hold an event
+    Evaluations per sample: the flow integrates past the next sample and
+    then makes up to AHEAD more step attempts, while they end before the
+    last of the ROWS rows a batch can hold.  An attempt among them that
+    fails ends them; the next batch whose next sample lies past that step
+    makes it again, as a step it needs (_Flow).  The samples that the accepted steps
+    cover, up to ROWS of them, are read as one batch, and its residuals
+    and its controls on the current branch are read right after it, once
+    each, over every row.  The rows before the first row that may hold an event
     are plain: they are held and recorded together with their slice of
     the controls.  That row goes through the event tests with the batch's
     values, and the batch goes on after it unless an event ends the batch.
     So a run without events tests each sample once, in about one stage
     call per batch (a stage that tests rows in another chart maps the
     whole batch there), and a batch that ends at an event has read the
-    rows past it too.  The field's six evaluations per Dormand-Prince step
-    are shared by all samples the step covers, and read one state each.
-    Event bisection and each event row read one-row batches.
+    rows past it too, and the flow's steps past it are discarded with the
+    flow.  The field's six evaluations per Dormand-Prince step are shared
+    by all samples the step covers, and read one state each.  Event
+    bisection and each event row read one-row batches from the steps
+    already made.  After a batch fails, the flow makes no attempt past the
+    next sample until the next event.
 
     One rule keeps the outcome of a row-by-row run, in which reading a row
     reads each of its columns: a batch of more than one row fails when
@@ -431,7 +472,7 @@ def run_stage(
         # than dt, and the scalar rule recomputes it.  n reaches two rows
         # past the covered steps; where rounding leaves it short, the batch
         # ends early and the next one goes on with the same times
-        flow.cover(t, t + min(cfg.dt, cfg.t_max - t))
+        flow.cover(t, t + min(cfg.dt, cfg.t_max - t), t + size * cfg.dt)
         n = int(min(size, (flow.t - t) / cfg.dt + 2.0))
         steps = np.full(n + 1, cfg.dt)
         steps[0] = t

@@ -264,6 +264,29 @@ def test_theta_at_extreme_scales(a0, x1):
     assert math.isfinite(ev.sigma)
 
 
+def test_theta_k1_at_a_subnormal_a0():
+    # N(1)^{-1} / (2 a0) = 1 / a0 overflows below a0 of about 5.6e-309, yet
+    # Theta = |x| / sqrt(a0) is finite: 1.0000056e160 at the float nearest
+    # 1e-320, and sigma = 2 sqrt(a0) sign(x)
+    a0 = 1e-320
+    s = LinearSynth(gram=G1, a0=a0, d=1.0)
+    ev = theta_of(s, [1.0])
+    assert ev.theta == 1.0 / math.sqrt(a0)
+    assert ev.sigma == pytest.approx(2.0 * math.sqrt(a0), rel=1e-15)
+    assert sigmas(s, np.array([[1.0], [-3.0], [0.0]])).tolist() == [
+        ev.sigma, theta_of(s, [-3.0]).sigma, 0.0
+    ]
+
+
+def test_theta_refuses_a_nan_residual():
+    # k = 5, a0 = 1e300, x = e_5: the root is 3.87e-150, but the polynomial
+    # underflows to 0 below about 6e-63, where the walk stops; there w~_1 is
+    # inf and x~_1 = 0, so the residual is NaN, which is no pass
+    s = LinearSynth(gram=gram_n1(5), a0=1e300, d=1e300)
+    with pytest.raises(NonConvergence, match="nan"):
+        theta_of(s, [0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def far_states(k: int, rng) -> list:
     """(u, j): a unit-scale state u on each axis and the powers of two j
     that dilate it to x_i = 2^(j(k-i)) u_i (0-based i), an entry between

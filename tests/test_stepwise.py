@@ -31,14 +31,16 @@ from stepsynth import (
     arrival_curve,
     audit_theta_switch,
     example51,
+    get_scenario,
     gram_n1,
     orchestrate,
     rk4_step,
     run_stage,
+    simulate,
     step_done,
     theta_of,
 )
-from stepsynth import stepwise
+from stepsynth import engine, stepwise
 from stepsynth.ctrl_fn import THETA_MIN
 from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS
 from stepsynth.pendulum import NoRealRoot, PendulumParams, _branch_root
@@ -506,10 +508,10 @@ def _orchestrate_work(monkeypatch, blocks, z0, policy):
 
 
 # The done band is tested once per batch of rows, on all of them at once,
-# and once at the start row.  Over 50 rows and no event the batches are the
-# rows of the first three integrator steps: 1, 10 and 39 rows (a step grows
-# at most tenfold, and the third is cut at t_max).
-DONE_TESTS = 1 + 3
+# and once at the start row.  Over 50 rows and no event the flow runs its
+# integrator steps ahead of the next sample up to t_max (1, 10 and 39 rows,
+# the third cut at t_max), so the 50 rows are one batch.
+DONE_TESTS = 1 + 1
 
 
 def test_orchestrate_work_per_step(monkeypatch):
@@ -589,6 +591,86 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
     assert t_end == pytest.approx(1.0, abs=1e-7)
     assert abs(z_end[0]) <= 1e-8
     assert len(rec.times) == 101
+
+
+def _simulated(monkeypatch, ahead: int, name: str, x0: tuple, cfg: IntegratorConfig, x0_chart: str):
+    """simulate's record, events and step times with engine.AHEAD = ahead,
+    and the number of batches of more than one row it read."""
+    monkeypatch.setattr(engine, "AHEAD", ahead)
+    batches = []
+    rows = engine._Flow.rows
+    monkeypatch.setattr(engine._Flow, "rows", lambda flow, times: batches.append(len(times)) or rows(flow, times))
+    traj, summary = simulate(get_scenario(name), x0, cfg, x0_chart=x0_chart)
+    record = [a.tobytes() for a in (traj.times, traj.states_x, traj.states_z, traj.controls, traj.flags)]
+    return (record, traj.events, summary.step_times), sum(n > 1 for n in batches)
+
+
+@pytest.mark.parametrize(
+    "name, x0, cfg, x0_chart",
+    [
+        ("pendulum", (-2.0, 1.0, -1.0, 0.5), IntegratorConfig(dt=1e-3), "x"),
+        ("intro2d", (1.0, 1.0), IntegratorConfig(dt=1e-4, t_max=20.0), "x"),
+        ("polyodd:3", (1.0, 1.0, 1.0), IntegratorConfig(dt=1e-3, t_max=50.0), "z"),
+    ],
+    ids=["pendulum", "intro2d", "polyodd:3"],
+)
+def test_running_ahead_leaves_the_run_bit_identical(monkeypatch, name, x0, cfg, x0_chart):
+    # a flow's steps come from its error controller alone, so running up to
+    # AHEAD steps past the next sample changes how the rows are batched,
+    # and nothing that is recorded
+    default, default_batches = _simulated(monkeypatch, engine.AHEAD, name, x0, cfg, x0_chart)
+    no_ahead, no_ahead_batches = _simulated(monkeypatch, 0, name, x0, cfg, x0_chart)
+    assert default == no_ahead
+    assert default_batches < no_ahead_batches
+
+
+@pytest.mark.parametrize("kind", ["raises", "collapses"])
+def test_running_ahead_past_an_arrival_wastes_a_bounded_count_of_steps(monkeypatch, kind):
+    # dz = 1 + sin(20 z)/2 crosses the arrival z = 0; past z = 0.05 the
+    # field raises, or gains a term (1e3 (z - 0.05))^2 under which z escapes
+    # in about 1.6e-3 and the step size collapses.  The steps a flow runs
+    # ahead past the arrival are the only extra work: at most AHEAD
+    # attempts of 6 field evaluations each (7 as the bound); an uncapped
+    # run-ahead into the collapsing field makes thousands
+    def run(ahead):
+        monkeypatch.setattr(engine, "AHEAD", ahead)
+        calls = []
+
+        def field(s):
+            calls.append(s)
+            x = s[0]
+            rate = 1.0 + 0.5 * math.sin(20.0 * x)
+            if x <= 0.05:
+                return (rate,)
+            if kind == "raises":
+                raise ValueError(f"no control at {x}")
+            return (rate + (1e3 * (x - 0.05)) ** 2,)
+
+        rec = Recorder()
+        end = run_stage(
+            step_index=1,
+            t0=0.0,
+            z0=(-1.0,),
+            stage=_stage(
+                field=lambda b: field,
+                branch=lambda s: 1,
+                control=lambda b, s: 1.0,
+                residual=lambda s: 1.0,
+                slide_branch=lambda s: 0,
+                arrive=lambda s: s[0],
+                done=lambda s: abs(s[0]) <= 1e-8,
+            ),
+            cfg=IntegratorConfig(dt=1e-3, t_max=5.0),
+            recorder=rec,
+        )
+        return (end, _records(rec)), len(calls)
+
+    ahead = engine.AHEAD
+    default, default_calls = run(ahead)
+    no_ahead, no_ahead_calls = run(0)
+    assert default == no_ahead
+    assert abs(default[0][1][0]) <= 1e-8
+    assert no_ahead_calls <= default_calls <= no_ahead_calls + 7 * ahead
 
 
 def _sample_times(t0: float, dt: float, t_max: float, count: int | None = None) -> list:
@@ -1056,6 +1138,23 @@ def test_flow_rows_match_the_scalar_interpolant():
 
     assert len(flow.pieces) > 3
     assert flow.rows(np.array(times)).tolist() == [list(scalar(t)) for t in times]
+
+
+def test_flow_rows_read_a_step_end_from_that_step():
+    # each step's extension is shifted by its index, so the two steps that
+    # share an end give different states there: a batch and a one-row read
+    # (as event bisection makes them) both take the earlier step's
+    from stepsynth.engine import _Flow
+
+    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 0.3, 10.0, 1)
+    flow.cover(0.0, 2.0)
+    flow.pieces[:] = [(ta, tb, coef + [[j], [0], [0], [0], [0]]) for j, (ta, tb, coef) in enumerate(flow.pieces)]
+    # at s = 1 the extension is a + b
+    want = [(coef[0] + coef[1]).tolist() for _, _, coef in flow.pieces[:-1]]
+    ends = [tb for _, tb, _ in flow.pieces[:-1]]
+    assert len(ends) > 3
+    assert flow.rows(np.array(ends)).tolist() == want
+    assert [flow.rows(np.array([t])).tolist()[0] for t in ends] == want
 
 
 def _chatter_stage(slide_rate: float, t_max: float):
