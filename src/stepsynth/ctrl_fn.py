@@ -141,9 +141,11 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
         y = [dj * xj for dj, xj in zip(dil, xd)]
         wd = [di * sum(map(operator.mul, row, y)) for di, row in zip(dil, s._n1_inv)]
 
-    residual = abs(2.0 * s.a0 * th - sum(map(operator.mul, wd, xd)))
+    # a0 Theta~ against (w~, x~) / 2: the equation halved, exactly, so
+    # that 2 a0 cannot overflow
+    residual = abs(s.a0 * th - 0.5 * sum(map(operator.mul, wd, xd)))
     # a NaN residual (an infinite w~ entry times a zero x~ entry) fails too
-    if not residual <= ROOT_TOL * max(1.0, 2.0 * s.a0 * th):
+    if not residual <= ROOT_TOL * max(0.5, s.a0 * th):
         raise NonConvergence(f"theta residual {residual:.3e} above tolerance")
     try:
         theta = math.ldexp(th, m)
@@ -160,8 +162,9 @@ def _theta1(s: LinearSynth, x):
     columns of them for a column x."""
     n = s._n1_inv[0][0]
     root = math.sqrt(n / (2.0 * s.a0))
-    if root == math.inf:
-        # n / (2 a0) overflows at a0 below about 5.6e-309; the finite path keeps its floats
+    if root == math.inf or root == 0.0:
+        # n / (2 a0) overflows at a0 below about 5.6e-309, and 2 a0 at a0
+        # above about 8.99e307; the finite path keeps its floats
         root = math.sqrt(0.5 * n) / math.sqrt(s.a0)
     th = abs(x) * root
     return th, n * x / th
@@ -181,10 +184,10 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
         xd = np.frexp(x)[0]
         with np.errstate(all="ignore"):
             th, sigma = _theta1(s, xd)
-            lhs = 2.0 * s.a0 * th
-            residual = np.abs(lhs - sigma * xd)
+            lhs = s.a0 * th
+            residual = np.abs(lhs - 0.5 * (sigma * xd))
             origin = x == 0.0
-            ok = origin | (np.isfinite(x) & (residual <= ROOT_TOL * np.fmax(lhs, 1.0)))
+            ok = origin | (np.isfinite(x) & (residual <= ROOT_TOL * np.fmax(lhs, 0.5)))
         if ok.all():
             return np.where(origin, 0.0, sigma)
     return np.array([theta_of(s, x).sigma for x in X.tolist()], dtype=float)

@@ -10,8 +10,11 @@ The record's four columns stay numpy arrays from the engine's Recorder
 to the files.  The run records only the chart it integrates; the record
 goes to the other chart in one call of the scenario's from_z or to_z on
 its columns (the transpose), which gives the same floats as one call per
-row.  emit_csv assembles the bytes of a chunk of rows with numpy, and
-emit_svg converts only the rows it draws to Python floats.
+row.  emit_csv assembles the bytes of a chunk of rows with numpy: the
+digits of most cells come from exact float arithmetic, the rest from
+Python's %, and the chunk's padding 0 bytes go in one bytes.translate.
+emit_svg converts only the rows it draws to Python floats, and formats
+the polyline's points in one % call.
 """
 
 from __future__ import annotations
@@ -157,23 +160,28 @@ _CELL = np.dtype(
         "itemsize": 21,
     }
 )
+# the slot with its constant bytes '.', 'e' and ',', repeated for a chunk
+_BLANK = np.zeros(1, _CELL)
+_BLANK[["dot", "e", "comma"]] = (ord("."), ord("e"), ord(","))
 _GROUPS = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
 _GROUPS = (_GROUPS + ord("0")).astype(np.uint8).view("<u4").ravel()
 _EXPONENTS = np.frombuffer(b"".join((b"%+03d" % k).ljust(4, b"\0") for k in range(-300, 301)), "<u4")
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])  # correctly rounded
 # s = |v|·10^(12-e) carries two roundings (the power of ten and the
-# product), an error below 1e13·2^-52 < 0.0023: a mantissa n = rint(s) with
-# |s - n| under this margin is the correctly rounded one
-_MARGIN = 0.5 - 1 / 64
+# product), an error below 1e13·2^-52 < 0.0023 < 1/256: a mantissa
+# n = rint(s) with |s - n| under this margin, s more than 1/256 from a
+# rounding tie, is the correctly rounded one
+_MARGIN = 0.5 - 1 / 256
 
 
 def _cells(v: np.ndarray) -> np.ndarray:
     """The float vector v as _CELL slots, each one cell's "%.12e" and a comma.
 
     The 13 digits come from numpy arithmetic where they are provably those
-    of Python's correctly rounded "%.12e"; the other cells (0, nan, ±inf,
-    |v| outside (1e-280, 1e280), s within 1/64 of a rounding tie or
-    outside [1e12, 1e13 - 1/2)) are formatted by Python, in one % call.
+    of Python's correctly rounded "%.12e", and are split into groups in
+    exact float arithmetic; the other cells (0, nan, ±inf, |v| outside
+    (1e-280, 1e280), s within 1/256 of a rounding tie or outside
+    [1e12, 1e13 - 1/2)) are formatted by Python, in one % call.
     """
     a = np.abs(v)
     # inside the cuts 10^(12-e) is a normal float of _POW10
@@ -187,29 +195,33 @@ def _cells(v: np.ndarray) -> np.ndarray:
     # the decade s falls outside too
     exact &= (s >= 1e12) & (s < 1e13 - 0.5) & (np.abs(s - n) < _MARGIN)
 
-    # n = lead·10^12 + g1·10^8 + g2·10^4 + g3, from its two halves of 7
-    # and 6 digits, which fit int32
-    hi, lo = np.divmod(n.astype(np.int64), 10**6)
-    lead, hi = np.divmod(hi.astype(np.int32), 10**6)
-    lo = lo.astype(np.int32)
-    cells = np.empty(len(v), _CELL)
-    cells["sign"] = np.where(v < 0, ord("-"), 0)
+    # n = lead·10^12 + g1·10^8 + g2·10^4 + g3, split in float arithmetic.
+    # n and each remainder r are integers below 2^53, so the exact quotient
+    # of each division below is q + f, q < 2^14 an integer and f = 0 or
+    # 1e-12 <= f <= 1 - 1e-12, while the float quotient is off by at most
+    # half an ulp of a number below 2^14, 2^-40 < 1e-12: floor gives q
+    # exactly, and the products and differences are exact integers.  This
+    # holds on every cell, so each group indexes _GROUPS inside 0..9999
+    lead = np.floor(n / 1e12)
+    r = n - lead * 1e12
+    g1 = np.floor(r / 1e8)
+    r -= g1 * 1e8
+    g2 = np.floor(r / 1e4)
+    r -= g2 * 1e4
+    cells = np.repeat(_BLANK, len(v))
+    cells["sign"] = (v < 0) * np.uint8(ord("-"))
     cells["lead"] = lead + ord("0")
-    cells["dot"] = ord(".")
-    cells["g1"] = _GROUPS[hi // 100]
-    cells["g2"] = _GROUPS[hi % 100 * 100 + lo // 10**4]
-    cells["g3"] = _GROUPS[lo % 10**4]
-    cells["e"] = ord("e")
+    cells["g1"] = _GROUPS[g1.astype(np.intp)]
+    cells["g2"] = _GROUPS[g2.astype(np.intp)]
+    cells["g3"] = _GROUPS[r.astype(np.intp)]
     cells["exp"] = _EXPONENTS[e + 300]
-    cells["comma"] = ord(",")
 
     rest = np.flatnonzero(~exact)
     if len(rest):
-        # "% -20.12e" puts a space where there is no '-' and pads to 20
-        # bytes on the right: each space becomes a 0 byte
-        text = ("% -20.12e" * len(rest)) % tuple(v[rest].tolist())
-        raw = np.frombuffer(text.replace(" ", "\0").encode("ascii"), np.uint8)
-        cells.view(np.uint8).reshape(-1, _CELL.itemsize)[rest, :20] = raw.reshape(-1, 20)
+        # "% -20.12e," fills a slot: a space where there is no '-' and
+        # padding to 20 bytes on the right, each space becoming a 0 byte
+        text = ("% -20.12e," * len(rest)) % tuple(v[rest].tolist())
+        cells[rest] = np.frombuffer(text.replace(" ", "\0").encode("ascii"), _CELL)
     return cells
 
 
@@ -243,7 +255,7 @@ def emit_csv(traj: Trajectory, path) -> None:
                 rows[:, :-2] = _cells(cells.ravel()).view(np.uint8).reshape(k, -1)
                 rows[:, -2] = flags[lo:hi] + ord("0")
                 rows[:, -1] = ord("\n")
-                fh.write(rows.tobytes().replace(b"\0", b""))
+                fh.write(rows.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise OSError(f"could not write CSV to {path}: {exc}") from exc
 
@@ -280,11 +292,11 @@ def emit_svg(traj: Trajectory, projection: tuple, path) -> None:
     kept[::stride] = True
     kept[-1:] = True
     xy = states[:, [i - 1, j - 1]] if k else np.empty((0, 2))
-    pts = xy[kept].tolist()
+    pts = xy[kept]
     marks = xy[flagged].tolist()
 
-    xs = [p[0] for p in pts] or [0.0]
-    ys = [p[1] for p in pts] or [0.0]
+    xs = pts[:, 0].tolist() or [0.0]
+    ys = pts[:, 1].tolist() or [0.0]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     pad_x = 0.05 * (hi_x - lo_x or 1.0)
@@ -292,7 +304,9 @@ def emit_svg(traj: Trajectory, projection: tuple, path) -> None:
     view = (lo_x - pad_x, lo_y - pad_y, (hi_x - lo_x) + 2 * pad_x, (hi_y - lo_y) + 2 * pad_y)
     # svg y grows downward: flip the second coordinate
     flip = lambda y: (view[1] + view[3]) - (y - view[1])
-    poly = " ".join(f"{px:.6g},{flip(py):.6g}" for px, py in pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        pts[:, 1] = flip(pts[:, 1])
+    poly = ("%.6g,%.6g " * len(pts) % tuple(pts.ravel().tolist()))[:-1]
     width = 0.002 * max(view[2], view[3])
     radius = 0.008 * max(view[2], view[3])
     body = [

@@ -404,6 +404,15 @@ def test_theta_at_extreme_scales(capsys, argv, theta):
     assert strict_json(out)["theta"] == pytest.approx(theta, rel=1e-7)
 
 
+def test_theta_k1_at_a_huge_a0(capsys):
+    # 2 a0 overflows at a0 = 1e308, yet Theta = |x| / sqrt(a0) = 1e-154
+    code, out, err = run_cli(capsys, "theta", "--k", "1", "--a0", "1e308", "--d", "1e200", "--x", "1")
+    assert code == 0, err
+    d = strict_json(out)
+    assert d["theta"] == pytest.approx(1e-154, rel=1e-15)
+    assert d["sigma"] == pytest.approx(2e154, rel=1e-15)
+
+
 def test_theta_underflowing_quadratic_form(capsys):
     # (N(1)^{-1} x, x) underflows at x = (1e-200, 0), yet x is not the
     # origin: Theta is 1e-100 Theta(1, 0) by the dilation law, and sigma is

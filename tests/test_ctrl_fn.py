@@ -278,6 +278,20 @@ def test_theta_k1_at_a_subnormal_a0():
     ]
 
 
+@pytest.mark.parametrize("a0", [1e308, 1.7976931348623157e308])
+def test_theta_k1_at_a_huge_a0(a0):
+    # 2 a0 overflows above a0 of about 8.99e307, so N(1)^{-1} / (2 a0)
+    # reads 0, yet Theta = |x| / sqrt(a0) is a normal float (1e-154 at
+    # a0 = 1e308), and sigma = 2 sqrt(a0) sign(x)
+    s = LinearSynth(gram=G1, a0=a0, d=1e200)
+    ev = theta_of(s, [1.0])
+    assert ev.theta == 1.0 / math.sqrt(a0)
+    assert ev.sigma == pytest.approx(2.0 * math.sqrt(a0), rel=1e-15)
+    assert sigmas(s, np.array([[1.0], [-3.0], [0.0]])).tolist() == [
+        ev.sigma, theta_of(s, [-3.0]).sigma, 0.0
+    ]
+
+
 def test_theta_refuses_a_nan_residual():
     # k = 5, a0 = 1e300, x = e_5: the root is 3.87e-150, but the polynomial
     # underflows to 0 below about 6e-63, where the walk stops; there w~_1 is

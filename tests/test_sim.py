@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 import os
 import math
 import re
@@ -28,7 +29,7 @@ from stepsynth import (
     simulate,
     stepwise,
 )
-from stepsynth import chain_gramian, ctrl_fn, mappability
+from stepsynth import chain_gramian, ctrl_fn, mappability, sim
 
 import paper_oracles
 
@@ -447,6 +448,49 @@ def test_emit_csv_cells_are_percent_e_bytes(tmp_path):
     assert re.search(rb",[-]?\d\.\d{12}e[+-]\d{3},", path.read_bytes())
 
 
+def _near_tie_cells() -> np.ndarray:
+    """Cells whose exact scaled mantissa lies between 1/256 and 1/64 from a
+    rounding tie, below and above it, at exponents -280..280."""
+    rng = np.random.default_rng(23)
+    cells = []
+    for e in range(-280, 281):
+        m = int(rng.integers(10**12, 10**13 - 1))
+        for frac in ("486", "489", "491", "494", "506", "509", "511", "514"):
+            v = float(f"{m}.{frac}e{e - 12}")
+            s = Fraction(v) * Fraction(10) ** (12 - e)
+            assert Fraction(1, 256) < abs(s - math.floor(s) - Fraction(1, 2)) < Fraction(1, 64), v
+            cells.append(v)
+    return np.array(cells)
+
+
+def _group_edge_cells() -> np.ndarray:
+    """Cells whose lead digit is 1 or 9 and whose three groups of four
+    decimals are each 0000 or 9999, at exponents -280..280."""
+    digits = [
+        f"{lead}.{g1}{g2}{g3}"
+        for lead in "19"
+        for g1 in ("0000", "9999")
+        for g2 in ("0000", "9999")
+        for g3 in ("0000", "9999")
+    ]
+    return np.array([float(f"{d}e{e}") for e in range(-280, 281) for d in digits])
+
+
+def test_emit_csv_near_ties_and_group_edges(tmp_path):
+    # s within 1/64 of a tie went to Python's % before the margin narrowed
+    # to 1/256: the numpy digits now write these, and the float split of
+    # the mantissa must be exact where a group is all 0s or all 9s
+    assert 1e13 * 2.0**-52 < 0.5 - sim._MARGIN == 1 / 256 < 1 / 64
+    cells = np.concatenate([_near_tie_cells(), _group_edge_cells()])
+    cells = np.concatenate([cells, -cells])
+    assert len(cells) > 2 * 8 * sim._CSV_CHUNK  # more than two chunks of 1,024 rows of 8 cells
+    assert "1.000099990000e+05" in ["%.12e" % v for v in cells]
+    traj = _trajectory_of_cells(cells)
+    path = tmp_path / "edges.csv"
+    emit_csv(traj, path)
+    assert path.read_bytes() == _csv_by_fields(traj)
+
+
 @given(v=st.floats(width=64))
 @settings(max_examples=300, deadline=None)
 def test_emit_csv_single_cell_matches_percent_e(v, tmp_path_factory):
@@ -499,6 +543,74 @@ def test_emit_json_refuses_a_non_finite_field(tmp_path, field, value):
 
 
 # --- SVG ---
+
+
+def _svg_by_points(traj: Trajectory, projection) -> bytes:
+    # reference writer: every point formatted by an f-string of its own
+    i, j = projection
+    m = len(traj.times)
+    stride = max(1, math.ceil(m / 4000))
+    flags = [int(f) for f in traj.flags]
+    xy = [(float(row[i - 1]), float(row[j - 1])) for row in traj.states_x]
+    pts = [p for r, p in enumerate(xy) if r % stride == 0 or flags[r] or r == m - 1]
+    marks = [p for r, p in enumerate(xy) if flags[r]]
+    xs = [p[0] for p in pts] or [0.0]
+    ys = [p[1] for p in pts] or [0.0]
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys), max(ys)
+    pad_x = 0.05 * (hi_x - lo_x or 1.0)
+    pad_y = 0.05 * (hi_y - lo_y or 1.0)
+    view = (lo_x - pad_x, lo_y - pad_y, (hi_x - lo_x) + 2 * pad_x, (hi_y - lo_y) + 2 * pad_y)
+    flip = lambda y: (view[1] + view[3]) - (y - view[1])
+    poly = " ".join(f"{px:.6g},{flip(py):.6g}" for px, py in pts)
+    width = 0.002 * max(view[2], view[3])
+    radius = 0.008 * max(view[2], view[3])
+    body = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">',
+        f'<polyline points="{poly}" fill="none" stroke="black" stroke-width="{width:.6g}"/>',
+    ]
+    body += [f'<circle cx="{px:.6g}" cy="{flip(py):.6g}" r="{radius:.6g}" fill="red"/>' for px, py in marks]
+    body.append("</svg>")
+    return ("\n".join(body) + "\n").encode("utf-8")
+
+
+def _svg_trajectory(states, flags) -> Trajectory:
+    # a hand-built trajectory of lists, as a caller's may be
+    m = len(states)
+    return Trajectory([1e-3 * r for r in range(m)], states, states, [0.0] * m, flags, [])
+
+
+def _spiral(m: int) -> list:
+    return [(math.exp(-1e-3 * r) * math.cos(0.01 * r), -math.sin(0.03 * r), 0.5 * r) for r in range(m)]
+
+
+@pytest.mark.parametrize(
+    "states, flags",
+    [
+        ([(0.25, -1.5, 2.0)], [0]),
+        ([(0.25, -1.5, 2.0)], [2]),
+        (_spiral(50), [r % 7 == 3 for r in range(50)]),
+        # strided: 9,001 rows keep every third, the events off the stride
+        (_spiral(9001), [1 if r in (1, 4000, 8999) else 0 for r in range(9001)]),
+        ([(-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, 1.0)], [0, 3, 0]),
+        ([(1e300, -1e300, 0.0), (-1e300, 1e300, 1.0), (0.5, -0.0, 2.0)], [0, 1, 0]),
+        # the extent overflows: the viewBox and the flipped y read inf or nan
+        ([(1.7e308, -1.7e308, 0.0), (-1.7e308, 1.7e308, 1.0)], [2, 0]),
+        ([(math.nan, 1.0, 0.0), (2.0, math.nan, 1.0), (3.0, 4.0, 2.0)], [0, 1, 0]),
+    ],
+)
+@pytest.mark.parametrize("projection", [(1, 2), (2, 3)])
+def test_emit_svg_bytes_match_per_point_formatting(tmp_path, states, flags, projection):
+    traj = _svg_trajectory(states, flags)
+    path = tmp_path / "p.svg"
+    emit_svg(traj, projection, path)
+    assert path.read_bytes() == _svg_by_points(traj, projection)
+    # the same trajectory as arrays writes the same bytes
+    arrays = Trajectory(
+        np.array(traj.times), np.array(states), np.array(states), np.array(traj.controls), np.array(flags, dtype=np.int64), []
+    )
+    emit_svg(arrays, projection, path)
+    assert path.read_bytes() == _svg_by_points(traj, projection)
 
 
 def test_emit_svg_structure(tmp_path):
