@@ -196,9 +196,10 @@ def sigmas(s: LinearSynth, X: np.ndarray) -> np.ndarray:
 def _theta_root(s: LinearSynth, xd: list) -> float:
     # the positive root at theta_of's dilated chain xd
     c = _form(s._n1_inv, xd)
-    # F(Theta) = 2 a0 Theta^{2k} - sum_p c_p Theta^p, descending order:
-    # negative below the positive root, positive above it
-    coeffs = [2.0 * s.a0, 0.0] + [-cp for cp in reversed(c)]
+    # F(Theta) = a0 Theta^{2k} - sum_p c_p Theta^p / 2, descending order:
+    # negative below the positive root, positive above it.  The equation
+    # is halved, exactly, so that 2 a0 cannot overflow
+    coeffs = [s.a0, 0.0] + [-0.5 * cp for cp in reversed(c)]
     F = lambda th: _horner(coeffs, th)
     # walk Theta by factors of 2 from 1 toward the root until F changes sign
     up = F(1.0) <= 0.0

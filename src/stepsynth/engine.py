@@ -26,16 +26,22 @@ The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
 the accepted steps already cover come out of the dense output as one
 (k, n) numpy array, by the same elementwise formula as one row at a time,
 at times that one numpy accumulate gives, the floats of adding dt one row
-at a time.  The stage tests them as columns, and run_stage reads each
-column once per batch, which costs a fixed part per read besides the part
-per row.  So a flow runs up to AHEAD integrator steps past the next
+at a time.  The array is component-major, the transpose of an (n, k) C
+array: its readers (the stage's control, residual, done band, arrive
+coordinate and hold check, the chart maps and the writers) each take one
+component at a time, and numpy runs its inner loop along the contiguous
+axis, so a column is k contiguous floats rather than a view that steps
+over the n components of each row.  The stage tests the rows as columns,
+and run_stage reads each column once per batch, which costs a fixed part
+per read besides the part per row.  So a flow runs up to AHEAD integrator steps past the next
 sample, and one batch holds the rows of all of them: a pendulum step
 covers about 100 rows at dt = 1e-4.  The steps are the error
 controller's alone, so the record does not depend on how far the flow
 runs ahead; a step past the next sample that fails ends the run-ahead, and
 the rows a batch holds past an event are discarded with its flow.  The
 record stays arrays: the Recorder joins each
-column's batch slices on its first read.  A tuple is built only for one
+column's batch slices on its first read, and np.concatenate keeps their
+component-major layout.  A tuple is built only for one
 state: the start and each event row, which the integrator restarts from.
 A batch that fails is read again one row at a time up to the next event,
 so a run ends at the row where a row-by-row run ends.  The integrator's
@@ -257,21 +263,25 @@ class _Flow:
 
     def rows(self, times: np.ndarray) -> np.ndarray:
         """The states at ascending times, a float array, inside the covered
-        steps, as a (len(times), n) array.  A time at the end of a step
-        reads that step."""
+        steps, as a (len(times), n) array, component-major: the transpose
+        of an (n, len(times)) C array, so each component is contiguous.  A
+        time at the end of a step reads that step."""
         parts = []
         lo, k, last = 0, len(times), len(self.pieces) - 1
         for j in range(min(bisect.bisect_left(self.pieces, times[0], key=_END), last), last + 1):
-            ta, tb, (a, b, c, d, e) = self.pieces[j]
+            ta, tb, coef = self.pieces[j]
             hi = k if j == last else int(np.searchsorted(times, tb, side="right"))
             if hi > lo:
-                s = ((times[lo:hi] - ta) / (tb - ta))[:, None]
+                # (n, 1) coefficient columns against the row of s: the
+                # inner loop runs along the rows, not over n components
+                a, b, c, d, e = coef[:, :, None]
+                s = (times[lo:hi] - ta) / (tb - ta)
                 s1 = 1.0 - s
                 parts.append(a + s * (b + s1 * (c + s * (d + s1 * e))))
                 lo = hi
                 if lo == k:
                     break
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).T
 
 
 def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
@@ -323,7 +333,9 @@ class Recorder:
 
     times and controls are float arrays, states is a (k, n) float array and
     flags an integer array.  Each column keeps the batches' row slices as
-    they are recorded and joins them on its first read.
+    they are recorded and joins them on its first read.  The states'
+    slices are component-major, and np.concatenate keeps its inputs'
+    layout, so the joined states are too, with no transposing copy.
     """
 
     def __init__(self):
@@ -376,7 +388,9 @@ def run_stage(
                         switch, a float array;
       controls(branch)  the control value on a branch, for the record, a
                         float array.
-    Each column covers every row of the batch, or raises.
+    Each column covers every row of the batch, or raises.  y is
+    component-major, the transpose of an (n, k) C array as _Flow.rows
+    gives it, so each state component is a contiguous column of y.
     hold(rows, lo, hi) checks that rows lo..hi-1 of a batch keep the
     finished blocks pinned, and raises if one of them does not: the plain
     rows before they are recorded, and each event row and the end row.

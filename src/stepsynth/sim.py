@@ -7,10 +7,15 @@ switching functions live); chart="x" integrates the original right side
 instead, as a transform cross-check.
 
 The record's four columns stay numpy arrays from the engine's Recorder
-to the files.  The run records only the chart it integrates; the record
-goes to the other chart in one call of the scenario's from_z or to_z on
-its columns (the transpose), which gives the same floats as one call per
-row.  emit_csv assembles the bytes of a chunk of rows with numpy: the
+to the files.  The states are component-major, (k, n) arrays that are
+the transpose of (n, k) C arrays, as the engine's dense output gives them:
+every step that reads them takes one component at a time, which numpy
+runs fastest along a contiguous column.  The run records only the chart
+it integrates; the record goes to the other chart in one call of the
+scenario's from_z or to_z on its columns (the transpose), which gives the
+same floats as one call per row, and whose columns are stacked in the
+same layout.  emit_csv assembles the bytes of a chunk of rows with numpy:
+copying the chunk into a row-major buffer is its one transposition, the
 digits of most cells come from exact float arithmetic, the rest from
 Python's %, and the chunk's padding 0 bytes go in one bytes.translate.
 emit_svg converts only the rows it draws to Python floats, and formats
@@ -34,8 +39,10 @@ class Trajectory:
     """Sampled closed-loop run: both charts, controls, and typed events.
 
     times and controls are float arrays, flags an integer array, and
-    states_x and states_z are (k, n) float arrays, one row per sample.
-    The emitters also take trajectories built by hand with lists.
+    states_x and states_z are (k, n) float arrays, one row per sample,
+    component-major as simulate gives them (each coordinate's column is
+    contiguous).  The emitters write the same bytes for any memory order,
+    and also take trajectories built by hand with lists.
     """
 
     times: np.ndarray
@@ -105,13 +112,13 @@ def simulate(
         z0 = given if x0_chart == "z" else scn.to_z(x0)
         run, rec = stepwise.orchestrate(scn.system, z0, scn.policies, cfg, done_tol=delta)
         states_z = rec.states
-        states_x = np.column_stack(scn.from_z(states_z.T))
+        states_x = np.array(scn.from_z(states_z.T)).T
     else:
         run, rec = stepwise.orchestrate(
             scn.system, x0, scn.policies, cfg, done_tol=delta, chart=(scn.f, scn.to_z)
         )
         states_x = rec.states
-        states_z = np.column_stack(scn.to_z(states_x.T))
+        states_z = np.array(scn.to_z(states_x.T)).T
 
     traj = Trajectory(
         times=rec.times,
@@ -247,9 +254,16 @@ def emit_csv(traj: Trajectory, path) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode("ascii"))
+            # a chunk's cells in file order: filling this row-major buffer
+            # is the one transposition of the component-major states
+            buffer = np.empty((min(len(xs), _CSV_CHUNK), 2 * n + 2))
             for lo in range(0, len(xs), _CSV_CHUNK):
                 hi = lo + _CSV_CHUNK
-                cells = np.column_stack((traj.times[lo:hi], xs[lo:hi], zs[lo:hi], traj.controls[lo:hi]))
+                cells = buffer[: len(xs) - lo]
+                cells[:, 0] = traj.times[lo:hi]
+                cells[:, 1 : n + 1] = xs[lo:hi]
+                cells[:, n + 1 : -1] = zs[lo:hi]
+                cells[:, -1] = traj.controls[lo:hi]
                 k = len(cells)
                 rows = np.empty((k, cells.shape[1] * _CELL.itemsize + 2), np.uint8)
                 rows[:, :-2] = _cells(cells.ravel()).view(np.uint8).reshape(k, -1)
@@ -291,9 +305,10 @@ def emit_svg(traj: Trajectory, projection: tuple, path) -> None:
     kept = flagged.copy()
     kept[::stride] = True
     kept[-1:] = True
-    xy = states[:, [i - 1, j - 1]] if k else np.empty((0, 2))
-    pts = xy[kept]
-    marks = xy[flagged].tolist()
+    # only the kept rows of the two columns are copied
+    x, y = (states[:, i - 1], states[:, j - 1]) if k else (np.empty(0), np.empty(0))
+    pts = np.column_stack((x[kept], y[kept]))
+    marks = np.column_stack((x[flagged], y[flagged])).tolist()
 
     xs = pts[:, 0].tolist() or [0.0]
     ys = pts[:, 1].tolist() or [0.0]

@@ -71,7 +71,9 @@ class StepPolicy:
     read a batch of sample rows, a (k, n) array Z, and give a float array
     of k: one call of residual and control on the columns Z.T, which they
     read as they read one state (ThetaSwitch reads its sigma column
-    through ctrl_fn.sigmas).
+    through ctrl_fn.sigmas).  A batch's Z is component-major, so each
+    z[i] of Z.T is a contiguous array of k floats, along which numpy's
+    inner loop runs.
 
     The callbacks a policy holds (w, u_plus, u_minus, u_zero) follow the
     contract of Scenario.to_z: they take one state, a tuple of floats (w
@@ -444,12 +446,14 @@ class _Rows:
     engine.run_stage), in the block chart as the (k, n) array Z: y itself,
     or y mapped to z by one call of z_of on its n columns.  The done band
     and arrive coordinate are columns of Z, and so are the residuals and
-    the controls on a branch, on the policy's column path."""
+    the controls on a branch, on the policy's column path.  Z keeps y's
+    component-major layout: z_of's columns are stacked as the rows of an
+    (n, k) C array, of which Z is the transpose."""
 
     def __init__(self, stage: _Stage, t: np.ndarray, y: np.ndarray):
         self.t, self.y = t, y
         self.policy, self.span = stage.policy, stage.span
-        self.Z = y if stage.z_of is None else np.column_stack(stage.z_of(y.T))
+        self.Z = y if stage.z_of is None else np.array(stage.z_of(y.T)).T
         self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 

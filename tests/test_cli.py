@@ -413,6 +413,18 @@ def test_theta_k1_at_a_huge_a0(capsys):
     assert d["sigma"] == pytest.approx(2e154, rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_theta_at_a_huge_a0(capsys, k):
+    # 2 a0 overflows at a0 = 1e308, yet on x = e_1 Theta has the closed
+    # form (N(1)^{-1}_11 / (2 a0))^(1/(2k)): 2.06e-77 at k = 2
+    n11 = float(chain_gramian.gram_n1(k).n1_inv[0][0])
+    x = ",".join(["1"] + ["0"] * (k - 1))
+    code, out, err = run_cli(capsys, "theta", "--k", str(k), "--a0", "1e308", "--d", "1e200", "--x", x)
+    assert code == 0, err
+    want = (0.5 * n11) ** (0.5 / k) * 1e308 ** (-0.5 / k)
+    assert strict_json(out)["theta"] == pytest.approx(want, rel=1e-12)
+
+
 def test_theta_underflowing_quadratic_form(capsys):
     # (N(1)^{-1} x, x) underflows at x = (1e-200, 0), yet x is not the
     # origin: Theta is 1e-100 Theta(1, 0) by the dilation law, and sigma is

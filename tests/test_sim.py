@@ -405,6 +405,38 @@ def test_csv_determinism(tmp_path):
     assert b.read_bytes() == _csv_by_fields(traj3)
 
 
+@pytest.mark.parametrize("chart", ["z", "x"])
+def test_record_states_are_component_major(chart):
+    # states_x and states_z keep each component contiguous, the integrated
+    # chart's from the dense output and the other one from its chart map
+    traj, _ = simulate(get_scenario("pendulum"), (-2.0, 1.0, -1.0, 0.5), CFG, chart=chart)
+    for states in (traj.states_x, traj.states_z):
+        assert states.shape == (len(traj), 4)
+        assert states.T.flags.c_contiguous
+
+
+def test_emitters_do_not_depend_on_memory_order(tmp_path):
+    # one trajectory as row-major arrays, as component-major arrays and as
+    # lists writes the same CSV and SVG bytes, across CSV chunks of rows
+    traj, _ = simulate(get_scenario("pendulum"), (-2.0, 1.0, -1.0, 0.5), CFG)
+    assert len(traj) > 2 * sim._CSV_CHUNK and traj.events
+
+    def given(states, column):
+        return Trajectory(column(traj.times), states(traj.states_x), states(traj.states_z),
+                          column(traj.controls), column(traj.flags), traj.events)
+
+    written = set()
+    for order in (
+        given(np.ascontiguousarray, np.array),
+        given(np.asfortranarray, np.array),
+        given(lambda a: a.tolist(), lambda a: a.tolist()),
+    ):
+        emit_csv(order, tmp_path / "traj.csv")
+        emit_svg(order, (1, 3), tmp_path / "traj.svg")
+        written.add((tmp_path / "traj.csv").read_bytes() + (tmp_path / "traj.svg").read_bytes())
+    assert len(written) == 1
+
+
 def _adversarial_cells() -> np.ndarray:
     """Floats on which a digit computation other than Python's correctly
     rounded %.12e is most likely to slip."""

@@ -1120,7 +1120,8 @@ def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
 
 
 def test_flow_rows_match_the_scalar_interpolant():
-    # the batch read of the dense output is the scalar formula, bit for bit
+    # the batch read of the dense output, over several steps, is the scalar
+    # formula, bit for bit
     from stepsynth.engine import _Flow
 
     flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 0.3, 10.0, 1)
@@ -1137,7 +1138,10 @@ def test_flow_rows_match_the_scalar_interpolant():
         return tuple(a + s * (b + s1 * (c + s * (d + s1 * e))) for a, b, c, d, e in coef.T.tolist())
 
     assert len(flow.pieces) > 3
-    assert flow.rows(np.array(times)).tolist() == [list(scalar(t)) for t in times]
+    y = flow.rows(np.array(times))
+    # (rows, n), component-major: each component's column is contiguous
+    assert y.shape == (len(times), 2) and y.T.flags.c_contiguous
+    assert y.tolist() == [list(scalar(t)) for t in times]
 
 
 def test_flow_rows_read_a_step_end_from_that_step():
