@@ -75,7 +75,6 @@ from .stepwise import (
     StepwiseRun,
     ThetaSwitch,
     arrival_curve,
-    audit_theta_switch,
     orchestrate,
     step_done,
 )

@@ -96,6 +96,9 @@ class IntegratorConfig:
             raise ValueError(f"dt must be finite, got {self.dt}")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
+        if not math.isfinite(self.t_max):
+            # an infinite t_max would switch the Timeout guard off
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
 
 
 @dataclass

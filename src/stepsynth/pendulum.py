@@ -47,8 +47,9 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("m1", "m2", "l1", "l2", "g", "eps1p", "eps1m"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         hi = (4.0 / 27.0) * self.l1 ** 2 / self.g ** 2
         if not 0.0 < self.alpha <= hi * (1.0 + 1e-12):
             raise ValueError(f"alpha = {self.alpha} outside (0, {hi}]")
@@ -113,7 +114,7 @@ def _branch_root(p: PendulumParams, c, sign: int):
     c may be a column of forcings: then the roots are a column, and the
     first element that fails raises as it does alone.
     """
-    u = extreme_root(p.alpha, 0.0, -1.0, c, sign)
+    u = extreme_root(p.alpha, -1.0, c, sign)
     if isinstance(c, np.ndarray):
         # the checks below on columns, u ** 3 by libm per element (numpy's
         # power may differ from it); an element that fails them, or whose

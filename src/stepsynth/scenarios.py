@@ -336,7 +336,7 @@ def example51(f1: Optional[Callable] = None, f2: Optional[Callable] = None) -> S
     def step1_control(target, lo, hi):
         if custom_f1:
             return _each(lambda z: _bracket_root(lambda u: h1(z, u) - target, lo, hi))
-        roots = [r for r in real_roots(1.0, 0.0, -1.0, -target) if lo <= r <= hi]
+        roots = [r for r in real_roots(1.0, -1.0, -target) if lo <= r <= hi]
         if not roots:
             raise RootBracketFailure(f"no cubic root in [{lo}, {hi}] for level {target}")
         u = roots[0]

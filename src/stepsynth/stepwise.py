@@ -519,18 +519,3 @@ def orchestrate(
         StepwiseRun(step_times, theta_bounds, hold_residuals, done_tol),
         recorder,
     )
-
-
-def audit_theta_switch(
-    policy: ThetaSwitch,
-    h_channel: Callable[[tuple, float], float],
-    states: Sequence[tuple],
-) -> tuple[float, float]:
-    """(min over states of H(z, u_plus), max of H(z, u_minus)) for the audit.
-
-    The step precondition requires the first >= d and the second <= -d up
-    to 1e-9 slack.
-    """
-    lo = min(h_channel(tuple(z), policy.u_plus(tuple(z))) for z in states)
-    hi = max(h_channel(tuple(z), policy.u_minus(tuple(z))) for z in states)
-    return lo, hi

@@ -4,22 +4,22 @@ The package computes N(Theta) and its inverse from N(1) by power scaling,
 drives a block through its policy's control on sample rows, and never
 evaluates the pendulum's energy.  The oracles here restate the paper's
 other formulas (the chain matrices, e^{-A0 t} b0, the dilation D(Theta),
-N^ and N~ of the Lyapunov identity, the closed-loop feedback v(x) and the
-energy of the free pendulum) so the tests can check the package against
-them.
+N^ and N~ of the Lyapunov identity, the closed-loop feedback v(x), the
+channel audit of a Theta step's controls and the energy of the free
+pendulum) so the tests can check the package against them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from stepsynth.chain_gramian import GramSet, _check_k
 from stepsynth.ctrl_fn import THETA_MIN, LinearSynth, theta_of
 from stepsynth.pendulum import PendulumParams
-from stepsynth.stepwise import BlockPartition, StepPolicy
+from stepsynth.stepwise import BlockPartition, StepPolicy, ThetaSwitch
 
 
 # --- chain Gramians ---
@@ -124,6 +124,21 @@ def eval_control(
         return float(policy.control(branch, zt))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"control callback rejected z={zt}: {exc}") from exc
+
+
+def audit_theta_switch(
+    policy: ThetaSwitch,
+    h_channel: Callable[[tuple, float], float],
+    states: Sequence[tuple],
+) -> tuple[float, float]:
+    """(min over states of H(z, u_plus), max of H(z, u_minus)) for the audit.
+
+    The step precondition requires the first >= d and the second <= -d up
+    to 1e-9 slack.
+    """
+    lo = min(h_channel(tuple(z), policy.u_plus(tuple(z))) for z in states)
+    hi = max(h_channel(tuple(z), policy.u_minus(tuple(z))) for z in states)
+    return lo, hi
 
 
 # --- pendulum ---

@@ -365,6 +365,10 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         # a finite a0 whose derived control bound overflows: the error names
         # --a0, not the --d that was not given
         (("theta", "--k", "2", "--a0", "1e308", "--x", "1,0"), "--a0"),
+        # an infinite time limit would switch the timeout off, and an
+        # infinite pendulum mass makes the first integrator step non-finite
+        (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--tmax", "inf"), "t_max"),
+        (("simulate", "--scenario", "pendulum", "--x0", "-2,1,-1,0.5", "--param", "m1=inf"), "m1"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):

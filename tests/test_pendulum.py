@@ -55,6 +55,14 @@ def test_params_validation():
     PendulumParams(alpha=0.15, l1=2.0)  # cap scales with l1^2
 
 
+@pytest.mark.parametrize("name", ["m1", "m2", "l1", "l2", "g", "eps1p", "eps1m"])
+def test_params_must_be_finite(name):
+    # an infinite mass, length or margin is refused by name, as a
+    # non-positive one is, rather than make the first step non-finite
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        PendulumParams(**{name: math.inf})
+
+
 # --- channels ---
 
 

@@ -79,7 +79,7 @@ def test_zero_start_is_trivial():
     strict=True,
     reason="FOUND in CHANGES.md: events are found on the sample grid, so two arrive "
     "crossings inside one sample interval go unseen and the pendulum's stop time "
-    "depends on dt (ROADMAP direction 2)",
+    "depends on dt (ROADMAP direction 1)",
 )
 def test_pendulum_stop_time_does_not_depend_on_dt():
     # from (-2, 1, -1, 0.5) the run ends at T = 3.5347051 at dt = 1e-3, but

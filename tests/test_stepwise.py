@@ -29,7 +29,6 @@ from stepsynth import (
     ThetaSwitch,
     Timeout,
     arrival_curve,
-    audit_theta_switch,
     example51,
     get_scenario,
     gram_n1,
@@ -46,7 +45,7 @@ from stepsynth.engine import EVENT_TOL, FLAG_COMPLETE, FLAG_SWITCH, ROWS
 from stepsynth.pendulum import NoRealRoot, PendulumParams, _branch_root
 from stepsynth.stepwise import StepPolicy
 
-from paper_oracles import DomainError, eval_control
+from paper_oracles import DomainError, audit_theta_switch, eval_control
 
 G1 = gram_n1(1)
 
@@ -850,7 +849,7 @@ def test_run_stage_that_starts_done_flags_the_last_row_in_place():
 @pytest.mark.parametrize(
     "kwargs",
     [{"dt": 0.0}, {"dt": -1e-3}, {"dt": EVENT_TOL}, {"dt": 0.5 * EVENT_TOL}, {"t_max": 0.0}, {"t_max": -1.0},
-     {"dt": math.inf}],
+     {"dt": math.inf}, {"t_max": math.inf}],
 )
 def test_integrator_config_rejects(kwargs):
     with pytest.raises(ValueError):
