@@ -114,8 +114,8 @@ def theta_of(s: LinearSynth, x: Sequence[float]) -> ThetaEval:
     k = 1 the dilated root Theta~ has the closed form |x~| sqrt(N(1)^{-1} /
     (2 a0)).  For k >= 2 the scalar equation times Theta^(2k-1) is a
     polynomial, whose root is bracketed within a factor of 2 by doubling/
-    halving from Theta = 1 and solved by brentq (cubic.bracket_root) to
-    1e-14 of the bracket's upper end.  w~ = N(Theta~)^{-1} x~ and the
+    halving from Theta = 1 and solved by Brent's method (cubic.bracket_root)
+    to 1e-14 of the bracket's upper end.  w~ = N(Theta~)^{-1} x~ and the
     residual check are on the same frame, and the results scale back
     exactly by the dilation law Theta(lam^k x_1, ..., lam x_k) = lam
     Theta(x): Theta = 2^m Theta~, w_i = 2^(-m(k-i)) w~_i, sigma = w_k = w~_k.

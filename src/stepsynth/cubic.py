@@ -5,7 +5,7 @@ force alpha u^3, Example 5.1's u^3): with no u^2 term there is no shift to
 lose digits to and, with c3 != 0 (a zero c3 is refused), no quadratic or
 linear case.  Trigonometric form in the three-real-root regime, Cardano
 otherwise, then two guarded Newton steps.  bracket_root is the package's
-one bracketed scalar solve (brentq).
+one bracketed scalar solve, Brent's method.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from typing import Callable
 import numpy as np
 
 _TWO_PI_3 = 2.0943951023931953
+# Cardano's q q overflows past |q| ~ 1.3e154, the root of the largest
+# float: above _Q_BIG its radicand is scaled by q q
+_Q_BIG = 1e150
 
 
 class RootBracketFailure(RuntimeError):
@@ -24,20 +27,54 @@ class RootBracketFailure(RuntimeError):
 
 
 def bracket_root(q: Callable, lo: float, hi: float, xtol: float = 1e-14) -> float:
-    """Root of q on [lo, hi] by brentq; an endpoint where q is exactly zero.
+    """Root of q on [lo, hi] by Brent's method; an endpoint where q is
+    exactly zero.
 
-    Raises RootBracketFailure when q has the same sign at both ends.
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 4,
+    in the operation order of scipy's brentq.c, so the same floats as
+    scipy.optimize.brentq(q, lo, hi, xtol=xtol, rtol=8.9e-16): done when
+    the bracket half-width is below (xtol + rtol |x|) / 2.  Raises
+    RootBracketFailure when q has the same sign at both ends, ValueError
+    on a NaN value of q, and RuntimeError after 100 iterations.
     """
-    qlo, qhi = q(lo), q(hi)
-    if qlo == 0.0:
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = q(lo), q(hi)
+    if fpre == 0.0:
         return lo
-    if qhi == 0.0:
+    if fcur == 0.0:
         return hi
-    if (qlo > 0.0) == (qhi > 0.0):
-        raise RootBracketFailure(f"no sign change on [{lo}, {hi}]: q = ({qlo:.3g}, {qhi:.3g})")
-    from scipy.optimize import brentq
-
-    return float(brentq(q, lo, hi, xtol=xtol, rtol=8.9e-16))
+    if (fpre > 0.0) == (fcur > 0.0):
+        raise RootBracketFailure(f"no sign change on [{lo}, {hi}]: q = ({fpre:.3g}, {fcur:.3g})")
+    fpre, fcur = float(fpre), float(fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 8.9e-16 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(q(xcur))
+        if fcur != fcur:
+            raise ValueError(f"q is NaN at {xcur!r}")
+    raise RuntimeError(f"no convergence after 100 iterations, value is {xcur!r}")
 
 
 def real_roots(c3: float, c1: float, c0: float) -> tuple[float, ...]:
@@ -92,7 +129,11 @@ def _depressed_roots(p: float, q: float, branches: tuple) -> list:
         return [m * math.cos(phi - _TWO_PI_3 * n) for n in branches]
     if p == 0.0 and q == 0.0:
         return [0.0] * len(branches)
-    s = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
+    if _Q_BIG < abs(q) < math.inf:
+        # q q would overflow: the radicand q q / 4 + p^3 / 27 over q q
+        s = abs(q) * math.sqrt(max(0.0, 0.25 + p**3 / 27.0 / q / q))
+    else:
+        s = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
     t = (math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
          + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s))
     return [t]
@@ -102,7 +143,9 @@ def _depressed_root_column(p: float, q: np.ndarray, n: int) -> np.ndarray:
     """_depressed_roots(p, q, (n,)) on a column q: the trigonometric root
     of branch n where there are three real roots, else Cardano's (which
     gives the triple root 0 as well)."""
-    disc = -4.0 * p**3 - 27.0 * q * q
+    with np.errstate(over="ignore"):
+        # an overflow gives disc = -inf, Cardano's case, as for a float
+        disc = -4.0 * p**3 - 27.0 * q * q
     trig = disc >= 0.0 if p < 0.0 else np.zeros(len(q), dtype=bool)
     k = np.count_nonzero(trig)
     if k in (0, len(q)):
@@ -123,7 +166,14 @@ def _trig_roots(p: float, q: np.ndarray, n: int) -> np.ndarray:
 
 def _cardano_roots(p: float, q: np.ndarray) -> np.ndarray:
     # max(0.0, r): r is never -0.0, and fmax keeps 0.0 for a NaN r, as max does
-    s = np.sqrt(np.fmax(q * q / 4.0 + p**3 / 27.0, 0.0))
+    aq = np.abs(q)
+    if aq.max(initial=0.0) > _Q_BIG:
+        # the radicand over q q where _depressed_roots scales it: the same
+        # floats, as q / |q| = +-1 and 1/4 is exact
+        w = np.where((aq > _Q_BIG) & (aq < math.inf), aq, 1.0)
+        s = w * np.sqrt(np.fmax((q / w) * (q / w) / 4.0 + p**3 / 27.0 / w / w, 0.0))
+    else:
+        s = np.sqrt(np.fmax(q * q / 4.0 + p**3 / 27.0, 0.0))
     h = -q / 2.0
     return _cbrt(h + s) + _cbrt(h - s)
 

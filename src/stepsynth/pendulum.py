@@ -50,7 +50,9 @@ class PendulumParams:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        hi = (4.0 / 27.0) * self.l1 ** 2 / self.g ** 2
+        # (4/27) (l1/g)^2 with r = l1/g: an overflow gives inf, not an error
+        r = self.l1 / self.g
+        hi = (4.0 / 27.0) * r * r
         if not 0.0 < self.alpha <= hi * (1.0 + 1e-12):
             raise ValueError(f"alpha = {self.alpha} outside (0, {hi}]")
 
@@ -167,9 +169,10 @@ def pendulum_u2pm(p: PendulumParams, z3, sign: int):
 def pendulum_w2(p: PendulumParams, z3: float) -> float:
     """Step-2 switching curve: signed sqrt of the branch-control integral.
 
-    Uses adaptive quadrature (abs tol 1e-10, rel tol 1e-12).  It is the
-    reference for the scipy-free Hermite table of _w2_table that pendulum()
-    steers with; no run calls it.
+    Uses scipy's adaptive quadrature (abs tol 1e-10, rel tol 1e-12), so it
+    needs scipy, which the package's test extra installs.  It is the
+    reference for the Hermite table of _w2_table that pendulum() steers
+    with; no run calls it.
     """
     from scipy.integrate import quad
 

@@ -230,6 +230,17 @@ def test_simulate_scenario_param(capsys, tmp_path):
     assert summary["params"]["alpha"] == 0.9
 
 
+def test_simulate_pendulum_near_zero_gravity(capsys, tmp_path):
+    # the alpha cap (4/27) (l1/g)^2 overflows to inf at g = 1e-200: the
+    # run goes ahead, with no ZeroDivisionError from g ** 2
+    argv = ("simulate", "--scenario", "pendulum", "--x0", "-2,1,-1,0.5", "--dt", "1e-3", "--param", "g=1e-200")
+    code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    summary = strict_json((tmp_path / "summary.json").read_text())
+    assert summary["params"]["g"] == 1e-200
+    assert summary["final_state_norm"] <= 1e-6
+
+
 def test_simulate_config_file(capsys, tmp_path):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "run.cfg"
@@ -369,6 +380,8 @@ def test_simulate_config_param_and_flag(capsys, tmp_path):
         # infinite pendulum mass makes the first integrator step non-finite
         (("simulate", "--scenario", "intro2d", "--x0", "1,1", "--tmax", "inf"), "t_max"),
         (("simulate", "--scenario", "pendulum", "--x0", "-2,1,-1,0.5", "--param", "m1=inf"), "m1"),
+        # a gravity whose alpha cap (4/27) (l1/g)^2 underflows to 0
+        (("simulate", "--scenario", "pendulum", "--x0", "-2,1,-1,0.5", "--param", "g=1e200"), "alpha"),
     ],
 )
 def test_nan_settings_exit_1(capsys, tmp_path, argv, what):

@@ -5,6 +5,7 @@ roots that sum to zero.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_extreme_root_on_a_column_of_constant_terms():
             by_column = extreme_root(c3, c1, c0, sign)
             by_element = [extreme_root(c3, c1, v, sign) for v in c0.tolist()]
             assert [float(v).hex() for v in by_column] == [v.hex() for v in by_element], (c3, c1)
+
+
+@pytest.mark.parametrize("c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300])
+def test_huge_forcing_gives_its_finite_root(c):
+    # past |c0 / c3| ~ 1.3e154 Cardano's q q overflows: the scaled radicand
+    # gives the one real root, the same floats alone and on a column, with
+    # no numpy warning
+    alpha = 1.0 / 9.0
+    for sign in (+1, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = extreme_root(alpha, -1.0, c, sign)
+            by_column = extreme_root(alpha, -1.0, np.array([c, 0.5, c]), sign)
+        small = extreme_root(alpha, -1.0, 0.5, sign)
+        assert [float(v).hex() for v in by_column] == [u.hex(), small.hex(), u.hex()]
+        assert math.isfinite(u) and (u < 0.0) == (c > 0.0)
+        assert abs((alpha * u * u - 1.0) * u + c) <= 1e-10 * abs(c)
 
 
 @given(c3=coeff, c1=coeff, c0=coeff)

@@ -24,6 +24,7 @@ from stepsynth import (
     simulate,
     stepwise,
 )
+from stepsynth.pendulum import _branch_root
 
 from paper_oracles import pendulum_energy
 
@@ -55,6 +56,15 @@ def test_params_validation():
     PendulumParams(alpha=0.15, l1=2.0)  # cap scales with l1^2
 
 
+def test_alpha_cap_past_the_float_range():
+    # the cap (4/27) (l1/g)^2 overflows to inf, or underflows to 0, rather
+    # than raise before the named check
+    PendulumParams(g=1e-200)
+    PendulumParams(l1=1e200)
+    with pytest.raises(ValueError, match="alpha"):
+        PendulumParams(g=1e200)
+
+
 @pytest.mark.parametrize("name", ["m1", "m2", "l1", "l2", "g", "eps1p", "eps1m"])
 def test_params_must_be_finite(name):
     # an infinite mass, length or margin is refused by name, as a
@@ -64,6 +74,21 @@ def test_params_must_be_finite(name):
 
 
 # --- channels ---
+
+
+@pytest.mark.parametrize("c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300])
+def test_branch_root_of_a_huge_forcing(c):
+    # alpha u^3 - u + c has one real root, of the sign opposite to c's: the
+    # branch on that side gets it, the other raises NoRealRoot, alone and on
+    # a column
+    side = -1 if c > 0.0 else +1
+    u = _branch_root(P, c, side)
+    assert math.isfinite(u) and (u > 0.0) == (side > 0)
+    assert _branch_root(P, np.array([c]), side).tolist() == [u]
+    with pytest.raises(NoRealRoot, match="wrong sign"):
+        _branch_root(P, c, -side)
+    with pytest.raises(NoRealRoot, match="wrong sign"):
+        _branch_root(P, np.array([c]), -side)
 
 
 def test_H_rest_point():

@@ -699,11 +699,22 @@ def test_default_projections():
 
 
 def test_bundled_runs_import_no_scipy():
-    # scipy serves only brentq (custom example51 f1/f2, theta_of at k >= 2)
-    # and quad (pendulum w2 past |z3| > 7); no bundled run takes those paths
+    # the package runs on numpy alone: with every scipy import made to fail,
+    # the bundled runs, theta_of at k = 1..5 (Brent's method at k >= 2) and
+    # example51 with a custom f1 and with a custom f2 (Brent's method for
+    # the channel roots and the f2 inverse) all complete.  Only
+    # pendulum_w2, the tests' quadrature reference, imports scipy
     script = """
-import sys
-from stepsynth import IntegratorConfig, get_scenario, simulate
+import importlib.abc, math, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from stepsynth import IntegratorConfig, LinearSynth, a0_max, example51, get_scenario, gram_n1, simulate, theta_of
 for name, x0 in (
     ("intro2d", (1.0, 1.0)),
     ("example51", (0.5, 0.1, -0.3)),
@@ -711,6 +722,13 @@ for name, x0 in (
     ("pendulum", (-2.0, 1.0, -1.0, 0.5)),
 ):
     simulate(get_scenario(name), x0, IntegratorConfig(dt=1e-3, t_max=50.0))
+for k in range(1, 6):
+    gram = gram_n1(k)
+    theta = theta_of(LinearSynth(gram=gram, a0=a0_max(gram, 1.0), d=1.0), [0.3 * (i + 1) for i in range(k)]).theta
+    assert math.isfinite(theta) and theta > 0.0, (k, theta)
+for scn in (example51(f1=lambda x1, x2, x3, u: 0.4 * x1 + 0.1 * x3), example51(f2=lambda v: v + 0.2 * math.sin(v))):
+    _, summary = simulate(scn, (0.5, 0.1, -0.3), IntegratorConfig(dt=1e-3, t_max=50.0))
+    assert summary.final_state_norm <= 1e-6, (scn.params, summary)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
