@@ -4,22 +4,25 @@ Both bundled channels have this form, alpha u^3 - u + c (the pendulum's
 force alpha u^3, Example 5.1's u^3): with no u^2 term there is no shift to
 lose digits to and, with c3 != 0 (a zero c3 is refused), no quadratic or
 linear case.  Trigonometric form in the three-real-root regime, Cardano
-otherwise, then two guarded Newton steps.  bracket_root is the package's
-one bracketed scalar solve, Brent's method.
+otherwise, then two guarded Newton steps, each written once for a float
+and for a column of constant terms: the step sets FLOAT and COLUMN hold
+the few steps whose two forms differ, and give the same floats.  A
+forcing with |c0 / c3| past 2^500 is solved for t = u / 2^j, whose
+coefficients scale exactly, so that every finite forcing has its finite
+root.  bracket_root is the package's one bracketed scalar solve, Brent's
+method.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 _TWO_PI_3 = 2.0943951023931953
-# Cardano's q q overflows past |q| ~ 1.3e154, the root of the largest
-# float: above _Q_BIG its radicand is scaled by q q
-_Q_BIG = 1e150
 
 
 class RootBracketFailure(RuntimeError):
@@ -77,16 +80,79 @@ def bracket_root(q: Callable, lo: float, hi: float, xtol: float = 1e-14) -> floa
     raise RuntimeError(f"no convergence after 100 iterations, value is {xcur!r}")
 
 
+def libm_map(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) of math for each float v of the column x: numpy's own
+    transcendental functions may differ from libm's in the last bits."""
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, len(x))
+
+
+def _div_column(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # silent, as a float's /
+        return x / y
+
+
+def _split_column(mask, yes: Callable, no: Callable, *args) -> np.ndarray:
+    n = np.count_nonzero(mask)
+    if n in (0, np.size(mask)):
+        return (yes if n else no)(*args)
+    out = np.empty(np.size(mask))
+    for part, fn in ((mask, yes), (~mask, no)):
+        out[part] = fn(*(a[part] if isinstance(a, np.ndarray) else a for a in args))
+    return out
+
+
+# The steps of the channel formulas whose float and column forms differ,
+# with the same floats, signed zeros and NaNs included; the rest (+, -, *,
+# / by a nonzero, comparisons) is written once, as Python and numpy round
+# each of them correctly.  sin, cos, acos and the cube root
+# copysign(|x| ** (1/3), x) go through libm, per element on a column, as
+# numpy's may differ in the last bits.  exponent(x) is frexp's e, |x| < 2^e;
+# scale(j) is 2^j where j > 0, else 1 (one float 1 for a whole column);
+# select(cond, a, b) is a where cond holds, else b; div(x, y) is x / y, an
+# infinity or NaN where y is zero; split(mask, yes, no, *args) is yes(*args)
+# where mask holds and no(*args) elsewhere, a column's array arguments cut
+# to those elements.
+FLOAT = SimpleNamespace(
+    sqrt=math.sqrt, sin=math.sin, cos=math.cos, acos=math.acos,
+    cbrt=lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
+    exponent=lambda x: math.frexp(x)[1],
+    scale=lambda j: 2.0 ** j if j > 0 else 1.0,
+    select=lambda cond, a, b: a if cond else b,
+    div=lambda x, y: x / y if y else x * math.copysign(math.inf, y),  # x / +-0 as IEEE has it
+    split=lambda mask, yes, no, *args: (yes if mask else no)(*args),
+)
+COLUMN = SimpleNamespace(
+    sqrt=np.sqrt,
+    sin=lambda x: libm_map(math.sin, x),
+    cos=lambda x: libm_map(math.cos, x),
+    acos=lambda x: libm_map(math.acos, x),
+    cbrt=lambda x: np.copysign(libm_map(math.pow, np.abs(x), 1.0 / 3.0), x),
+    exponent=lambda x: np.frexp(x)[1],
+    scale=lambda j: np.ldexp(1.0, np.maximum(j, 0)) if j.max(initial=0) > 0 else 1.0,
+    select=np.where,
+    div=_div_column,
+    split=_split_column,
+)
+
+
+def steps_of(x) -> SimpleNamespace:
+    """COLUMN for a float array, FLOAT for a float."""
+    return COLUMN if isinstance(x, np.ndarray) else FLOAT
+
+
 def real_roots(c3: float, c1: float, c0: float) -> tuple[float, ...]:
     """All real roots of c3 u^3 + c1 u + c0, ascending; ValueError if c3 = 0.
 
     A double root is reported twice, a triple root three times.
     """
-    p, q = _depressed(c3, c1, c0)
-    return tuple(sorted(_polish(c3, c1, c0, t) for t in _depressed_roots(p, q, (0, 1, 2))))
+    p, q, p3, k, three = _depressed(FLOAT, c3, c1, c0)
+    root = _trig if three else _cardano
+    # the one Cardano root once, but the triple root 0 (p = q = 0) three times
+    ns = (0, 1, 2) if three or p == q == 0.0 else (0,)
+    return tuple(sorted(_polish(FLOAT, c3, c1, c0, k, root(FLOAT, p, q, p3, k, n)) for n in ns))
 
 
-def extreme_root(c3: float, c1: float, c0: float, sign: int) -> float:
+def extreme_root(c3: float, c1: float, c0, sign: int):
     """Largest (sign=+1) or smallest (sign=-1) real root of c3 u^3 + c1 u + c0.
 
     Equals real_roots(...)[-1] (or [0]) but computes and polishes only
@@ -95,124 +161,57 @@ def extreme_root(c3: float, c1: float, c0: float, sign: int) -> float:
     constant terms (a float array): the roots are then a column of the
     same floats as one call per element.  ValueError if c3 = 0.
     """
-    p, q = _depressed(c3, c1, c0)
-    n = 0 if sign > 0 else 2
-    if isinstance(c0, np.ndarray):
-        # numpy's +, -, *, / and sqrt are correctly rounded, as Python's are,
-        # so the scalar formulas in the same order give the same floats on a
-        # column; acos, cos and the cube roots go through libm_map
-        return _polish_column(c3, c1, c0, _depressed_root_column(p, q, n))
-    (t,) = _depressed_roots(p, q, (n,))
-    return _polish(c3, c1, c0, t)
+    S = steps_of(c0)
+    p, q, p3, k, three = _depressed(S, c3, c1, c0)
+    t = S.split(three, _trig, _cardano, S, p, q, p3, k, 0 if sign > 0 else 2)
+    return _polish(S, c3, c1, c0, k, t)
 
 
-def _depressed(c3: float, c1: float, c0) -> tuple:
-    """(p, q) of u^3 + p u + q, the cubic over c3; a column c0 gives a column q."""
+def _depressed(S: SimpleNamespace, c3: float, c1: float, c0) -> tuple:
+    """(p, q, p3, k, three): t = u / k solves t^3 + (p / k^2) t + q = 0,
+    p3 = (p / k^2)^3, and three holds where it has three real roots.
+
+    k = 2^j with j >= 0 the least that keeps |q| below 2^501, so q q and
+    p3 do not overflow: k = 1 wherever |c0 / c3| < 2^500.  Dividing by a
+    power of two is exact, so the scaled q and p3 are those of u to the
+    last bit.  A column c0 gives columns q, and p3 and k if any element
+    is scaled.
+    """
     if c3 == 0.0:
         raise ValueError(f"c3 must be nonzero in c3 u^3 + c1 u + c0, got {c3}")
-    return c1 / c3, c0 / c3
+    k = S.scale((S.exponent(c0) - math.frexp(c3)[1] - 498) // 3)
+    p, w = c1 / c3, k * k * k
+    q, p3 = c0 / w / c3, p**3 / w / w
+    return p, q, p3, k, p < 0.0 and -4.0 * p3 - 27.0 * q * q >= 0.0
 
 
-def _depressed_roots(p: float, q: float, branches: tuple) -> list:
-    """Roots t of t^3 + p t + q, unpolished.
-
-    With three real roots, the trigonometric roots of the given branches
-    (n = 0 is the largest, n = 2 the smallest), and the triple root 0 once
-    for each branch; otherwise the one real root, by Cardano.
-    """
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc >= 0.0 and p < 0.0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = max(-1.0, min(1.0, arg))
-        phi = math.acos(arg) / 3.0
-        return [m * math.cos(phi - _TWO_PI_3 * n) for n in branches]
-    if p == 0.0 and q == 0.0:
-        return [0.0] * len(branches)
-    if _Q_BIG < abs(q) < math.inf:
-        # q q would overflow: the radicand q q / 4 + p^3 / 27 over q q
-        s = abs(q) * math.sqrt(max(0.0, 0.25 + p**3 / 27.0 / q / q))
-    else:
-        s = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
-    t = (math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-         + math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s))
-    return [t]
-
-
-def _depressed_root_column(p: float, q: np.ndarray, n: int) -> np.ndarray:
-    """_depressed_roots(p, q, (n,)) on a column q: the trigonometric root
-    of branch n where there are three real roots, else Cardano's (which
-    gives the triple root 0 as well)."""
-    with np.errstate(over="ignore"):
-        # an overflow gives disc = -inf, Cardano's case, as for a float
-        disc = -4.0 * p**3 - 27.0 * q * q
-    trig = disc >= 0.0 if p < 0.0 else np.zeros(len(q), dtype=bool)
-    k = np.count_nonzero(trig)
-    if k in (0, len(q)):
-        return _trig_roots(p, q, n) if k else _cardano_roots(p, q)
-    t = np.empty(len(q))
-    t[trig] = _trig_roots(p, q[trig], n)
-    t[~trig] = _cardano_roots(p, q[~trig])
-    return t
-
-
-def _trig_roots(p: float, q: np.ndarray, n: int) -> np.ndarray:
+def _trig(S: SimpleNamespace, p: float, q, p3, k, n: int):
+    """Root n of the three real roots as t = u / k: n = 0 is the largest,
+    n = 2 the smallest."""
     m = 2.0 * math.sqrt(-p / 3.0)
-    # max(-1.0, min(1.0, arg)): fmin and fmax keep the bound, as min and max do
-    arg = np.fmax(np.fmin(3.0 * q / (p * m), 1.0), -1.0)
-    phi = libm_map(math.acos, arg) / 3.0
-    return m * libm_map(math.cos, phi - _TWO_PI_3 * n)
+    arg = 3.0 * (q * (k * k * k)) / (p * m)
+    arg = S.select(arg < 1.0, arg, 1.0)  # min(1.0, arg), which takes a NaN to 1.0
+    arg = S.select(arg > -1.0, arg, -1.0)
+    return m * S.cos(S.acos(arg) / 3.0 - _TWO_PI_3 * n) / k
 
 
-def _cardano_roots(p: float, q: np.ndarray) -> np.ndarray:
-    # max(0.0, r): r is never -0.0, and fmax keeps 0.0 for a NaN r, as max does
-    aq = np.abs(q)
-    if aq.max(initial=0.0) > _Q_BIG:
-        # the radicand over q q where _depressed_roots scales it: the same
-        # floats, as q / |q| = +-1 and 1/4 is exact
-        w = np.where((aq > _Q_BIG) & (aq < math.inf), aq, 1.0)
-        s = w * np.sqrt(np.fmax((q / w) * (q / w) / 4.0 + p**3 / 27.0 / w / w, 0.0))
-    else:
-        s = np.sqrt(np.fmax(q * q / 4.0 + p**3 / 27.0, 0.0))
+def _cardano(S: SimpleNamespace, p: float, q, p3, k, n: int):
+    """The one real root t, by Cardano's formula (0 at p = q = 0, the
+    triple root); the arguments are _trig's."""
+    r = q * q / 4.0 + p3 / 27.0
+    s = S.sqrt(S.select(r > 0.0, r, 0.0))
     h = -q / 2.0
-    return _cbrt(h + s) + _cbrt(h - s)
+    return S.cbrt(h + s) + S.cbrt(h - s)
 
 
-def _cbrt(x: np.ndarray) -> np.ndarray:
-    """copysign(|x| ** (1/3), x) on a column, the power by libm per element."""
-    return np.copysign(libm_map(math.pow, np.abs(x), 1.0 / 3.0), x)
-
-
-def libm_map(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) of math for each float v of the column x: numpy's own
-    transcendental functions may differ from libm's in the last bits."""
-    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, len(x))
-
-
-def _polish(c3: float, c1: float, c0: float, u: float) -> float:
-    """Two guarded Newton steps on the cubic."""
-    for _ in range(2):
-        f = (c3 * u * u + c1) * u + c0
-        fp = 3.0 * c3 * u * u + c1
-        if fp == 0.0:
-            break
-        step = f / fp
-        if not math.isfinite(step) or abs(step) > 0.5 * (1.0 + abs(u)):
-            break
-        u -= step
-    return u
-
-
-def _polish_column(c3: float, c1: float, c0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_polish on columns: an element stops where the scalar loop breaks."""
+def _polish(S: SimpleNamespace, c3: float, c1: float, c0, k, t):
+    """Two guarded Newton steps on c3 t^3 + (c1 / k^2) t + c0 / k^3, the
+    cubic of t = u / k, then u = k t.  An element stops at a step that is
+    not finite or passes half of 1 + |t|."""
+    c1, c0 = c1 / k / k, c0 / (k * k * k)
     go = True
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(2):
-            f = (c3 * u * u + c1) * u + c0
-            fp = 3.0 * c3 * u * u + c1
-            step = f / fp
-            # a step that is not finite fails the bound as well: it is NaN
-            # where u is not finite, and fp == 0 gives an infinite or NaN step
-            go = go & (np.abs(step) <= 0.5 * (1.0 + np.abs(u)))
-            u = u - step if go.all() else np.where(go, u - step, u)
-    return u
+    for _ in range(2):
+        step = S.div((c3 * t * t + c1) * t + c0, 3.0 * c3 * t * t + c1)
+        go = go & (abs(step) <= 0.5 * (1.0 + abs(t)))
+        t = S.select(go, t - step, t)
+    return t * k

@@ -9,7 +9,10 @@ motion inside the plane z1 = z2 = 0 (the links swing as one) and steers the
 remaining double integrator along the curve built from the constant-channel
 controls.  That curve is a Hermite table (_w2_table) that grows out to the
 largest |z3| a run reads; pendulum_w2, its quadrature, is only a reference
-and no run calls it.
+and no run calls it.  The channels and branch controls take one state or
+the columns of a batch, with the same floats either way: sin and cos come
+from cubic's step sets, the roots from cubic.extreme_root, and the root
+check is plain arithmetic (Horner's residual).
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cubic import extreme_root, libm_map
-from .scenarios import ProbeFields, Scenario, _each
+from .cubic import extreme_root, steps_of
+from .scenarios import ProbeFields, Scenario
 from .stepwise import BlockPartition, CurveSwitch, arrival_curve, parabola
-
-# one float, or each float of a column, through math: numpy's sin and cos
-# are not promised to match libm's to the last bit
-_sin, _cos = _each(math.sin), _each(math.cos)
 
 
 class NoRealRoot(RuntimeError):
@@ -81,17 +80,17 @@ def _drifts(p: PendulumParams, z) -> tuple:
 
     z is one state, or the columns of a batch: then G1 and G2 are columns."""
     z1, z2, z3, z4 = z
-    sin, cos = (_sin, _cos) if isinstance(z1, np.ndarray) else (math.sin, math.cos)
-    s = sin(z1)
-    c = cos(z1)
+    S = steps_of(z1)
+    s = S.sin(z1)
+    c = S.cos(z1)
     den = p.m1 + p.m2 * s * s
     vsq = (z2 + z4) * (z2 + z4)
     z13 = z1 + z3
-    g2n = s * (p.l2 * p.m2 * z4 * z4 * c + (p.m1 + p.m2) * (p.g * cos(z13) + p.l1 * vsq))
+    g2n = s * (p.l2 * p.m2 * z4 * z4 * c + (p.m1 + p.m2) * (p.g * S.cos(z13) + p.l1 * vsq))
     g1 = (
         -(
-            p.l2 * p.m1 * p.g * sin(z13)
-            + p.l2 * p.m2 * s * (p.g * cos(z3) + p.l2 * z4 * z4 + p.l1 * vsq * c)
+            p.l2 * p.m1 * p.g * S.sin(z13)
+            + p.l2 * p.m2 * s * (p.g * S.cos(z3) + p.l2 * z4 * z4 + p.l1 * vsq * c)
             + p.l1 * g2n
         )
         / (p.l1 * p.l2 * den)
@@ -117,21 +116,15 @@ def _branch_root(p: PendulumParams, c, sign: int):
     first element that fails raises as it does alone.
     """
     u = extreme_root(p.alpha, -1.0, c, sign)
+    r = (p.alpha * u * u - 1.0) * u + c  # Horner's residual: the same floats on a column
+    wrong = u <= 0.0 if sign > 0 else u >= 0.0
+    missed = abs(r) > _ROOT_TOL * steps_of(c).select(abs(c) > 1.0, abs(c), 1.0)
     if isinstance(c, np.ndarray):
-        # the checks below on columns, u ** 3 by libm per element (numpy's
-        # power may differ from it); an element that fails them, or whose
-        # cube may overflow, or that is NaN, is solved alone: the first
-        # that fails raises
-        odd = ~(np.abs(u) <= 1e100)
-        r = p.alpha * libm_map(math.pow, np.where(odd, 0.0, u), 3.0) - u + c
-        miss = odd | (u <= 0.0 if sign > 0 else u >= 0.0) | (np.abs(r) > _ROOT_TOL * np.fmax(np.abs(c), 1.0))
-        for i in np.flatnonzero(miss).tolist():
-            u[i] = _branch_root(p, float(c[i]), sign)
-        return u
-    if (sign > 0 and u <= 0.0) or (sign < 0 and u >= 0.0):
+        for v in c[wrong | missed].tolist():  # alone, so that the first that fails raises
+            _branch_root(p, v, sign)
+    elif wrong:
         raise NoRealRoot(f"extreme root {u:.6g} for forcing {c:.6g} has the wrong sign")
-    r = p.alpha * u ** 3 - u + c
-    if abs(r) > _ROOT_TOL * max(1.0, abs(c)):
+    elif missed:
         raise NoRealRoot(f"channel root {u:.6g} misses the residual gate: residual {r:.3e}")
     return u
 
@@ -162,7 +155,7 @@ def pendulum_u2pm(p: PendulumParams, z3, sign: int):
     negative minimal root for every z3.  z3 is a float, or a column of
     them: then the roots are a column.
     """
-    c = -(p.g / p.l1) * _sin(z3)
+    c = -(p.g / p.l1) * steps_of(z3).sin(z3)
     return _branch_root(p, c, sign)
 
 

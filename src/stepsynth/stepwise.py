@@ -21,7 +21,7 @@ import numpy as np
 
 from . import engine
 from .ctrl_fn import THETA_MIN, LinearSynth, sigmas, theta_of
-from .cubic import RootBracketFailure
+from .cubic import RootBracketFailure, steps_of
 
 
 class StepTimeout(RuntimeError):
@@ -202,14 +202,11 @@ def parabola(pos, up: float, down: float):
     """Switching curve of a block braked at the constant rates up (for
     pos >= 0) and down: -sqrt(2 up pos), or sqrt(-2 down pos) below zero.
 
-    pos is a float, or a column of them.
+    pos is a float, or a column of them.  At pos = -0.0 the root on the
+    up side is sqrt(-0.0) = -0.0, so the curve is +0.0 there.
     """
-    if isinstance(pos, np.ndarray):
-        with np.errstate(invalid="ignore"):  # each side's root is dropped on the other side
-            return np.where(pos >= 0.0, -np.sqrt(2.0 * up * pos), np.sqrt(-2.0 * down * pos))
-    if pos >= 0.0:
-        return -math.sqrt(2.0 * up * pos)
-    return math.sqrt(-2.0 * down * pos)
+    S = steps_of(pos)
+    return S.select(pos >= 0.0, -1.0, 1.0) * S.sqrt(2.0 * S.select(pos >= 0.0, up, -down) * pos)
 
 
 CURVE_ROWS = 2 ** 16  # intervals a side an arrival_curve table may grow to: |pos| < 448

@@ -5,6 +5,7 @@ roots that sum to zero.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepsynth import extreme_root, real_roots
+from stepsynth.cubic import COLUMN, FLOAT
 
 coeff = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -125,11 +127,13 @@ def test_extreme_root_on_a_column_of_constant_terms():
             assert [float(v).hex() for v in by_column] == [v.hex() for v in by_element], (c3, c1)
 
 
-@pytest.mark.parametrize("c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300])
+@pytest.mark.parametrize(
+    "c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300, 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]
+)
 def test_huge_forcing_gives_its_finite_root(c):
-    # past |c0 / c3| ~ 1.3e154 Cardano's q q overflows: the scaled radicand
-    # gives the one real root, the same floats alone and on a column, with
-    # no numpy warning
+    # past |c0 / c3| ~ 1.3e154 Cardano's q q overflows, and past the largest
+    # float c0 / c3 itself: the cubic of u / 2^j gives the one real root,
+    # the same floats alone and on a column, with no numpy warning
     alpha = 1.0 / 9.0
     for sign in (+1, -1):
         with warnings.catch_warnings():
@@ -194,3 +198,60 @@ def test_matches_numpy_on_random_sweep():
             continue
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-6 * max(1.0, abs(w)))
+
+
+_ADVERSARIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+def _hexes(v, n):
+    return [float(e).hex() for e in np.broadcast_to(v, n)]
+
+
+def test_float_and_column_steps_give_the_same_floats():
+    # each FLOAT step and its COLUMN twin on the same adversarial floats:
+    # equal float.hex element by element, NaN and signed zeros included.
+    # sqrt and acos get their domain only (math's raise outside it, and
+    # the formulas never go there); sin and cos raise at an infinity either way
+    rng = np.random.default_rng(20261020)
+    drawn = rng.standard_normal(400) * 10.0 ** rng.uniform(-320.0, 300.0, 400)
+    x = np.array(_ADVERSARIAL + drawn.tolist() + rng.uniform(-1.0, 1.0, 200).tolist())
+    domains = {
+        "sqrt": ~(x < 0.0),
+        "sin": ~np.isinf(x),
+        "cos": ~np.isinf(x),
+        "acos": ~(np.abs(x) > 1.0),
+        "cbrt": np.ones(len(x), dtype=bool),
+    }
+    for name, inside in domains.items():
+        v = x[inside]
+        by_column = getattr(COLUMN, name)(v)
+        assert _hexes(by_column, len(v)) == [getattr(FLOAT, name)(e).hex() for e in v.tolist()], name
+    for name in ("sin", "cos"):
+        for e in (math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                getattr(FLOAT, name)(e)
+            with pytest.raises(ValueError):
+                getattr(COLUMN, name)(np.array([0.5, e]))
+    assert COLUMN.exponent(x).tolist() == [FLOAT.exponent(e) for e in x.tolist()]
+    for j in (np.arange(-900, 0), np.arange(-900, 600), rng.integers(-900, 600, 100)):
+        assert _hexes(COLUMN.scale(j), len(j)) == [FLOAT.scale(e).hex() for e in j.tolist()]
+    # every pair of the adversarial floats, and random pairs
+    a = np.concatenate([np.repeat(_ADVERSARIAL, len(_ADVERSARIAL)), rng.permutation(x)])
+    b = np.concatenate([np.tile(_ADVERSARIAL, len(_ADVERSARIAL)), x])
+    cond = (a < b) | rng.integers(0, 2, len(a)).astype(bool)
+    pairs = list(zip(cond.tolist(), a.tolist(), b.tolist()))
+    assert _hexes(COLUMN.div(a, b), len(a)) == [FLOAT.div(e, f).hex() for _, e, f in pairs]
+    assert _hexes(COLUMN.select(cond, a, b), len(a)) == [FLOAT.select(c, e, f).hex() for c, e, f in pairs]
+    assert _hexes(COLUMN.select(cond, a, -0.0), len(a)) == [FLOAT.select(c, e, -0.0).hex() for c, e, _ in pairs]
+
+    # split: yes where the mask holds, no elsewhere; arrays are cut, floats passed whole
+    def yes(v, c):
+        return v * c
+
+    def no(v, c):
+        return v - c
+
+    for mask in (cond, np.zeros(len(a), dtype=bool), np.ones(len(a), dtype=bool), False):
+        by_column = COLUMN.split(mask, yes, no, a, 3.0)
+        flags = np.broadcast_to(mask, len(a)).tolist()
+        assert _hexes(by_column, len(a)) == [FLOAT.split(m, yes, no, e, 3.0).hex() for m, e in zip(flags, a.tolist())]

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,7 +77,9 @@ def test_params_must_be_finite(name):
 # --- channels ---
 
 
-@pytest.mark.parametrize("c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300])
+@pytest.mark.parametrize(
+    "c", [1e154, -1e154, 1e200, -1e200, 1e300, -1e300, 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]
+)
 def test_branch_root_of_a_huge_forcing(c):
     # alpha u^3 - u + c has one real root, of the sign opposite to c's: the
     # branch on that side gets it, the other raises NoRealRoot, alone and on

@@ -112,6 +112,25 @@ def test_theta_switch_branches():
     assert eval_control(pol, (1e-12,), b, 1) == 0.25
 
 
+def test_theta_switch_surface_band_at_k2():
+    # x = N(1) e1 with a0 = N(1)_11 / 2 gives Theta = 1 and w = e1, so
+    # sigma = w_2 = 0: the zero branch.  A state moved off the surface but
+    # inside the band 1e-9 max|w| takes it as well; one past the band does not
+    g2 = gram_n1(2)
+    s = LinearSynth(gram=g2, a0=g2.n1[0, 0] / 2.0, d=1.0)
+    pol = ThetaSwitch(synth=s, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0, u_zero=lambda z: 0.0)
+    x = tuple(g2.n1[:, 0].tolist())
+    ev = theta_of(s, x)
+    assert ev.theta == pytest.approx(1.0, rel=1e-12) and ev.sigma == 0.0
+    assert pol.branch(x, (0, 2)) == 0
+    for eps in (1e-10, -1e-10):
+        near = (x[0], x[1] + eps)
+        ev = theta_of(s, near)
+        assert 0.0 < abs(ev.sigma) <= 1e-9 * float(np.max(np.abs(ev.w)))
+        assert pol.branch(near, (0, 2)) == 0
+    assert pol.branch((x[0], x[1] + 3e-10), (0, 2)) == -1
+
+
 def test_theta_switch_dimension_mismatch():
     b = BlockPartition(sizes=(2,))
     s = LinearSynth(gram=G1, a0=1.0, d=1.0)  # k=1 synth on a 2-block
@@ -590,6 +609,38 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
     assert t_end == pytest.approx(1.0, abs=1e-7)
     assert abs(z_end[0]) <= 1e-8
     assert len(rec.times) == 101
+
+
+def test_run_stage_raises_the_field_error_of_a_step_the_next_sample_needs():
+    # dz = 1 from z = 0 with the field undefined past z = 0.5: the sample
+    # after t = 0.499 lies at 0.5 + 2.2e-16 (the repeated addition of dt),
+    # so the step that must reach it meets an undefined state inside the
+    # interval it has to cover.  That error is the run's own: it reaches the
+    # caller, and the record ends at t = 0.499, 500 rows
+    def field(s):
+        if s[0] > 0.5:
+            raise ValueError(f"no field at {s[0]}")
+        return (1.0,)
+
+    rec = Recorder()
+    with pytest.raises(ValueError, match="no field at"):
+        run_stage(
+            step_index=1,
+            t0=0.0,
+            z0=(0.0,),
+            stage=_stage(
+                field=lambda b: field,
+                branch=lambda s: 1,
+                control=lambda b, s: 1.0,
+                residual=lambda s: 1.0,
+                slide_branch=lambda s: 0,
+                done=lambda s: False,
+            ),
+            cfg=IntegratorConfig(dt=1e-3, t_max=5.0),
+            recorder=rec,
+        )
+    assert len(rec.times) == 500
+    assert rec.times[-1] == pytest.approx(0.499, abs=1e-12)
 
 
 def _simulated(monkeypatch, ahead: int, name: str, x0: tuple, cfg: IntegratorConfig, x0_chart: str):
@@ -1209,3 +1260,24 @@ def test_slide_hysteresis_bounds_event_rate():
     kinds = [e.kind for e in rec.events]
     assert kinds.count("surface-slide") >= 2  # at least one release + re-entry
     assert len(rec.events) < 50  # pure chattering would be ~650
+
+
+def test_orchestrate_curve_switch_chatters_into_the_slide_regime(monkeypatch):
+    # H = u with the curve w = 0: the velocity is driven to 0 and then
+    # chatters across it while the position rests at 1, so the run slides
+    # on the branch of the position's sign (_Stage.slide_branch, u = +1),
+    # releases as that branch drifts off the curve, and re-enters, until
+    # t_max
+    calls = []
+    slide = stepwise._Stage.slide_branch
+    monkeypatch.setattr(stepwise._Stage, "slide_branch", lambda stage, s: calls.append(s) or slide(stage, s))
+    system = BlockSystem(blocks=BlockPartition(sizes=(2,)), H=lambda z, u: (u,))
+    pol = CurveSwitch(w=lambda pos: 0.0 * pos, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
+    rec = Recorder()
+    with pytest.raises(Timeout):
+        orchestrate(system, (1.0, 0.5), [pol], IntegratorConfig(dt=1e-3, t_max=2.0), recorder=rec)
+    slides = [e.detail for e in rec.events if e.kind == "surface-slide"]
+    enters = slides.count("enter")
+    assert enters >= 2 and slides.count("release") == enters
+    assert len(calls) >= enters and all(pol.slide_branch(s, (0, 2)) == +1 for s in calls)
+    assert 3 in rec.flags
