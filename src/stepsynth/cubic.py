@@ -7,9 +7,10 @@ linear case.  Trigonometric form in the three-real-root regime, Cardano
 otherwise, then two guarded Newton steps, each written once for a float
 and for a column of constant terms: the step sets FLOAT and COLUMN hold
 the few steps whose two forms differ, and give the same floats.  A
-forcing with |c0 / c3| past 2^500 is solved for t = u / 2^j, whose
-coefficients scale exactly, so that every finite forcing has its finite
-root.  bracket_root is the package's one bracketed scalar solve, Brent's
+forcing with |c0 / c3| past 2^500, or a cubic whose (c1 / c3)^3
+overflows, is solved for t = u / 2^j, whose coefficients scale exactly,
+so that every finite forcing and coefficient ratio has its finite root.
+bracket_root is the package's one bracketed scalar solve, Brent's
 method.
 """
 
@@ -171,17 +172,24 @@ def _depressed(S: SimpleNamespace, c3: float, c1: float, c0) -> tuple:
     """(p, q, p3, k, three): t = u / k solves t^3 + (p / k^2) t + q = 0,
     p3 = (p / k^2)^3, and three holds where it has three real roots.
 
-    k = 2^j with j >= 0 the least that keeps |q| below 2^501, so q q and
-    p3 do not overflow: k = 1 wherever |c0 / c3| < 2^500.  Dividing by a
-    power of two is exact, so the scaled q and p3 are those of u to the
-    last bit.  A column c0 gives columns q, and p3 and k if any element
-    is scaled.
+    k = 2^j with j >= 0 the least that keeps |q| below 2^501, and |p / k^2|
+    below 2^341 where p^3 overflows, so q q and p3 do not overflow: k = 1
+    wherever |c0 / c3| < 2^500 and p^3 is finite.  Dividing by a power of
+    two is exact, so the scaled q and p3 are those of u to the last bit;
+    p is cubed before the scale where it may be.  A column c0 gives
+    columns q, and p3 and k if any element is scaled.
     """
     if c3 == 0.0:
         raise ValueError(f"c3 must be nonzero in c3 u^3 + c1 u + c0, got {c3}")
-    k = S.scale((S.exponent(c0) - math.frexp(c3)[1] - 498) // 3)
-    p, w = c1 / c3, k * k * k
-    q, p3 = c0 / w / c3, p**3 / w / w
+    p, big = c1 / c3, 0
+    try:
+        cube = p**3
+    except OverflowError:  # |p| past about 5.6e102: k scales p too, cubed after
+        big = (math.frexp(p)[1] - 340) // 2
+    j = (S.exponent(c0) - math.frexp(c3)[1] - 498) // 3
+    k = S.scale(S.select(j > big, j, big))
+    r, w = p / k / k, k * k * k
+    q, p3 = c0 / w / c3, (r * r * r if big else cube / w / w)
     return p, q, p3, k, p < 0.0 and -4.0 * p3 - 27.0 * q * q >= 0.0
 
 

@@ -1,53 +1,29 @@
 """Dormand-Prince 5(4) integration of closed loops with switching controls.
 
-The engine advances one stepwise stage at a time (run_stage), which
-returns the end time and state (t_end, z_end).  A stage object gives the
-branch fields of its step, a deadline (math.inf when the step has none), a
-hold check on the finished blocks, and reads batches of sample rows;
-run_stage reads every sample through such a batch.  A batch is columns:
-it gives its times t, its states y, and per row the completion test done,
-the arrival coordinate arrive, residuals() and controls(branch), each a
-whole-batch array.  Each branch field is integrated by an embedded 5(4) pair (Dormand &
+run_stage advances one stepwise stage and returns its end time and state.
+Each branch field is integrated by an embedded 5(4) pair (Dormand &
 Prince 1980) with adaptive steps, rtol = atol = TOL in the RMS error norm,
-and Hairer's fourth-order dense output.  cfg.dt is only the sample
-spacing: samples are read from the dense output every dt after the last
-event, and the switching residual, the arrival coordinate and the
-completion test are evaluated there.  A sign change between two samples
-is localized by bisection on the dense output to EVENT_TOL (Shampine,
-Gladwell & Brankin 1991), and the integration restarts at the event state
-on the re-selected branch.  Two branch switches closer together than 4 dt
-trigger a surface-slide regime on the stage's slide branch with a
-factor-HYSTERESIS release band, which bounds chattering.  rk4_step, one
-classical Runge-Kutta step, is kept as a reference integrator; run_stage
-does not call it.
+and Hairer's fourth-order dense output; every flow starts with a step of
+H0.  Events are found on the integrator's own steps (Shampine & Thompson
+2000): the stage's completion test, arrival coordinate and switching test
+are read at PROBES evenly spaced points of each accepted step, and the
+first change is bisected on the dense output to EVENT_TOL.  After an event
+the stage picks the branch (Filippov's test), and the integration restarts
+from the event state.  cfg.dt only places the recorded rows: every dt from
+the last event, read from the dense output up to the next event.
+rk4_step, one classical Runge-Kutta step, is kept as a reference
+integrator; run_stage does not call it.
 
-The bundled scenarios record 3e4 to 1e5 samples per run at dt = 1e-4 from
-1e2 to 2e3 integrator steps, so the work is in the samples.  The rows that
-the accepted steps already cover come out of the dense output as one
-(k, n) numpy array, by the same elementwise formula as one row at a time,
-at times that one numpy accumulate gives, the floats of adding dt one row
-at a time.  The array is component-major, the transpose of an (n, k) C
-array: its readers (the stage's control, residual, done band, arrive
-coordinate and hold check, the chart maps and the writers) each take one
-component at a time, and numpy runs its inner loop along the contiguous
-axis, so a column is k contiguous floats rather than a view that steps
-over the n components of each row.  The stage tests the rows as columns,
-and run_stage reads each column once per batch, which costs a fixed part
-per read besides the part per row.  So a flow runs up to AHEAD integrator steps past the next
-sample, and one batch holds the rows of all of them: a pendulum step
-covers about 100 rows at dt = 1e-4.  The steps are the error
-controller's alone, so the record does not depend on how far the flow
-runs ahead; a step past the next sample that fails ends the run-ahead, and
-the rows a batch holds past an event are discarded with its flow.  The
-record stays arrays: the Recorder joins each
-column's batch slices on its first read, and np.concatenate keeps their
-component-major layout.  A tuple is built only for one
-state: the start and each event row, which the integrator restarts from.
-A batch that fails is read again one row at a time up to the next event,
-so a run ends at the row where a row-by-row run ends.  The integrator's
-own states and stages stay tuples of floats, and so does the state its
-field reads: a step has a handful of components, where numpy's per-call
-cost outweighs its arithmetic.
+The work is in the rows (3e4 to 1e5 per run at dt = 1e-4, from 1e2 to 2e3
+integrator steps), so they are read as (k, n) numpy arrays, many at a
+time: a flow runs up to AHEAD step attempts past the next row, and its
+probes and rows are each read as one batch.  The arrays are
+component-major, the transpose of an (n, k) C array, so each component
+is a contiguous column for the stage, the chart maps and the writers.
+The steps are the error controller's alone, so how far a flow runs ahead
+changes no record.  The integrator's own states and stages stay tuples of
+floats: a step has a handful of components, where numpy's per-call cost
+outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -74,9 +50,10 @@ class NonFinite(RuntimeError):
 
 
 EVENT_TOL = 1e-10  # the width to which event times are bisected
+H0 = 1e-4  # the first step of every flow
+PROBES = 4  # points per accepted step where events are tested: s = 1/4, 1/2, 3/4, 1
 ROWS = 4096  # most sample rows per batch
 AHEAD = 8  # most integrator step attempts a flow makes past the next sample
-HYSTERESIS = 2.0  # slide release band, in units of the overshoot at entry
 
 
 @dataclass(frozen=True)
@@ -122,10 +99,6 @@ def rk4_step(f: Rhs, z: State, h: float) -> State:
     )
 
 
-def _finite(z: State) -> bool:
-    return all(map(math.isfinite, z))
-
-
 # Dormand & Prince (1980) 5(4) pair: stage rows A, fifth-order weights B
 # (the seventh stage's row, so the last stage of a step is the first of the
 # next), error weights E = B - B*, and Hairer's fourth-order continuous
@@ -169,7 +142,7 @@ def _dp_step(f: Rhs, z: State, k1: Sequence[float], h: float):
         y + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
         for y, a, c, d, e, g in zip(z, k1, k3, k4, k5, k6)
     )
-    if not _finite(z1):
+    if not all(map(math.isfinite, z1)):
         return None
     k7 = f(z1)
     acc = 0.0
@@ -203,21 +176,20 @@ class _Flow:
     accepted steps reach t_hi, and then makes up to AHEAD more step
     attempts while they end before t_far.  rows(times) reads the
     continuous extension of the steps that hold them.  Each flow starts
-    with a step of h0.
+    with a step of H0.
 
     How far a flow runs ahead never changes its steps: each step's size
-    comes from the error of the one before.  An attempt past t_hi that
-    fails (the field raises, or the state or error is not finite, or the
-    step size underflows) ends the run-ahead with h unchanged, so the call
-    whose t_hi lies past the step makes the same attempt under the rules
-    of a step it needs: a failure within the row raises, and one that
-    reaches past the row is retried cut at t_hi.
+    comes from the error of the one before, and a step that fails (the
+    field raises, or the state or error is not finite) is retried at a
+    fifth of its size, until the size underflows.  That raises the
+    failure, unless the attempt lies past t_hi: then it ends the run-ahead
+    with h unchanged, and the call that needs the step makes it again.
     """
 
-    def __init__(self, f: Rhs, t0: float, z0: State, h0: float, t_max: float, step_index: int):
+    def __init__(self, f: Rhs, t0: float, z0: State, t_max: float, step_index: int):
         self.f, self.t_max, self.step_index = f, t_max, step_index
         self.t, self.z, self.k = t0, z0, f(z0)
-        self.h = h0
+        self.h = H0
         self.pieces: list = []  # (t_a, t_b, coefficients) of the accepted steps, oldest first
 
     def cover(self, t_lo: float, t_hi: float, t_far: float = -math.inf) -> None:
@@ -235,33 +207,23 @@ class _Flow:
                 if optional:
                     return
                 raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
-            ahead = tb > t_hi
+            failure = None
             try:
                 out = _dp_step(self.f, self.z, self.k, tb - ta)
-            except (ArithmeticError, ValueError, RuntimeError):
-                # the field may reject a state past the row (a control with
-                # no root there); within the row the error is the run's own
-                if not ahead:
-                    raise
-                out = None
-            if out is None or not math.isfinite(out[2]):
-                if optional:
-                    return
-                if not ahead:
-                    raise NonFinite(f"non-finite state at t={tb:.6g} in step {self.step_index}")
-                limit = t_hi
-                continue
-            z1, stages, err = out
-            fac = 0.9 * err ** -0.2 if err > 0.0 else 10.0
-            h = (tb - ta) * min(10.0, max(0.2, fac))
+            except (ArithmeticError, ValueError, RuntimeError) as exc:
+                out, failure = None, exc
+            z1, stages, err = out if out and math.isfinite(out[2]) else (None, None, math.inf)
             if err <= 1.0:
                 pieces.append((ta, tb, _dense_rows(self.z, z1, stages, tb - ta)))
                 self.t, self.z, self.k = tb, z1, stages[-1]
-            elif min(ta + h, limit) == tb:
-                # the smaller step rounds to the same end: it would be retried forever
+            # from the error, and a fifth of a step that failed
+            h = (tb - ta) * (min(10.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 10.0)
+            if err > 1.0 and not ta < min(ta + h, limit) < tb:
                 if optional:
                     return
-                raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
+                if z1 is not None:
+                    raise NonFinite(f"step size underflow at t={ta:.6g} in step {self.step_index}")
+                raise failure or NonFinite(f"non-finite state at t={tb:.6g} in step {self.step_index}")
             self.h = h
 
     def rows(self, times: np.ndarray) -> np.ndarray:
@@ -290,14 +252,20 @@ class _Flow:
 def _bisect(t: float, h: float, crossed: Callable[[float], bool]) -> float:
     """Earliest tau in (0, h] with crossed(t + tau), to EVENT_TOL.
 
-    crossed must be False at tau=0+ and True at tau=h.
+    crossed must be False at tau=0+ and True at tau=h.  A point where
+    crossed raises counts as crossed: a failure past an event leaves the
+    event where it is.
     """
     lo, hi = 0.0, h
     while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if crossed(t + mid):
+        try:
+            hit = crossed(t + mid)
+        except Exception:
+            hit = True
+        if hit:
             hi = mid
         else:
             lo = mid
@@ -310,12 +278,15 @@ def first(hits: np.ndarray) -> int:
     return int(idx[0]) if idx.size else len(hits)
 
 
-def _sign_change(prev: float, values) -> int:
-    """Index of the first value whose sign is opposite to that of the value
-    before it (prev before the first); a zero changes no sign."""
-    v = np.concatenate(([prev], values))
-    pos, nz = v > 0.0, v != 0.0
-    return first(nz[:-1] & nz[1:] & (pos[:-1] != pos[1:]))
+_FRACS = np.arange(1, PROBES + 1) / PROBES
+
+
+def _probe_times(pieces: list) -> np.ndarray:
+    """PROBES evenly spaced times of each step, the last at its end."""
+    ta, tb = np.array([p[:2] for p in pieces]).T
+    times = ta[:, None] + (tb - ta)[:, None] * _FRACS
+    times[:, -1] = tb
+    return times.ravel()
 
 
 FLAG_NONE = 0
@@ -375,224 +346,166 @@ def run_stage(
     return its end time and state (t_end, z_end).
 
     The stage object gives, for a state z:
-      branch(z)        the branch in {-1, 0, +1} (u-minus, slide/zero, u-plus);
-      field(b)         the closed-loop right side of branch b;
-      slide_branch(z)  the branch that holds a chattering state on the surface;
-      deadline         a time past which the stage fails with
-                       deadline_error(t); math.inf when there is none;
-    and, for a batch of at most ROWS sample rows at times t with states
-    y, a (k, n) array, rows(t, y): the batch, with t and y, and with one
-    value per row in each of its columns
-      done              the completion test, a bool array;
-      arrive            a coordinate that crosses zero transversally at the
-                        instant the stage should complete (the block
-                        velocity for curve-following policies), a float array;
-      residuals()       the switching function: a sign change is a branch
-                        switch, a float array;
-      controls(branch)  the control value on a branch, for the record, a
-                        float array.
-    Each column covers every row of the batch, or raises.  y is
-    component-major, the transpose of an (n, k) C array as _Flow.rows
-    gives it, so each state component is a contiguous column of y.
-    hold(rows, lo, hi) checks that rows lo..hi-1 of a batch keep the
-    finished blocks pinned, and raises if one of them does not: the plain
-    rows before they are recorded, and each event row and the end row.
+      branch(z)  the branch in {-1, 0, +1} (u-minus, surface, u-plus) of
+                 the side of the switching surface z lies on;
+      switch(z)  the branch to take at a switching event at z;
+      field(b)   the closed-loop right side of branch b;
+      deadline   a time past which the stage fails with deadline_error(t),
+                 math.inf when there is none;
+    and, for states y, a (k, n) component-major array, at times t,
+    rows(t, y): a batch with t and y and, one value per row,
+      done         the completion test, a bool array;
+      arrive       a coordinate that crosses zero transversally where the
+                   stage should complete (the block velocity for
+                   curve-following policies), a float array;
+      off(b)       True where the state has left branch b's course;
+      controls(b)  the control on branch b, for the record.
+    hold(rows, lo, hi) raises if rows lo..hi-1 of a batch leave the
+    finished blocks unpinned.
 
-    The branch field is integrated by Dormand-Prince steps of their own
-    size (_Flow).  Samples are taken every cfg.dt from the last event
-    time, read from the dense output.  A batch's sample times are one
-    left-to-right accumulate of [t, dt, dt, ...]: each is the float that
-    adding dt to the time before gives, as in a row-by-row run, and only
-    the row at t_max takes the shorter step t_max - tk.  Events are tested
-    between consecutive samples, and a sign change of the residual or of arrive,
-    or an entry into done, is bisected on the dense output.  The done ball
-    is narrower than one sample spacing near an arrival, so endpoint tests
-    alone fly over it; crossings of arrive are bisected and done is tested
-    at the crossing point itself.  After an event the integration restarts
-    from the event state on the new branch.  Events go to recorder.events.
-    The start row is recorded only by the first stage: a later stage starts
-    on the row its predecessor ended on.
-
-    Evaluations per sample: the flow integrates past the next sample and
-    then makes up to AHEAD more step attempts, while they end before the
-    last of the ROWS rows a batch can hold.  An attempt among them that
-    fails ends them; the next batch whose next sample lies past that step
-    makes it again, as a step it needs (_Flow).  The samples that the accepted steps
-    cover, up to ROWS of them, are read as one batch, and its residuals
-    and its controls on the current branch are read right after it, once
-    each, over every row.  The rows before the first row that may hold an event
-    are plain: they are held and recorded together with their slice of
-    the controls.  That row goes through the event tests with the batch's
-    values, and the batch goes on after it unless an event ends the batch.
-    So a run without events tests each sample once, in about one stage
-    call per batch (a stage that tests rows in another chart maps the
-    whole batch there), and a batch that ends at an event has read the
-    rows past it too, and the flow's steps past it are discarded with the
-    flow.  The field's six evaluations per Dormand-Prince step are shared
-    by all samples the step covers, and read one state each.  Event
-    bisection and each event row read one-row batches from the steps
-    already made.  After a batch fails, the flow makes no attempt past the
-    next sample until the next event.
-
-    One rule keeps the outcome of a row-by-row run, in which reading a row
-    reads each of its columns: a batch of more than one row fails when
-    reading it or its columns or testing its plain rows raises, or when it
-    holds a non-finite state, and is then read again from its first
-    unrecorded row in batches of one row until the next event.  So an
-    error on a row past an event only makes the run read up to that event
-    row by row.  In a one-row batch every error is that row's and
-    propagates, so the first row that fails, and any event before it, end
-    the stage.
+    done, arrive and off(branch) are read at PROBES points of each accepted
+    step of the flow (_Flow), from the start or the last event on.  A
+    crossing of arrive or a rise of off, else an entry into done, is
+    bisected on the dense output.  There the stage completes if done
+    holds; a rise of off switches to switch(z), and an arrive crossing
+    outside done to branch(z), when it differs from the branch.  Then the
+    rows before the event are read, held and recorded with their
+    controls, every cfg.dt from the last event by the floats of repeated
+    addition, through the first row at t_max or past the deadline, which
+    ends the stage.  A batch of rows that raises is read again one row at
+    a time, so the first row that fails raises.  A probe that raises
+    counts as a change, and an event whose state raises ends the stage
+    after the rows before it.  Events go to recorder.events.  The start
+    row is recorded only by the first stage: a later stage starts on the
+    row its predecessor ended on.
     """
-    deadline, read_rows = stage.deadline, stage.rows
-    t, z = t0, z0
+    deadline, read_rows, dt, t_max = stage.deadline, stage.rows, cfg.dt, cfg.t_max
 
     def read(tm: float):
         """The one-row batch at time tm of the current flow."""
         ts = np.array([tm])
         return read_rows(ts, flow.rows(ts))
 
-    branch = stage.branch(z)
-    last_switch_t: float | None = None
-    sliding = False
-    slide_release = 0.0
+    def record(times: np.ndarray) -> None:
+        """Hold and record the rows at times, or raise what the first
+        failing row raises."""
+        try:
+            rows = read_rows(times, flow.rows(times))
+            stage.hold(rows, 0, len(times))
+            recorder.extend(rows, 0, len(times), rows.controls(branch))
+        except Exception:
+            if len(times) == 1:
+                raise
+            for j in range(len(times)):
+                record(times[j : j + 1])
 
-    # at is the one-row batch of the start or of the last event: nothing is known there yet
+    def rows_before(te: float) -> float:
+        """Record the rows after t that the flow covers, before te and
+        through the first row at t_max or past the deadline; the time of
+        the last one."""
+        tk = t
+        while tk < t_max and tk <= deadline:
+            n = int(min(ROWS, (min(flow.t, te) - tk) / dt + 2.0))
+            steps = np.full(n + 1, dt)
+            steps[0] = tk
+            times = np.add.accumulate(steps)[1:]
+            stop = first((times >= t_max) | (times > deadline))
+            if stop < n:
+                # only the row at t_max takes a step shorter than dt
+                before = float(times[stop - 1]) if stop else tk
+                times[stop] = before + min(dt, t_max - before)
+                n = stop + 1
+            times = times[: first((times[:n] > flow.t) | (times[:n] >= te))]
+            if not len(times):
+                break
+            record(times)
+            tk = float(times[-1])
+        return tk
+
+    def values(batch) -> tuple:
+        """done, arrive and off of a one-row batch."""
+        return bool(batch.done[0]), float(batch.arrive[0]), bool(batch.off(branch)[0])
+
+    def moved(now: tuple, before: tuple) -> bool:
+        """arrive crosses zero or off rises from before (arrive, off) to now
+        (done, arrive, off)."""
+        _, a, o = now
+        return (before[0] != 0.0 != a and (a > 0.0) != (before[0] > 0.0)) or (o and not before[1])
+
+    def events(times: np.ndarray):
+        """The first event at the probe times, tested from the last point
+        on: (te, batch at te, new branch), (te, exception, None) for a
+        failure, or None."""
+        nonlocal last
+        try:
+            batch = read_rows(times, flow.rows(times))
+            done, arrive, off = batch.done, batch.arrive, batch.off(branch)
+            a, o = np.concatenate(([last[1]], arrive)), np.concatenate(([last[2]], off))
+            crossed = (a[:-1] != 0.0) & (a[1:] != 0.0) & ((a[:-1] > 0.0) != (a[1:] > 0.0))
+            checks = np.flatnonzero(done | crossed | (o[1:] & ~o[:-1])).tolist()
+            now = list(zip(done.tolist(), arrive.tolist(), off.tolist()))
+        except Exception:
+            if len(times) > 1:  # one probe at a time
+                return next((found for found in map(events, np.split(times, len(times))) if found), None)
+            checks, now = [0], [None]  # a probe that raises counts as a change
+        for j in checks:
+            if j:
+                last = (float(times[j - 1]), *now[j - 1][1:])
+            while now[j] is None or now[j][0] or moved(now[j], last[1:]):
+                # a crossing or rise, else the entry into done
+                before, cross = last[1:], now[j] is None or moved(now[j], last[1:])
+                test = lambda tm: moved(values(read(tm)), before) if cross else read(tm).done[0]
+                te = last[0] + _bisect(last[0], float(times[j]) - last[0], test)
+                try:
+                    at = read(te)
+                    here = values(at)
+                    if here[0]:
+                        return te, at, None
+                    # a rise of off is a switching event; an arrival outside
+                    # done leaves the surface, for the branch of its side
+                    switch = stage.switch if here[2] and not before[1] else stage.branch
+                    new = switch(tuple(at.y[0].tolist())) if moved(here, before) else branch
+                except Exception as exc:
+                    return te, exc, None
+                if new != branch:
+                    return te, at, new
+                last = (te, *here[1:])
+        last = (float(times[-1]), *now[-1][1:])
+        return None
+
+    t, z = t0, z0
+    branch = stage.branch(z)
+    # at is the one-row batch of the start or of the last event
     at = read_rows(np.array([t]), np.array([z], dtype=float))
     if not len(recorder):
         recorder.extend(at, 0, 1, at.controls(branch))
-    flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
-    fresh = True
-    size = ROWS  # rows per batch: one from a batch that fails up to the next event
-
     while True:
-        if fresh and at.done[0]:
+        if at.done[0]:
             recorder.events.append(Event(t, "step-complete", step_index))
             recorder.flags[-1] = FLAG_COMPLETE
             stage.hold(at, 0, 1)
             return t, z
-        if t >= cfg.t_max:
-            raise Timeout(f"t_max={cfg.t_max} reached in step {step_index}")
-        if t > deadline:
-            raise stage.deadline_error(t)
-        if fresh:
-            # g0 and a0: the residual and arrive of the last row tested for events
-            g0 = float(at.residuals()[0])
-            a0 = float(at.arrive[0])
-            fresh = False
-
-        # the batch: sample times by one np.add.accumulate of [t, dt, dt,
-        # ...].  ufunc.accumulate adds left to right, so each time is the
-        # float that adding dt to the time before gives, as one row at a
-        # time does.  The times run through the first row at t_max or past
-        # the deadline; only that row can take the step t_max - tk, shorter
-        # than dt, and the scalar rule recomputes it.  n reaches two rows
-        # past the covered steps; where rounding leaves it short, the batch
-        # ends early and the next one goes on with the same times
-        flow.cover(t, t + min(cfg.dt, cfg.t_max - t), t + size * cfg.dt)
-        n = int(min(size, (flow.t - t) / cfg.dt + 2.0))
-        steps = np.full(n + 1, cfg.dt)
-        steps[0] = t
-        times = np.add.accumulate(steps)[1:]
-        stop = first((times >= cfg.t_max) | (times > deadline))
-        if stop < n:
-            tk = float(times[stop - 1]) if stop else t
-            times[stop] = tk + min(cfg.dt, cfg.t_max - tk)
-            n = stop + 1
-        k = first(times[:n] > flow.t)
-        times = times[:k]
-        rows = None
-        i = start = 0  # the first row not yet recorded, and not yet tested for events
+        flow = _Flow(stage.field(branch), t, z, t_max, step_index)
+        last = (t, float(at.arrive[0]), bool(at.off(branch)[0]))  # the last point tested for events
         while True:
-            try:
-                if rows is None:
-                    y = flow.rows(times)
-                    bad = first(~np.isfinite(y).all(axis=1))
-                    if bad < k:
-                        raise NonFinite(f"non-finite state at t={times[bad]:.6g} in step {step_index}")
-                    rows = read_rows(times, y)
-                    gs, us = rows.residuals(), rows.controls(branch)
-                # c: the first row from start that may hold an event
-                c = start + min(first(rows.done[start:]), _sign_change(a0, rows.arrive[start:]))
-                g = gs[start : c + 1]
-                if sliding:
-                    c = min(c, start + first(np.abs(g) > slide_release))
-                else:
-                    c = min(c, start + _sign_change(g0, g))
-                if i < c:
-                    stage.hold(rows, i, c)
-                    recorder.extend(rows, i, c, us)
-                    i = c
-            except Exception:
-                if k == 1:
-                    raise
-                # t is the last recorded row's: go on from the row after it
-                size = 1
+            if t >= t_max:
+                raise Timeout(f"t_max={t_max} reached in step {step_index}")
+            if t > deadline:
+                raise stage.deadline_error(t)
+            flow.cover(t, t + min(dt, t_max - t), t + ROWS * dt)
+            fresh = [p for p in flow.pieces if p[0] >= last[0]]
+            found = events(_probe_times(fresh)) if fresh else None
+            t = rows_before(found[0] if found else math.inf)
+            if found and t < t_max and t <= deadline:
                 break
-
-            if c:
-                t, g0, a0 = float(times[c - 1]), float(gs[c - 1]), float(rows.arrive[c - 1])
-            if c == k:
-                break
-
-            # row c: its values against those of the row before it
-            h = min(cfg.dt, cfg.t_max - t)
-            g1, a1 = float(gs[c]), float(rows.arrive[c])
-
-            # candidate event times within (0, h]
-            tau_done = None
-            if rows.done[c]:
-                tau_done = _bisect(t, h, lambda tm: read(tm).done[0])
-            if a0 != 0.0 and a1 != 0.0 and (a0 > 0.0) != (a1 > 0.0):
-                apos = a0 > 0.0
-                tau_arr = _bisect(t, h, lambda tm: (read(tm).arrive[0] > 0.0) != apos)
-                if (tau_done is None or tau_arr < tau_done) and read(t + tau_arr).done[0]:
-                    tau_done = tau_arr
-            tau_switch = None
-            if sliding:
-                if abs(g1) > slide_release:
-                    # leave the slide regime at the end of this sample interval
-                    tau_switch = h
-            elif g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
-                pos0 = g0 > 0.0
-                tau_switch = _bisect(t, h, lambda tm: (read(tm).residuals()[0] > 0.0) != pos0)
-
-            if tau_done is not None and (tau_switch is None or tau_done <= tau_switch):
-                end = read(t + tau_done)
-                t = float(end.t[0])
-                recorder.events.append(Event(t, "step-complete", step_index))
-                recorder.extend(end, 0, 1, end.controls(branch), FLAG_COMPLETE)
-                stage.hold(end, 0, 1)
-                return t, tuple(end.y[0].tolist())
-
-            if tau_switch is not None:
-                at = read(t + tau_switch)
-                t, z = float(at.t[0]), tuple(at.y[0].tolist())
-                fresh = True
-                size = ROWS
-                stage.hold(at, 0, 1)
-                if sliding:
-                    sliding = False
-                    branch = stage.branch(z)
-                    event, flag = Event(t, "surface-slide", step_index, "release"), FLAG_SLIDE
-                    last_switch_t = None
-                elif last_switch_t is not None and (t - last_switch_t) <= 4.0 * cfg.dt:
-                    # chattering: enter the slide regime; release only when the
-                    # residual escapes HYSTERESIS x the one-sample overshoot scale
-                    sliding = True
-                    floor = 1e-12 * (1.0 + max(abs(v) for v in z))
-                    slide_release = HYSTERESIS * max(abs(g0), abs(g1), floor)
-                    branch = stage.slide_branch(z)
-                    event, flag = Event(t, "surface-slide", step_index, "enter"), FLAG_SLIDE
-                    last_switch_t = t
-                else:
-                    last_switch_t = t
-                    branch = stage.branch(z)
-                    event, flag = Event(t, "branch-switch", step_index), FLAG_SWITCH
-                recorder.events.append(event)
-                recorder.extend(at, 0, 1, at.controls(branch), flag)
-                flow = _Flow(stage.field(branch), t, z, cfg.dt, cfg.t_max, step_index)
-                break
-
-            # no event at row c: it is recorded with the plain rows after it
-            start, g0, a0 = c + 1, g1, a1
+        _, at, new = found
+        if isinstance(at, Exception):
+            raise at
+        t, z = float(at.t[0]), tuple(at.y[0].tolist())
+        flag = FLAG_NONE  # a completion row: flagged above
+        if new is not None:
+            stage.hold(at, 0, 1)
+            slide = "" if new and branch else "enter" if branch else "release"
+            recorder.events.append(Event(t, "surface-slide" if slide else "branch-switch", step_index, slide))
+            flag, branch = FLAG_SLIDE if slide else FLAG_SWITCH, new
+        recorder.extend(at, 0, 1, at.controls(branch), flag)

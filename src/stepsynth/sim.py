@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -232,6 +233,14 @@ def _cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _open_new(path, mode: str, **kw):
+    """open(path, mode) after unlinking a regular file at path: on ext4 a
+    truncated and rewritten file is flushed at close (auto_da_alloc)."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
+    return open(path, mode, **kw)
+
+
 def emit_csv(traj: Trajectory, path) -> None:
     """t, x1..xn, z1..zn, u, event columns; %.12e; header row.
 
@@ -252,7 +261,7 @@ def emit_csv(traj: Trajectory, path) -> None:
         + ["u", "event"]
     )
     try:
-        with open(path, "wb") as fh:
+        with _open_new(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode("ascii"))
             # a chunk's cells in file order: filling this row-major buffer
             # is the one transposition of the component-major states
@@ -279,7 +288,7 @@ def emit_json(summary: RunSummary, path) -> None:
     before the file is opened."""
     text = json.dumps(summary.to_json_dict(), indent=2, allow_nan=False) + "\n"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_new(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"could not write JSON to {path}: {exc}") from exc
@@ -334,7 +343,7 @@ def emit_svg(traj: Trajectory, projection: tuple, path) -> None:
     ]
     body.append("</svg>")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_new(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(body) + "\n")
     except OSError as exc:
         raise OSError(f"could not write SVG to {path}: {exc}") from exc

@@ -66,14 +66,16 @@ class StepPolicy:
 
     A policy reads block-chart states z and the half-open index span of
     its block.  Each one gives control(branch, z), the control value on a
-    branch, and residual(z, span), the switching function whose sign picks
-    the branch; the defaults below cover the rest.  residuals and controls
-    read a batch of sample rows, a (k, n) array Z, and give a float array
-    of k: one call of residual and control on the columns Z.T, which they
-    read as they read one state (ThetaSwitch reads its sigma column
-    through ctrl_fn.sigmas).  A batch's Z is component-major, so each
-    z[i] of Z.T is a contiguous array of k floats, along which numpy's
-    inner loop runs.
+    branch, and residual(z, span), the switching function g: u_plus (+1)
+    acts where g < 0, u_minus (-1) where g > 0.  At a switching event,
+    switch picks the branch by Filippov's test, from gradient(z, span),
+    the nonzero entries (index, dg/dz_index) of g's gradient; the defaults
+    below cover the rest.  residuals and controls read a batch of sample
+    rows, a (k, n) array Z, and give a float array of k: one call of
+    residual and control on the columns Z.T, which they read as they read
+    one state (ThetaSwitch reads its sigma column through ctrl_fn.sigmas).
+    A batch's Z is component-major, so each z[i] of Z.T is a contiguous
+    array of k floats, along which numpy's inner loop runs.
 
     The callbacks a policy holds (w, u_plus, u_minus, u_zero) follow the
     contract of Scenario.to_z: they take one state, a tuple of floats (w
@@ -96,20 +98,41 @@ class StepPolicy:
             return _column(self.control(branch, Z.T), len(Z))
 
     def branch(self, z: tuple, span: tuple) -> int:
-        """+1 (u_plus) below the surface, -1 (u_minus) above, slide_branch on it."""
+        """+1 (u_plus) below the surface, -1 (u_minus) above, 0 on it."""
         r = self.residual(z, span)
-        if r < 0.0:
-            return +1
-        if r > 0.0:
-            return -1
-        return self.slide_branch(z, span)
+        return +1 if r < 0.0 else -1 if r > 0.0 else 0
 
-    def field(self, branch: int, rhs: Callable, control: Callable) -> Callable:
-        """Closed-loop right side on a branch; control(branch, s) is the stage's."""
-        return lambda s: rhs(s, control(branch, s))
+    def switch(self, z: tuple, span: tuple, rate: Callable) -> int:
+        """The branch after a switching event at z, by Filippov's test
+        (Filippov 1988, section 2.4) on rate(b), the derivative of g along
+        branch b's field.  A branch whose rate is about 0 (RIDE times the
+        other's) rides the surface and is kept.  Both rates positive enter
+        g > 0: u_minus; both negative: u_plus; rate(+1) > 0 > rate(-1)
+        slides (0), on the Filippov combination of the two fields.  Fields
+        that both leave the surface keep the side z is on."""
+        gp, gm = rate(+1), rate(-1)
+        if min(abs(gp), abs(gm)) <= RIDE * max(abs(gp), abs(gm)):
+            return +1 if abs(gp) <= abs(gm) else -1
+        if gp > 0.0 > gm:
+            return 0
+        if gp * gm > 0.0:
+            return -1 if gp > 0.0 else +1
+        return -1 if self.residual(z, span) > 0.0 else +1
 
-    def slide_branch(self, z: tuple, span: tuple) -> int:
-        return 0
+    def field(self, branch: int, rhs: Callable, control: Callable, rate: Callable) -> Callable:
+        """Closed-loop right side on a branch; on branch 0, Filippov's convex
+        combination of the two branch fields along which g stays put.
+        control(branch, s) and rate(branch, s) are the stage's."""
+        if branch:
+            return lambda s: rhs(s, control(branch, s))
+        up, down = self.field(+1, rhs, control, rate), self.field(-1, rhs, control, rate)
+
+        def slide(s):
+            gp, gm = rate(+1, s), rate(-1, s)
+            lam = gm / (gm - gp)
+            return tuple(lam * a + (1.0 - lam) * b for a, b in zip(up(s), down(s)))
+
+        return slide
 
     def arrive_coord(self, span: tuple) -> int:
         """Coordinate whose zero crossing marks the origin passage: the block head."""
@@ -125,6 +148,8 @@ def _column(v, k: int) -> np.ndarray:
 
 
 SURFACE_TOL = 1e-9  # ThetaSwitch's zero band on sigma, relative to max |w|
+RIDE = 1e-6  # a branch rate this small against the other's rides the surface
+SLOPE_STEP = 1e-6  # relative step of the central difference of a curve's slope
 
 
 @dataclass(frozen=True)
@@ -149,6 +174,13 @@ class ThetaSwitch(StepPolicy):
         if abs(ev.sigma) <= band:
             return 0
         return -1 if ev.sigma > 0 else +1
+
+    def switch(self, z: tuple, span: tuple, rate: Callable) -> int:
+        # its own bands, and u_zero on the surface
+        return self.branch(z, span)
+
+    def field(self, branch: int, rhs: Callable, control: Callable, rate: Callable) -> Callable:
+        return lambda s: rhs(s, control(branch, s))
 
     def control(self, branch: int, z: tuple) -> float:
         if branch > 0:
@@ -177,8 +209,9 @@ class CurveSwitch(StepPolicy):
     The curve maps the block's position coordinate to a velocity; u_plus
     acts strictly below the curve or on it with position >= 0, u_minus
     strictly above or on it with position <= 0.  The step arrives where
-    the block velocity crosses zero, and slides along the curve on the
-    branch of the position's sign.
+    the block velocity crosses zero.  A curve that is an integral curve
+    of a branch is ridden on that branch (StepPolicy.switch); its slope
+    is a central difference of w.
     """
 
     w: Callable
@@ -191,8 +224,14 @@ class CurveSwitch(StepPolicy):
     def residual(self, z: tuple, span: tuple) -> float:
         return z[span[0] + 1] - self.w(z[span[0]])
 
-    def slide_branch(self, z: tuple, span: tuple) -> int:
-        return +1 if z[span[0]] >= 0.0 else -1
+    def gradient(self, z: tuple, span: tuple) -> tuple:
+        a = span[0]
+        d = SLOPE_STEP * abs(z[a]) + 5e-324
+        return ((a, (self.w(z[a] - d) - self.w(z[a] + d)) / (2.0 * d)), (a + 1, 1.0))
+
+    def branch(self, z: tuple, span: tuple) -> int:
+        # on the curve, the branch of the position's sign, whose arrival arc it is
+        return super().branch(z, span) or (+1 if z[span[0]] >= 0.0 else -1)
 
     def arrive_coord(self, span: tuple) -> int:
         return span[0] + 1
@@ -312,13 +351,18 @@ class ConstSign(StepPolicy):
     def control(self, branch: int, z: tuple) -> float:
         return -self.level * float(branch == -1) + self.level * float(branch == +1)
 
-    def field(self, branch: int, rhs: Callable, control: Callable) -> Callable:
+    def field(self, branch: int, rhs: Callable, control: Callable, rate: Callable) -> Callable:
+        if not branch:
+            return super().field(branch, rhs, control, rate)
         # the control is constant on a branch: solve it once, not per state
         u = self.control(branch, ())
         return lambda s: rhs(s, u)
 
     def residual(self, z: tuple, span: tuple) -> float:
         return z[span[0]]
+
+    def gradient(self, z: tuple, span: tuple) -> tuple:
+        return ((span[0], 1.0),)
 
 
 @dataclass(frozen=True)
@@ -365,10 +409,11 @@ def step_done(z: Sequence[float] | np.ndarray, blocks: BlockPartition, i: int, d
 
 
 # The routes by which perfbench/layertrace.py counts control and residual
-# evaluations, patched by name: the field's controls, one state each, go
-# through _control_of; a batch's residuals and recorded controls are read
-# on columns (StepPolicy.residuals, controls), so no call takes
-# _switch_residual, which stays for the tracer to find.
+# evaluations, patched by name: the controls of the fields and of the
+# branch rates, one state each, go through _control_of; a batch's
+# residuals and recorded controls are read on columns (StepPolicy.residuals,
+# controls), so no call takes _switch_residual, which stays for the tracer
+# to find.
 def _control_of(policy: StepPolicy, branch: int, z: tuple) -> float:
     return policy.control(branch, z)
 
@@ -382,17 +427,18 @@ class _Stage:
     hold check.
 
     This is the stage object engine.run_stage drives.  Its methods read
-    states of the integrated chart, which z(s) maps to the block chart;
-    rows reads a batch of them (_Rows).  hold folds the drift of blocks
-    1..i-1 into hold_residuals.
+    states s of the integrated chart, which z(s) maps to the block chart;
+    rows reads a batch of them (_Rows).  The rates of Filippov's test come
+    from the block-form right side, whatever chart is integrated.  hold
+    folds the drift of blocks 1..i-1 into hold_residuals.
     """
 
-    def __init__(self, policy: StepPolicy, blocks: BlockPartition, i: int, t0: float, s0: tuple,
+    def __init__(self, policy: StepPolicy, system: BlockSystem, i: int, t0: float, s0: tuple,
                  rhs: Callable, z_of: Callable | None, done_tol: float, hold_residuals: list):
-        self.policy, self.blocks, self.i = policy, blocks, i
-        self.rhs, self.z_of, self.done_tol = rhs, z_of, done_tol
+        self.policy, self.blocks, self.i = policy, system.blocks, i
+        self.block_rhs, self.rhs, self.z_of, self.done_tol = system.rhs, rhs, z_of, done_tol
         self.hold_residuals = hold_residuals
-        self.span = blocks.bounds(i)
+        self.span = system.blocks.bounds(i)
         self.arrive_idx = policy.arrive_coord(self.span)
         # only a Theta policy bounds its step: it must end by twice Theta(z0)
         self.theta_bound = policy.theta_bound(self.z(s0), self.span)
@@ -409,16 +455,22 @@ class _Stage:
         return StepTimeout(f"step {self.i} ran past 2x its Theta bound {self.theta_bound:.6g} (t={t:.6g})")
 
     def field(self, branch: int) -> Callable:
-        return self.policy.field(branch, self.rhs, self.control)
+        return self.policy.field(branch, self.rhs, self.control, self.rate)
 
     def control(self, branch: int, s: tuple) -> float:
         return _control_of(self.policy, branch, self.z(s))
 
+    def rate(self, branch: int, s: tuple) -> float:
+        """The derivative of the residual along the field of a branch."""
+        z = self.z(s)
+        dz = self.block_rhs(z, _control_of(self.policy, branch, z))
+        return sum(c * dz[j] for j, c in self.policy.gradient(z, self.span))
+
     def branch(self, s: tuple) -> int:
         return self.policy.branch(self.z(s), self.span)
 
-    def slide_branch(self, s: tuple) -> int:
-        return self.policy.slide_branch(self.z(s), self.span)
+    def switch(self, s: tuple) -> int:
+        return self.policy.switch(self.z(s), self.span, lambda b: self.rate(b, s))
 
     def rows(self, t: np.ndarray, y: np.ndarray) -> "_Rows":
         return _Rows(self, t, y)
@@ -439,26 +491,33 @@ class _Stage:
 
 
 class _Rows:
-    """A batch of sample rows as step i reads them (the batch of
+    """A batch of rows as step i reads them (the batch of
     engine.run_stage), in the block chart as the (k, n) array Z: y itself,
     or y mapped to z by one call of z_of on its n columns.  The done band
-    and arrive coordinate are columns of Z, and so are the residuals and
-    the controls on a branch, on the policy's column path.  Z keeps y's
-    component-major layout: z_of's columns are stacked as the rows of an
-    (n, k) C array, of which Z is the transpose."""
+    and arrive coordinate are columns of Z, and so are the controls on a
+    branch and, off the surface, the residual that off compares with the
+    branch's side.  Z keeps y's component-major layout: z_of's columns are
+    stacked as the rows of an (n, k) C array, of which Z is the transpose."""
 
     def __init__(self, stage: _Stage, t: np.ndarray, y: np.ndarray):
-        self.t, self.y = t, y
-        self.policy, self.span = stage.policy, stage.span
+        self.t, self.y, self.stage = t, y, stage
         self.Z = y if stage.z_of is None else np.array(stage.z_of(y.T)).T
-        self.done = step_done(self.Z, stage.blocks, stage.i, stage.done_tol)
         self.arrive = self.Z[:, stage.arrive_idx]
 
-    def residuals(self) -> np.ndarray:
-        return self.policy.residuals(self.Z, self.span)
+    @property
+    def done(self) -> np.ndarray:
+        return step_done(self.Z, self.stage.blocks, self.stage.i, self.stage.done_tol)
+
+    def off(self, branch: int) -> np.ndarray:
+        """True where g has left the branch's side (g < 0 for u_plus), or
+        where a state on the surface would switch off it."""
+        stage = self.stage
+        if branch:
+            return branch * stage.policy.residuals(self.Z, stage.span) > 0.0
+        return np.array([stage.switch(s) != 0 for s in map(tuple, self.y.tolist())], dtype=bool)
 
     def controls(self, branch: int) -> np.ndarray:
-        return self.policy.controls(branch, self.Z)
+        return self.stage.policy.controls(branch, self.Z)
 
 
 def orchestrate(
@@ -480,10 +539,10 @@ def orchestrate(
 
     z_of takes one state, or the n columns of a batch of rows (the
     transpose of a (k, n) array), with the same floats as row by row.  Each
-    batch of sample rows is mapped to z in one call (_Rows), and that map
-    serves the rows' switch residuals, done tests, arrive coordinates,
-    hold check and recorded controls.  z_of must be a pure function of the
-    state; the map it returns is treated as read-only.
+    batch of rows is mapped to z in one call (_Rows), and that map serves
+    the switch residuals, done tests, arrive coordinates, hold check and
+    recorded controls.  z_of must be a pure function of the state; the map
+    it returns is treated as read-only.
     """
     blocks = system.blocks
     if len(policies) != blocks.m:
@@ -505,7 +564,7 @@ def orchestrate(
     hold_residuals = [0.0] * blocks.m
 
     for i in range(1, blocks.m + 1):
-        stage = _Stage(policies[i - 1], blocks, i, t, state, rhs, z_of, done_tol, hold_residuals)
+        stage = _Stage(policies[i - 1], system, i, t, state, rhs, z_of, done_tol, hold_residuals)
         t, state = engine.run_stage(step_index=i, t0=t, z0=state, stage=stage, cfg=cfg, recorder=recorder)
         step_times.append(t)
         theta_bounds.append(stage.theta_bound)

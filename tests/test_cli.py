@@ -99,6 +99,19 @@ def test_overflow_in_a_run_is_runtime_error(capsys, tmp_path):
     assert err.startswith("runtime error: NonFinite")
 
 
+def test_pendulum_with_a_tiny_alpha_fails_by_name(capsys, tmp_path):
+    # alpha = 1e-110 is admissible and its channel roots (about +-1e55) are
+    # finite: the run gets past the channel cubic, which overflowed before,
+    # and from this start fails as alpha = 1e-2 ... 1e-100 do, the step-1
+    # channel having no root on its branch
+    code, _, err = run_cli(
+        capsys, "simulate", "--scenario", "pendulum", "--x0", "-2,1,-1,0.5", "--dt", "1e-3",
+        "--param", "alpha=1e-110", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("runtime error: NoRealRoot") and "OverflowError" not in err
+
+
 def test_arithmetic_error_in_a_run_is_runtime_error(capsys, tmp_path, monkeypatch):
     # a field that raises OverflowError fails the run the same way
     get_scenario = scenarios.get_scenario

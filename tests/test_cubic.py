@@ -146,6 +146,24 @@ def test_huge_forcing_gives_its_finite_root(c):
         assert abs((alpha * u * u - 1.0) * u + c) <= 1e-10 * abs(c)
 
 
+@pytest.mark.parametrize("alpha", [1e-110, 1e-200])
+def test_tiny_alpha_gives_its_finite_root(alpha):
+    # past |c1 / c3| ~ 5.6e102, p^3 overflowed (OverflowError from the float
+    # power): the cubic of u / 2^j, j also from c1's exponent, gives the
+    # extreme root, about +-sqrt(1 / alpha) for a small forcing, the same
+    # floats alone and on a column
+    for sign in (+1, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            by_column = extreme_root(alpha, -1.0, np.array([0.5, -3.0, 0.5]), sign)
+            u = [extreme_root(alpha, -1.0, c, sign) for c in (0.5, -3.0, 0.5)]
+        assert [float(v).hex() for v in by_column] == [v.hex() for v in u]
+        assert all(math.isfinite(v) and (v > 0.0) == (sign > 0) for v in u)
+    if alpha == 1e-110:
+        assert extreme_root(alpha, -1.0, 0.5, +1) == pytest.approx(1e55, rel=1e-12)
+        assert extreme_root(alpha, -1.0, 0.5, -1) == pytest.approx(-1e55, rel=1e-12)
+
+
 @given(c3=coeff, c1=coeff, c0=coeff)
 @settings(max_examples=400, deadline=None)
 # a double root: the trigonometric roots n = 0 and n = 1 meet

@@ -413,3 +413,60 @@ def test_first_branch_segment_matches_dop853(monkeypatch):
     assert ref.success
     err = max(abs(a - b) for k, (_, z) in enumerate(rows) for a, b in zip(z, ref.y[:, k]))
     assert err <= 1e-9
+
+
+# --- events of the step-2 ride ---
+
+
+# Halton points 16 and 18 of the pendulum's sample box (angles +-pi, rates
+# +-3), mappability.halton_samples(box, 24), by their exact floats
+HALTON = {
+    16: "-0x1.78fdb9effea46p+1 0x1.1c71c71c71c70p-1 -0x1.21877845a0bfcp+0 -0x1.0a72f0539782ap+0",
+    18: "-0x1.5fdbbe9bba775p+0 -0x1.471c71c71c71cp+1 0x1.61de768dfd5c4p+0 0x1.58d0fac687d64p-1",
+}
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+@pytest.mark.parametrize("k", sorted(HALTON))
+def test_step_two_rides_its_curve_to_rest(k, dt):
+    # step 2 reaches its switching curve, an integral curve of one branch:
+    # Filippov's test keeps the branch that rides it, whatever the sign of
+    # the rounding-level residual, and the run comes to rest with every
+    # hold residual inside 10 delta (it ran away past the origin when the
+    # branch came from that sign)
+    x0 = tuple(float.fromhex(v) for v in HALTON[k].split())
+    traj, summary = simulate(pendulum(), x0, IntegratorConfig(dt=dt))
+    assert max(summary.hold_residuals) <= 10.0 * summary.delta
+    assert summary.final_state_norm <= 1e-6
+    assert [e[1] for e in traj.events][-1] == "step-complete"
+    assert summary.step_times == pytest.approx({16: [0.670777, 6.476343], 18: [1.112884, 42.361324]}[k], abs=1e-6)
+
+
+def test_step_times_match_an_event_locating_oracle():
+    # scipy's solve_ivp on the pendulum's branch fields (block chart), with
+    # event functions for the switching curves and the arrivals at rtol =
+    # atol = 1e-12: from the default start, u_plus up to the step-1 curve,
+    # the branch that rides it to z2 = 0, then from that state step 2's
+    # branch up to its curve and its ride to z4 = 0.  The run's step times
+    # agree with the oracle's to 1e-8
+    from scipy.integrate import solve_ivp
+
+    scn = pendulum()
+    t, z, times = 0.0, np.array(scn.to_z((-2.0, 1.0, -1.0, 0.5))), []
+    for i, policy in enumerate(scn.policies, start=1):
+        a = scn.blocks.bounds(i)[0]
+
+        def run(branch, event):
+            # branch's field from (t, z) up to the first zero of event
+            event.terminal = True
+            sol = solve_ivp(lambda t_, y: scn.system.rhs(tuple(y), policy.control(branch, tuple(y))),
+                            (t, t + 20.0), z, method="DOP853", rtol=1e-12, atol=1e-12, events=event)
+            assert sol.status == 1
+            return float(sol.t_events[0][0]), sol.y_events[0][0]
+
+        t, z = run(policy.branch(tuple(z), (a, a + 2)), lambda t_, y: y[a + 1] - policy.w(float(y[a])))
+        # on the curve, the branch of the position's sign rides it
+        t, z = run(+1 if z[a] >= 0.0 else -1, lambda t_, y: y[a + 1])
+        times.append(t)
+    _, summary = simulate(scn, (-2.0, 1.0, -1.0, 0.5), IntegratorConfig(dt=1e-3))
+    assert summary.step_times == pytest.approx(times, abs=1e-8)

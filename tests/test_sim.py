@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from stepsynth import (
     IntegratorConfig,
+    NoRealRoot,
     NonFinite,
     PendulumParams,
     Timeout,
@@ -75,19 +76,36 @@ def test_zero_start_is_trivial():
     assert summary.final_state_norm == 0.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md: events are found on the sample grid, so two arrive "
-    "crossings inside one sample interval go unseen and the pendulum's stop time "
-    "depends on dt (ROADMAP direction 1)",
-)
 def test_pendulum_stop_time_does_not_depend_on_dt():
-    # from (-2, 1, -1, 0.5) the run ends at T = 3.5347051 at dt = 1e-3, but
-    # at 3.5348555 at dt = 1e-4, after a fifth event: a switch at 3.5347803
+    # events are located on the integrator's steps, which do not depend on
+    # the sample spacing: from (-2, 1, -1, 0.5) the run ends at T = 3.5347051
+    # after the same four events at dt = 1e-3 and 1e-4
     scn = get_scenario("pendulum")
     coarse = simulate(scn, (-2.0, 1.0, -1.0, 0.5), IntegratorConfig(dt=1e-3))[1]
     fine = simulate(scn, (-2.0, 1.0, -1.0, 0.5), IntegratorConfig(dt=1e-4))[1]
     assert fine.T_total == pytest.approx(coarse.T_total, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, x0, x0_chart, dts",
+    [
+        ("pendulum", (-2.0, 1.0, -1.0, 0.5), "x", (1e-3, 1e-5)),
+        ("example51", (0.5, 0.1, -0.3), "x", (1e-3, 1e-4)),
+        ("polyodd:3", (1.0, 1.0, 1.0), "z", (1e-3, 1e-4)),
+        ("intro2d", (1.0, 1.0), "x", (1e-3, 1e-4)),
+    ],
+    ids=["pendulum", "example51", "polyodd:3", "intro2d"],
+)
+def test_events_do_not_depend_on_dt(name, x0, x0_chart, dts):
+    # the sample spacing only places the recorded rows: the event list (the
+    # same kinds in the same order) and the step times agree to 1e-9
+    runs = [simulate(get_scenario(name), x0, IntegratorConfig(dt=dt), x0_chart=x0_chart) for dt in dts]
+    (coarse, s_coarse), (fine, s_fine) = runs
+    assert [e[1:] for e in coarse.events] == [e[1:] for e in fine.events]
+    assert [e[0] for e in fine.events] == pytest.approx([e[0] for e in coarse.events], abs=1e-9)
+    assert s_fine.step_times == pytest.approx(s_coarse.step_times, abs=1e-9)
+    if name == "pendulum":
+        assert [e[1] for e in coarse.events] == ["branch-switch", "step-complete"] * 2
 
 
 def test_dt_refinement():
@@ -233,7 +251,7 @@ def test_polyodd_integrates_in_few_field_evaluations(monkeypatch):
     traj, _ = simulate(
         get_scenario("polyodd:3"), (1.0, 1.0, 1.0), IntegratorConfig(dt=1e-4, t_max=100.0), x0_chart="z"
     )
-    assert len(traj) == 97_501
+    assert len(traj) == 97_504
     assert calls["rhs"] < 300
 
 
@@ -264,11 +282,15 @@ def test_timeout_propagates():
 
 def test_pendulum_escape_is_nonfinite():
     # the velocity sum squares to inf on the first start instead of raising
-    # OverflowError, so both escapes fail as the engine reports them
+    # OverflowError, so both escapes fail as the engine reports them: the
+    # first integrator step (1e-4, whatever dt) of the first start is not
+    # finite, and the second start's drift leaves the range where the
+    # step-1 channel cubic has a root on the branch
     scn = get_scenario("pendulum")
-    for x0 in ((0.0, 1e155, 0.0, 0.0), (0.0, 1e100, 0.0, 0.0)):
-        with pytest.raises(NonFinite):
-            simulate(scn, x0, IntegratorConfig(dt=1e-3))
+    for x0, error in (((0.0, 1e155, 0.0, 0.0), NonFinite), ((0.0, 1e100, 0.0, 0.0), NoRealRoot)):
+        for dt in (1e-3, 1e-4):
+            with pytest.raises(error):
+                simulate(scn, x0, IntegratorConfig(dt=dt))
 
 
 def test_simulate_validation():
@@ -543,6 +565,28 @@ def test_emit_csv_refuses_a_flag_that_is_not_one_digit(tmp_path, flag):
     with pytest.raises(ValueError, match=re.escape(repr(flag))):
         emit_csv(traj, path)
     assert not path.exists()
+
+
+def test_emitters_write_a_new_file_over_an_old_one(tmp_path):
+    # a regular file is replaced, not truncated in place; a symlink is
+    # written through and stays a link
+    traj, summary = run_intro(dt=1e-3)
+    path, target, link = tmp_path / "traj.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    path.write_bytes(b"old")
+    old_inode = path.stat().st_ino
+    keep = tmp_path / "old.csv"
+    os.link(path, keep)
+    emit_csv(traj, path)
+    assert path.stat().st_ino != old_inode
+    assert keep.read_bytes() == b"old"
+    assert path.read_bytes() == _csv_by_fields(traj)
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    emit_csv(traj, link)
+    assert link.is_symlink() and target.read_bytes() == path.read_bytes()
+    emit_json(summary, path)
+    emit_svg(traj, (1, 2), path)
+    assert path.read_text().startswith("<svg")
 
 
 def test_emit_csv_bad_path():

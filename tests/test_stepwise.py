@@ -454,17 +454,27 @@ def _counter(calls: dict, name: str, fn):
 
 class _StateRows:
     """Rows of a fake stage, read by its per-state methods done(s),
-    arrive(s), residual(s) and control(b, s), each called once per row."""
+    arrive(s), residual(s), switch(s) and control(b, s), each called once
+    per row it reads."""
 
     def __init__(self, stage, t: list, y: np.ndarray):
         self.t, self.y = t, y
         self.stage = stage
-        self.s = s = [tuple(x) for x in y.tolist()]
-        self.done = np.array([stage.done(x) for x in s], dtype=bool)
-        self.arrive = np.array([stage.arrive(x) for x in s], dtype=float)
+        self.s = [tuple(x) for x in y.tolist()]
 
-    def residuals(self) -> np.ndarray:
-        return np.array([self.stage.residual(x) for x in self.s], dtype=float)
+    @property
+    def done(self) -> np.ndarray:
+        return np.array([self.stage.done(x) for x in self.s], dtype=bool)
+
+    @property
+    def arrive(self) -> np.ndarray:
+        return np.array([self.stage.arrive(x) for x in self.s], dtype=float)
+
+    def off(self, branch: int) -> np.ndarray:
+        # off branch b's side of the residual, or off the surface branch
+        if branch:
+            return np.array([branch * self.stage.residual(x) > 0.0 for x in self.s], dtype=bool)
+        return np.array([self.stage.switch(x) != 0 for x in self.s], dtype=bool)
 
     def controls(self, branch: int) -> np.ndarray:
         return np.array([self.stage.control(branch, x) for x in self.s], dtype=float)
@@ -472,20 +482,26 @@ class _StateRows:
 
 def _stage(**methods):
     """A run_stage stage from per-state methods, read in batches of at most
-    ROWS rows: no deadline, no finished block to hold, and no arrival
-    unless given."""
+    ROWS rows: no deadline, no finished block to hold, no arrival unless
+    given, and at an event the branch of the state's side."""
     defaults = {"deadline": math.inf, "arrive": lambda s: 1.0, "hold": lambda rows, lo, hi: None}
     stage = SimpleNamespace(**{**defaults, **methods})
+    if "switch" not in methods:
+        stage.switch = stage.branch
     stage.rows = lambda t, y: _StateRows(stage, t, y)
     return stage
 
 
-def test_run_stage_work_per_step():
-    # dz = u on a scalar state that never reaches the done band, so every
-    # sample is plain until t_max: per sample the stage makes one switch
-    # residual and one done test, plus one of each at the start state; the
-    # control is solved once per recorded sample and six times per
-    # integrator step, and a constant field needs few steps
+def test_run_stage_work_per_step(monkeypatch):
+    # dz = u on a scalar state that never reaches the done band, so no
+    # event comes before t_max: the stage makes one switch residual and
+    # one done test at the start state and at each of the PROBES points of
+    # every accepted integrator step, and none per sample; the control is
+    # solved once per recorded sample and six times per integrator step,
+    # and a constant field needs few steps
+    accepted = []
+    dense = engine._dense_rows
+    monkeypatch.setattr(engine, "_dense_rows", lambda *args: accepted.append(args) or dense(*args))
     calls = {"control": 0, "residual": 0, "done": 0}
     control = _counter(calls, "control", lambda b, s: float(b))
     rec = Recorder()
@@ -499,15 +515,15 @@ def test_run_stage_work_per_step():
                 branch=lambda s: -1,
                 control=control,
                 residual=_counter(calls, "residual", lambda s: s[0] + 1.0),
-                slide_branch=lambda s: 0,
                 done=_counter(calls, "done", lambda s: abs(s[0]) <= 1e-8),
             ),
             cfg=IntegratorConfig(dt=1e-2, t_max=0.5),
             recorder=rec,
         )
     steps = len(rec.times) - 1
-    assert steps >= 49 and not rec.events
-    assert {k: calls[k] for k in ("residual", "done")} == {"residual": steps + 1, "done": steps + 1}
+    assert steps >= 49 and not rec.events and len(accepted) < 10
+    probes = 1 + engine.PROBES * len(accepted)
+    assert {k: calls[k] for k in ("residual", "done")} == {"residual": probes, "done": probes}
     assert calls["control"] < 2 * steps
 
 
@@ -525,10 +541,11 @@ def _orchestrate_work(monkeypatch, blocks, z0, policy):
     return calls, len(rec.times) - 1
 
 
-# The done band is tested once per batch of rows, on all of them at once,
-# and once at the start row.  Over 50 rows and no event the flow runs its
-# integrator steps ahead of the next sample up to t_max (1, 10 and 39 rows,
-# the third cut at t_max), so the 50 rows are one batch.
+# The done band is tested at the start row and once per batch of probe
+# points, on all of them at once; the rows take no done test.  Over 50 rows
+# and no event the flow runs its integrator steps ahead of the next sample
+# up to t_max (1e-4, 1e-3, 1e-2, 0.1 and a step cut at t_max), so their
+# probes are one batch.
 DONE_TESTS = 1 + 1
 
 
@@ -568,7 +585,6 @@ def test_run_stage_harmonic_oscillator_on_the_sample_grid():
                 branch=lambda s: 1,
                 control=lambda b, s: 0.0,
                 residual=lambda s: 1.0,
-                slide_branch=lambda s: 0,
                 done=lambda s: False,
             ),
             cfg=IntegratorConfig(dt=1e-3, t_max=20.0),
@@ -599,7 +615,6 @@ def test_run_stage_integrates_no_further_than_the_row_where_the_field_ends():
             branch=lambda s: 1,
             control=lambda b, s: 1.0,
             residual=lambda s: 1.0,
-            slide_branch=lambda s: 0,
             arrive=lambda s: s[0],
             done=lambda s: abs(s[0]) <= 1e-8,
         ),
@@ -633,7 +648,6 @@ def test_run_stage_raises_the_field_error_of_a_step_the_next_sample_needs():
                 branch=lambda s: 1,
                 control=lambda b, s: 1.0,
                 residual=lambda s: 1.0,
-                slide_branch=lambda s: 0,
                 done=lambda s: False,
             ),
             cfg=IntegratorConfig(dt=1e-3, t_max=5.0),
@@ -706,7 +720,6 @@ def test_running_ahead_past_an_arrival_wastes_a_bounded_count_of_steps(monkeypat
                 branch=lambda s: 1,
                 control=lambda b, s: 1.0,
                 residual=lambda s: 1.0,
-                slide_branch=lambda s: 0,
                 arrive=lambda s: s[0],
                 done=lambda s: abs(s[0]) <= 1e-8,
             ),
@@ -740,7 +753,6 @@ def _line(**methods):
             "branch": lambda s: 1,
             "control": lambda b, s: 1.0,
             "residual": lambda s: 1.0,
-            "slide_branch": lambda s: 0,
             "done": lambda s: False,
             **methods,
         }
@@ -786,9 +798,11 @@ def test_run_stage_sample_times_are_the_repeated_addition(t0, dt, m, frac, cut):
     assert rec.times.tolist() == want
 
 
-# Rows are read and tested in batches, so events are placed between every
-# pair of the first 150 samples: those include the first and the last row
-# of a batch and rows of later integrator steps, whatever the batch layout.
+# Events are located on the integrator's steps and the rows are read up to
+# them, so events are placed between every pair of the first 150 samples:
+# the rows before each are recorded, and none past it.  The steps, and so
+# the events, do not depend on the sample spacing: the same event at a
+# third of it lands on the same float.
 EDGE_ROWS = range(1, 150)
 
 
@@ -797,17 +811,22 @@ def test_run_stage_switch_at_each_row():
     # dz = 2: one switch at t = c, plain rows on the dt grid before it and
     # on the grid from the switch after it
     dt = 1e-3
+
+    def line(c):
+        return _line(
+            field=lambda b: (lambda s: (1.0,)) if b > 0 else (lambda s: (2.0,)),
+            branch=lambda s: 1 if s[0] < c else -1,
+            control=lambda b, s: float(b),
+            residual=lambda s: s[0] - c,
+        )
+
     for r in EDGE_ROWS:
         c = (r - 0.5) * dt
-        rec, _ = _run_line(_line(
-            field=lambda b: (lambda s: (1.0,)) if b > 0 else (lambda s: (2.0,)),
-            branch=lambda s, c=c: 1 if s[0] < c else -1,
-            control=lambda b, s: float(b),
-            residual=lambda s, c=c: s[0] - c,
-        ), dt, t_max=(r + 80) * dt)
+        rec, _ = _run_line(line(c), dt, t_max=(r + 80) * dt)
         assert [e.kind for e in rec.events] == ["branch-switch"]
         te = rec.events[0].t
         assert abs(te - c) <= 1e-9
+        assert _run_line(line(c), dt / 3.0, t_max=(r + 80) * dt)[0].events[0].t == te
         assert rec.times[:r].tolist() == _sample_times(0.0, dt, 1.0, r - 1)
         assert rec.times[r:].tolist() == _sample_times(te, dt, (r + 80) * dt)
         assert rec.flags.tolist() == [0] * r + [FLAG_SWITCH] + [0] * (len(rec.flags) - r - 1)
@@ -818,25 +837,30 @@ def test_run_stage_switch_at_each_row():
 
 def test_run_stage_completes_at_each_row():
     # the arrive coordinate crosses zero halfway between rows r - 1 and r,
-    # inside the done band: the stage ends there, after r plain rows
+    # inside the done band: the stage ends there, after r plain rows, at
+    # the same float for a third of the sample spacing
     dt = 1e-3
     for r in EDGE_ROWS:
         c = (r - 0.5) * dt
-        rec = Recorder()
-        t_end, _ = run_stage(
-            step_index=1, t0=0.0, z0=(0.0,),
-            stage=_line(arrive=lambda s, c=c: s[0] - c, done=lambda s, c=c: abs(s[0] - c) <= 1e-8),
-            cfg=IntegratorConfig(dt=dt, t_max=1.0), recorder=rec,
-        )
+        ends, recs = [], []
+        for spacing in (dt, dt / 3.0):
+            recs.append(Recorder())
+            ends.append(run_stage(
+                step_index=1, t0=0.0, z0=(0.0,),
+                stage=_line(arrive=lambda s, c=c: s[0] - c, done=lambda s, c=c: abs(s[0] - c) <= 1e-8),
+                cfg=IntegratorConfig(dt=spacing, t_max=1.0), recorder=recs[-1],
+            )[0])
+        rec, t_end = recs[0], ends[0]
         assert [e.kind for e in rec.events] == ["step-complete"]
-        assert abs(t_end - c) <= 1e-9
+        assert abs(t_end - c) <= 1e-9 and ends == [t_end, t_end]
         assert rec.times.tolist() == _sample_times(0.0, dt, 1.0, r - 1) + [t_end]
         assert rec.flags.tolist() == [0] * r + [FLAG_COMPLETE]
 
 
 def test_run_stage_arrive_crossing_outside_done_is_a_plain_row():
-    # arrive changes sign mid-batch but done fails at the crossing: the
-    # crossing is tested and the row stays plain
+    # arrive changes sign between two probe points but done fails at the
+    # crossing: the crossing is located and tested, the branch of its side
+    # is the branch the stage is on, and the rows stay plain
     dt = 1e-3
     for r in EDGE_ROWS[::7]:
         c = (r - 0.5) * dt
@@ -908,11 +932,16 @@ def test_integrator_config_rejects(kwargs):
 
 
 def test_run_stage_nonfinite_row():
-    # the field is infinite past z = 0.0505: the rows up to t = 0.05 are
-    # integrated, and no step reaches the row at 0.051
-    rec, msg = _run_line(_line(field=lambda b: lambda s: (1.0 if s[0] < 0.0505 else math.inf,)), error=NonFinite)
-    assert msg == "non-finite state at t=0.051 in step 2"
+    # the field is infinite past z = 0.0505: a step that meets it is retried
+    # at a fifth of its size until the steps cannot shrink, so the run fails
+    # where the field does, whatever the sample spacing, after the rows up
+    # to t = 0.05 (and to 0.0504 at a tenth of the spacing)
+    field = lambda b: lambda s: (1.0 if s[0] < 0.0505 else math.inf,)
+    rec, msg = _run_line(_line(field=field), error=NonFinite)
+    assert msg == "non-finite state at t=0.0505 in step 2"
     assert rec.times.tolist() == _sample_times(0.0, 1e-3, 1.0, 50)
+    rec, msg = _run_line(_line(field=field), dt=1e-4, error=NonFinite)
+    assert msg == "non-finite state at t=0.0505 in step 2" and len(rec.times) == 505
 
 
 class _Drain(StepPolicy):
@@ -923,7 +952,7 @@ class _Drain(StepPolicy):
     def __init__(self, g, u=lambda z: -1.0):
         self.g, self.u = g, u
 
-    def field(self, branch: int, rhs, control):
+    def field(self, branch: int, rhs, control, rate):
         return lambda s: rhs(s, -1.0)
 
     def control(self, branch: int, z) -> float:
@@ -939,7 +968,7 @@ def _fails_below(level: float):
     def g(z):
         for v in np.atleast_1d(z[1]).tolist():
             if v < level:
-                raise ValueError(f"no residual at {v}")
+                raise ValueError(f"no residual below {level}")
         return z[1]
 
     return g
@@ -958,9 +987,10 @@ def _channel_root(z):
         pytest.param(_Drain(_fails_below(0.945)), HoldViolation,
                      "block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05", 49,
                      id="0.945-HoldViolation-block 1 drifted to 1.000e-07 > 1.000e-07 at t=0.05-49"),
-        # the residual raises at t = 0.046, before the hold breaks
-        pytest.param(_Drain(_fails_below(0.955)), ValueError, "no residual at 0.954", 45,
-                     id="0.955-ValueError-no residual at 0.954-45"),
+        # the residual raises from t = 0.045 on, before the hold breaks: the
+        # probes find it, and the failure is located between rows 45 and 46
+        pytest.param(_Drain(_fails_below(0.955)), ValueError, "no residual below 0.955", 45,
+                     id="0.955-ValueError-no residual below 0.955-45"),
         # the recorded control's cubic has no root on its branch at t = 0.047
         pytest.param(_Drain(lambda z: z[1], _channel_root), NoRealRoot,
                      "extreme root -3.47085 for forcing 1.175 has the wrong sign", 46,
@@ -969,8 +999,9 @@ def _channel_root(z):
 )
 def test_first_failing_row_wins(drain, error, msg, rows):
     # block 1 starts done; step 2 leaks 2e-6 u into it, so it leaves the
-    # 10 delta band at t = 0.05, in the batch that also holds the row where
-    # the residual or the recorded control raises
+    # 10 delta band at t = 0.05.  The first failure in time wins: the hold
+    # at a row, the residual where the probes of a step locate its
+    # failure, or the recorded control at a row
     system = BlockSystem(blocks=BlockPartition(sizes=(1, 1)), H=lambda z, u: (2e-6 * u, u))
     rec = Recorder()
     with pytest.raises(error) as err:
@@ -1142,7 +1173,6 @@ def test_batches_after_a_failed_batch_and_a_switch_are_full_size():
             branch=lambda s: 1 if s[0] < c else -1,
             control=lambda b, s: float(b),
             residual=lambda s: s[0] - c,
-            slide_branch=lambda s: 0,
             done=done,
         )
         rows = stage.rows
@@ -1174,7 +1204,7 @@ def test_flow_rows_match_the_scalar_interpolant():
     # formula, bit for bit
     from stepsynth.engine import _Flow
 
-    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 0.3, 10.0, 1)
+    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 10.0, 1)
     flow.cover(0.0, 2.0)
     # a time at the end of a step reads that step, not the next
     times = sorted({k / 64.0 for k in range(1, 129)} | {tb for _, tb, _ in flow.pieces[:-1]})
@@ -1200,7 +1230,7 @@ def test_flow_rows_read_a_step_end_from_that_step():
     # (as event bisection makes them) both take the earlier step's
     from stepsynth.engine import _Flow
 
-    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 0.3, 10.0, 1)
+    flow = _Flow(lambda s: (s[1], -s[0]), 0.0, (1.0, 0.0), 10.0, 1)
     flow.cover(0.0, 2.0)
     flow.pieces[:] = [(ta, tb, coef + [[j], [0], [0], [0], [0]]) for j, (ta, tb, coef) in enumerate(flow.pieces)]
     # at s = 1 the extension is a + b
@@ -1211,73 +1241,60 @@ def test_flow_rows_read_a_step_end_from_that_step():
     assert [flow.rows(np.array([t])).tolist()[0] for t in ends] == want
 
 
-def _chatter_stage(slide_rate: float, t_max: float):
-    """run_stage on a scalar state whose branches point at each other across
-    x=0; the slide branch moves at slide_rate.  Forces the chattering path."""
+def _slide(drift: float, t_max: float) -> Recorder:
+    """Step 1 of dx = u + drift y, dy = 1 from (0.3, 0) under u = -sign(x),
+    with a done band it never reaches; returns the record up to t_max.
+
+    The branch fields point at each other across x = 0, so the run meets
+    the surface once and slides on it (Filippov's combination, dx = 0)
+    until, at y = 1 / drift, the field of u_minus turns."""
+    system = BlockSystem(blocks=BlockPartition(sizes=(1, 1)), H=lambda z, u: (u + drift * z[1], 1.0))
     rec = Recorder()
-    cfg = IntegratorConfig(dt=1e-3, t_max=t_max)
-    rhs = {
-        +1: lambda s: (1.0,),
-        -1: lambda s: (-1.0,),
-        0: lambda s: (slide_rate,),
-    }
     with pytest.raises(Timeout):
-        run_stage(
-            step_index=1,
-            t0=0.0,
-            z0=(0.3452,),
-            stage=_stage(
-                field=lambda b: rhs[b],
-                branch=lambda s: -1 if s[0] > 0 else +1,
-                control=lambda b, s: float(b),
-                residual=lambda s: s[0],
-                slide_branch=lambda s: 0,
-                done=lambda s: abs(s[0]) <= 1e-14,
-            ),
-            cfg=cfg,
-            recorder=rec,
-        )
+        orchestrate(system, (0.3, 0.0), [ConstSign(level=1.0)] * 2, IntegratorConfig(dt=1e-3, t_max=t_max),
+                    done_tol=1e-300, recorder=rec)
     return rec
 
 
 def test_slide_regime_engages_on_chattering():
-    # invariant surface: the slide branch freezes the state, so after the
-    # second crossing inside 4 dt the run stays in the slide regime
-    rec = _chatter_stage(slide_rate=0.0, t_max=1.0)
-    kinds = [e.kind for e in rec.events]
-    assert kinds.count("branch-switch") == 1
-    enters = [e for e in rec.events if e.kind == "surface-slide" and e.detail == "enter"]
-    assert len(enters) == 1
-    # no further switching after the slide engages
-    assert kinds[-1] == "surface-slide"
-    assert 3 in rec.flags
+    # the branches point at each other across x = 0: one slide, entered where
+    # x first reaches the surface at t = 0.3, and no switching after it; the
+    # slide holds x within the event width of the surface
+    rec = _slide(drift=0.0, t_max=1.0)
+    assert [(e.kind, e.detail) for e in rec.events] == [("surface-slide", "enter")]
+    assert abs(rec.events[0].t - 0.3) <= 1e-9
+    on = rec.times >= rec.events[0].t
+    assert 3 in rec.flags and np.all(np.abs(rec.states[on, 0]) <= 1e-9)
 
 
 def test_slide_hysteresis_bounds_event_rate():
-    # a drifting slide branch forces release/re-entry cycles; hysteresis
-    # keeps the event count far below the one-per-step chattering rate
-    rec = _chatter_stage(slide_rate=0.01, t_max=1.0)
-    kinds = [e.kind for e in rec.events]
-    assert kinds.count("surface-slide") >= 2  # at least one release + re-entry
-    assert len(rec.events) < 50  # pure chattering would be ~650
+    # the field of u_minus turns at y = 2 (t = 2): the slide is released
+    # where its rate -1 + y/2 is about 0, RIDE times the rate 1 + y/2 of
+    # u_plus, located to the event width, onto u_minus, which then leaves
+    # the surface; two events in all, no chattering
+    rec = _slide(drift=0.5, t_max=3.0)
+    assert [(e.kind, e.detail) for e in rec.events] == [("surface-slide", "enter"), ("surface-slide", "release")]
+    enter, release = (e.t for e in rec.events)
+    assert abs(enter - 2.0 * (1.0 - math.sqrt(0.7))) <= 1e-9
+    assert abs(release - 2.0 * (1.0 - stepwise.RIDE) / (1.0 + stepwise.RIDE)) <= 1e-9
+    assert rec.controls[-1] == -1.0 and rec.states[-1, 0] > 0.2
 
 
 def test_orchestrate_curve_switch_chatters_into_the_slide_regime(monkeypatch):
-    # H = u with the curve w = 0: the velocity is driven to 0 and then
-    # chatters across it while the position rests at 1, so the run slides
-    # on the branch of the position's sign (_Stage.slide_branch, u = +1),
-    # releases as that branch drifts off the curve, and re-enters, until
-    # t_max
+    # H = u with the curve w = 0, an integral curve of neither branch: the
+    # velocity is driven to 0 at t = 0.5, where both branch fields point at
+    # the curve (rates +1 and -1 through _Stage.switch), so the run slides on
+    # it with the position resting at 1.125 until t_max
     calls = []
-    slide = stepwise._Stage.slide_branch
-    monkeypatch.setattr(stepwise._Stage, "slide_branch", lambda stage, s: calls.append(s) or slide(stage, s))
+    switch = stepwise._Stage.switch
+    monkeypatch.setattr(stepwise._Stage, "switch", lambda stage, s: calls.append(s) or switch(stage, s))
     system = BlockSystem(blocks=BlockPartition(sizes=(2,)), H=lambda z, u: (u,))
     pol = CurveSwitch(w=lambda pos: 0.0 * pos, u_plus=lambda z: 1.0, u_minus=lambda z: -1.0)
     rec = Recorder()
     with pytest.raises(Timeout):
         orchestrate(system, (1.0, 0.5), [pol], IntegratorConfig(dt=1e-3, t_max=2.0), recorder=rec)
-    slides = [e.detail for e in rec.events if e.kind == "surface-slide"]
-    enters = slides.count("enter")
-    assert enters >= 2 and slides.count("release") == enters
-    assert len(calls) >= enters and all(pol.slide_branch(s, (0, 2)) == +1 for s in calls)
-    assert 3 in rec.flags
+    assert [(e.kind, e.detail) for e in rec.events] == [("surface-slide", "enter")]
+    assert abs(rec.events[0].t - 0.5) <= 1e-9
+    assert calls and pol.switch(calls[0], (0, 2), lambda b: float(b)) == 0
+    on = rec.times >= rec.events[0].t
+    assert 3 in rec.flags and np.allclose(rec.states[on], [1.125, 0.0], atol=1e-9)
